@@ -55,7 +55,7 @@ def main() -> None:
             default=float("nan"),
         )
         print(f"{activation:<12} {report.ap50:>6.3f} {report.ap:>6.3f} "
-              f"{report.pcd:>8.3f} {sharp:>10.6f}")
+              f"{float('nan') if report.pcd is None else report.pcd:>8.3f} {sharp:>10.6f}")
 
 
 if __name__ == "__main__":

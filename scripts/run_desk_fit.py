@@ -62,7 +62,8 @@ def main() -> None:
     print(f"ap50    {report.ap50:.4f}")
     print(f"ap      {report.ap:.4f}")
     print(f"ap_easy {report.ap_easy:.4f}")
-    print(f"pcd     {report.pcd:.4f}")
+    # pcd is None when no slot cleared the confidence threshold
+    print(f"pcd     {float('nan') if report.pcd is None else report.pcd:.4f}")
     for oid, entry in report.per_object.items():
         print(f"  {oid}: {entry['n_predictions']}/{entry['n_gt']} paths, "
               f"fscores {[round(f, 3) for f in entry['fscores']]}")

@@ -38,20 +38,15 @@ from .matching import (
     total_loss,
 )
 from .neural_field import (
-    Gradients,
     HeadConfig,
     HeadParams,
     activation,
     confidence_backward,
     confidence_forward,
     head_backward,
-    head_forward,
     head_forward_batch,
     init_head,
-    load_head,
-    modulator_forward,
     parameter_count,
-    save_head,
 )
 from .trainer import (
     TrainConfig,

@@ -240,6 +240,21 @@ def _ap_from_entries(entries: Sequence[_ScoredPrediction], n_gt: int, tau: float
     return _every_point_ap(recall, precision)
 
 
+def _ap_family(entries: Sequence[_ScoredPrediction], n_gt: int) -> tuple[float, float, float]:
+    """(AP at tau 0.5, mean AP over HARD_TAUS, mean AP over EASY_TAUS).
+
+    All three are 0, with a warning, when there is no prediction to score.
+    """
+    if n_gt == 0:
+        raise ValueError("dataset holds no ground-truth paths")
+    if not entries:
+        warnings.warn("no predictions to score; AP is 0", RuntimeWarning, stacklevel=3)
+        return 0.0, 0.0, 0.0
+    hard = [_ap_from_entries(entries, n_gt, tau) for tau in HARD_TAUS]
+    easy = [_ap_from_entries(entries, n_gt, tau) for tau in EASY_TAUS]
+    return hard[0], float(np.mean(hard)), float(np.mean(easy))
+
+
 def average_precision(
     dataset: DatasetMap,
     tau: float,
@@ -271,15 +286,7 @@ def ap_suite(
     theta_deg: float = DEFAULT_THETA_DEG,
 ) -> tuple[float, float, float]:
     """(AP at tau 0.5, mean AP over 0.50..0.95, mean AP over 0.05..0.50)."""
-    entries, n_gt = _score_dataset(dataset, delta, theta_deg)
-    if n_gt == 0:
-        raise ValueError("dataset holds no ground-truth paths")
-    if not entries:
-        warnings.warn("no predictions to score; AP is 0", RuntimeWarning, stacklevel=2)
-        return 0.0, 0.0, 0.0
-    hard = [_ap_from_entries(entries, n_gt, tau) for tau in HARD_TAUS]
-    easy = [_ap_from_entries(entries, n_gt, tau) for tau in EASY_TAUS]
-    return hard[0], float(np.mean(hard)), float(np.mean(easy))
+    return _ap_family(*_score_dataset(dataset, delta, theta_deg))
 
 
 def pcd(pred_poses, gt_poses) -> float:
@@ -348,15 +355,7 @@ def evaluate_dataset(
         work = {oid: (list(g), list(p)) for oid, (g, p) in dataset.items()}
 
     entries, n_gt = _score_dataset(work, delta, theta_deg)
-    if n_gt == 0:
-        raise ValueError("dataset holds no ground-truth paths")
-    if entries:
-        hard = [_ap_from_entries(entries, n_gt, tau) for tau in HARD_TAUS]
-        easy = [_ap_from_entries(entries, n_gt, tau) for tau in EASY_TAUS]
-        ap50, ap, ap_easy = hard[0], float(np.mean(hard)), float(np.mean(easy))
-    else:
-        warnings.warn("no predictions to score; AP is 0", RuntimeWarning, stacklevel=2)
-        ap50 = ap = ap_easy = 0.0
+    ap50, ap, ap_easy = _ap_family(entries, n_gt)
 
     by_object: dict[str, list[_ScoredPrediction]] = {}
     for entry in entries:

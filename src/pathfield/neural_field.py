@@ -8,13 +8,17 @@ activation), or by concatenating the codeword onto every block input.
 A separate two-layer ReLU network with a sigmoid readout maps the same
 codeword to a confidence score.
 
+The N codewords of an object run as one batch: block activations are
+(width, N, T) arrays, and each weight gradient sums over slots and
+samples inside one matmul. Gradients are name -> array dicts keyed like
+named_parameters.
+
 Everything is plain float64 numpy. Backward passes are exact
 reverse-mode differentiation of the forward graph; the test suite checks
 them against central finite differences.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -28,24 +32,16 @@ __all__ = [
     "CONDITIONING",
     "HeadConfig",
     "HeadParams",
-    "Gradients",
     "init_head",
     "activation",
-    "modulator_forward",
-    "head_forward",
     "head_forward_batch",
     "confidence_forward",
     "head_backward",
     "confidence_backward",
     "named_parameters",
-    "gradient_arrays",
     "parameter_count",
-    "zero_gradients",
-    "accumulate_gradients",
     "head_to_document",
     "head_from_document",
-    "save_head",
-    "load_head",
 ]
 
 
@@ -107,23 +103,6 @@ class HeadParams:
     conf_b1: np.ndarray
     conf_w2: np.ndarray
     conf_b2: np.ndarray
-
-
-@dataclass
-class Gradients:
-    """Same layout as HeadParams plus the codeword gradient."""
-
-    block_w: list[np.ndarray]
-    block_b: list[np.ndarray]
-    out_w: np.ndarray
-    out_b: np.ndarray
-    mod_w: list[np.ndarray]
-    mod_b: list[np.ndarray]
-    conf_w1: np.ndarray
-    conf_b1: np.ndarray
-    conf_w2: np.ndarray
-    conf_b2: np.ndarray
-    codeword: np.ndarray
 
 
 def _block_in_dim(config: HeadConfig, layer: int) -> int:
@@ -234,249 +213,230 @@ def activation(z, kind: str, omega0: float = DEFAULT_OMEGA0):
     return value, deriv
 
 
-def _as_codeword(params: HeadParams, codeword) -> np.ndarray:
-    code = np.asarray(codeword, dtype=float).reshape(-1)
-    if code.shape[0] != params.config.code_dim:
+def _as_codewords(params: HeadParams, codewords) -> np.ndarray:
+    """(N, code_dim) bank from one codeword (code_dim,) or a bank (N, code_dim)."""
+    codes = np.atleast_2d(np.asarray(codewords, dtype=float))
+    if codes.ndim != 2 or codes.shape[1] != params.config.code_dim:
         raise ValueError(
-            f"codeword length {code.shape[0]} != configured code_dim {params.config.code_dim}"
+            f"codewords of shape {np.shape(codewords)} do not match configured code_dim "
+            f"{params.config.code_dim}"
         )
-    return code
+    return codes
 
 
-def _modulator_with_cache(params: HeadParams, code: np.ndarray):
+def _flat(arr: np.ndarray) -> np.ndarray:
+    """(dim, N, T) -> (dim, N*T): the samples of every slot side by side as matmul columns."""
+    return arr.reshape(arr.shape[0], -1)
+
+
+def _modulator_with_cache(params: HeadParams, codes: np.ndarray):
     pres: list[np.ndarray] = []
     hs: list[np.ndarray] = []
     for layer in range(params.config.depth):
-        inp = code if layer == 0 else np.concatenate([hs[-1], code])
-        pre = params.mod_w[layer] @ inp + params.mod_b[layer]
+        inp = codes if layer == 0 else np.concatenate([hs[-1], codes], axis=1)
+        pre = inp @ params.mod_w[layer].T + params.mod_b[layer]
         pres.append(pre)
         hs.append(np.maximum(pre, 0.0))
     return hs, pres
 
 
-def modulator_forward(params: HeadParams, codeword) -> list[np.ndarray]:
-    """Hidden modulation vectors h_0 .. h_{depth-1} (always ReLU)."""
-    if params.config.conditioning != "modulation":
-        raise ValueError("head is configured for concat conditioning; no modulator")
-    code = _as_codeword(params, codeword)
-    hs, _ = _modulator_with_cache(params, code)
-    return hs
-
-
 @dataclass
 class _ForwardCache:
-    xs: np.ndarray
-    code: np.ndarray
-    inputs: list[np.ndarray]  # matrix fed to each block, (in_dim, T)
-    zs: list[np.ndarray]  # block pre-activations, (width, T)
-    acts: list[np.ndarray]  # block activation outputs, (width, T)
-    mod_pres: list[np.ndarray]
-    mod_hs: list[np.ndarray]
-    x_last: np.ndarray  # final block output, (width, T)
-    raw: np.ndarray  # (T, 6)
+    xs: np.ndarray  # (T,)
+    codes: np.ndarray  # (N, code_dim)
+    inputs: list[np.ndarray]  # fed to each block, (in_dim, N, T)
+    zs: list[np.ndarray]  # block pre-activations, (width, N, T)
+    acts: list[np.ndarray]  # block activation outputs, (width, N, T)
+    mod_pres: list[np.ndarray]  # (N, width)
+    mod_hs: list[np.ndarray]  # (N, width)
+    x_last: np.ndarray  # final block output, (width, N, T)
+    raw: np.ndarray  # (N, T, 6)
 
 
-def _forward_with_cache(params: HeadParams, codeword, xs) -> _ForwardCache:
+def _forward_with_cache(params: HeadParams, codewords, xs) -> _ForwardCache:
     cfg = params.config
-    code = _as_codeword(params, codeword)
+    codes = _as_codewords(params, codewords)
     x_arr = np.asarray(xs, dtype=float).reshape(-1)
     if x_arr.size == 0:
         raise ValueError("need at least one sample parameter")
     if not np.all((x_arr >= -1.0) & (x_arr <= 1.0)):
         raise ValueError("sample parameters must lie in [-1, 1]")
-    count = x_arr.size
+    shape = (codes.shape[0], x_arr.size)
 
     mod_hs: list[np.ndarray] = []
     mod_pres: list[np.ndarray] = []
     if cfg.conditioning == "modulation":
-        mod_hs, mod_pres = _modulator_with_cache(params, code)
+        mod_hs, mod_pres = _modulator_with_cache(params, codes)
         code_tile = None
     else:
-        code_tile = np.repeat(code[:, None], count, axis=1)
+        code_tile = np.broadcast_to(codes.T[:, :, None], (cfg.code_dim, *shape))
 
-    x = x_arr[None, :]
+    x = np.broadcast_to(x_arr, (1, *shape))
     inputs: list[np.ndarray] = []
     zs: list[np.ndarray] = []
     acts: list[np.ndarray] = []
     for layer in range(cfg.depth):
         inp = x if cfg.conditioning == "modulation" else np.concatenate([x, code_tile])
-        z = params.block_w[layer] @ inp + params.block_b[layer][:, None]
+        z = (params.block_w[layer] @ _flat(inp) + params.block_b[layer][:, None]).reshape(cfg.width, *shape)
         act, _ = activation(z, cfg.activation, cfg.omega0)
         inputs.append(inp)
         zs.append(z)
         acts.append(act)
-        x = mod_hs[layer][:, None] * act if cfg.conditioning == "modulation" else act
-    raw = (params.out_w @ x + params.out_b[:, None]).T
-    return _ForwardCache(x_arr, code, inputs, zs, acts, mod_pres, mod_hs, x, raw)
+        x = mod_hs[layer].T[:, :, None] * act if cfg.conditioning == "modulation" else act
+    raw = (params.out_w @ _flat(x) + params.out_b[:, None]).reshape(6, *shape).transpose(1, 2, 0)
+    return _ForwardCache(x_arr, codes, inputs, zs, acts, mod_pres, mod_hs, x, raw)
 
 
-def head_forward_batch(params: HeadParams, codeword, xs) -> np.ndarray:
-    """Raw (T, 6) outputs for a batch of sample parameters."""
-    return _forward_with_cache(params, codeword, xs).raw
+def head_forward_batch(params: HeadParams, codewords, xs) -> np.ndarray:
+    """Raw outputs at the sample parameters xs, all slots in one pass.
 
-
-def head_forward(params: HeadParams, codeword, x: float):
-    """Raw 6-vector at parameter x plus its pose view.
-
-    The pose view keeps the first three components as the position and
-    normalizes the last three to unit length; it is None when the raw
-    orientation is too small to normalize.
+    One codeword (code_dim,) gives (T, 6); a bank (N, code_dim) gives
+    (N, T, 6).
     """
-    from .paths import Pose6D
-
-    raw = head_forward_batch(params, codeword, [x])[0]
-    norm = float(np.linalg.norm(raw[3:]))
-    pose = Pose6D(raw[:3].copy(), raw[3:] / norm) if norm >= 1e-12 else None
-    return raw, pose
+    raw = _forward_with_cache(params, codewords, xs).raw
+    return raw[0] if np.ndim(codewords) == 1 else raw
 
 
 @dataclass
 class _ConfCache:
-    code: np.ndarray
-    pre1: np.ndarray
-    hidden: np.ndarray
-    prob: float
+    codes: np.ndarray  # (N, code_dim)
+    pre1: np.ndarray  # (N, conf_width)
+    hidden: np.ndarray  # (N, conf_width)
+    prob: np.ndarray  # (N,)
 
 
-def _confidence_with_cache(params: HeadParams, code: np.ndarray) -> _ConfCache:
-    pre1 = params.conf_w1 @ code + params.conf_b1
+def _confidence_with_cache(params: HeadParams, codewords) -> _ConfCache:
+    codes = _as_codewords(params, codewords)
+    pre1 = codes @ params.conf_w1.T + params.conf_b1
     hidden = np.maximum(pre1, 0.0)
-    logit = float(params.conf_w2 @ hidden + params.conf_b2)
-    if logit >= 0:
-        prob = 1.0 / (1.0 + np.exp(-logit))
-    else:
-        e = np.exp(logit)
-        prob = e / (1.0 + e)
-    return _ConfCache(code, pre1, hidden, float(prob))
+    logit = hidden @ params.conf_w2 + params.conf_b2
+    # logistic sigmoid with exp only ever seeing -|logit|, so it cannot overflow
+    e = np.exp(-np.abs(logit))
+    prob = np.where(logit >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return _ConfCache(codes, pre1, hidden, prob)
 
 
-def confidence_forward(params: HeadParams, codeword) -> float:
-    """Confidence in (0, 1) for the path encoded by the codeword."""
-    return _confidence_with_cache(params, _as_codeword(params, codeword)).prob
+def confidence_forward(params: HeadParams, codewords):
+    """Confidence in (0, 1) of the path each codeword encodes.
+
+    One codeword gives a float; a bank (N, code_dim) gives an (N,) array.
+    """
+    prob = _confidence_with_cache(params, codewords).prob
+    return float(prob[0]) if np.ndim(codewords) == 1 else prob
 
 
-def zero_gradients(params: HeadParams) -> Gradients:
-    return Gradients(
-        block_w=[np.zeros_like(w) for w in params.block_w],
-        block_b=[np.zeros_like(b) for b in params.block_b],
-        out_w=np.zeros_like(params.out_w),
-        out_b=np.zeros_like(params.out_b),
-        mod_w=[np.zeros_like(w) for w in params.mod_w],
-        mod_b=[np.zeros_like(b) for b in params.mod_b],
-        conf_w1=np.zeros_like(params.conf_w1),
-        conf_b1=np.zeros_like(params.conf_b1),
-        conf_w2=np.zeros_like(params.conf_w2),
-        conf_b2=np.zeros_like(params.conf_b2),
-        codeword=np.zeros(params.config.code_dim),
-    )
+def _without_bias(config: HeadConfig, grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    # a bias-free head keeps its biases at zero, so their gradients are zeroed
+    if not config.use_bias:
+        for name, arr in grads.items():
+            if "_b" in name:
+                arr[...] = 0.0
+    return grads
 
 
-def accumulate_gradients(total: Gradients, extra: Gradients) -> None:
-    """Add `extra` into `total` in place (codeword slot included)."""
-    for layer in range(len(total.block_w)):
-        total.block_w[layer] += extra.block_w[layer]
-        total.block_b[layer] += extra.block_b[layer]
-    total.out_w += extra.out_w
-    total.out_b += extra.out_b
-    for layer in range(len(total.mod_w)):
-        total.mod_w[layer] += extra.mod_w[layer]
-        total.mod_b[layer] += extra.mod_b[layer]
-    total.conf_w1 += extra.conf_w1
-    total.conf_b1 += extra.conf_b1
-    total.conf_w2 += extra.conf_w2
-    total.conf_b2 += extra.conf_b2
-    total.codeword += extra.codeword
+def _backward_from_cache(
+    params: HeadParams, cache: _ForwardCache, upstream: np.ndarray, rows: np.ndarray
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Pose gradients through the slots `rows` of a forward cache.
 
-
-def _backward_from_cache(params: HeadParams, cache: _ForwardCache, upstream: np.ndarray) -> Gradients:
+    `upstream` is d(loss)/d(raw output) of those slots, (len(rows), T, 6).
+    Every weight gradient sums over slots and samples inside one matmul;
+    the codeword gradients are (N, code_dim), zero outside `rows`.
+    """
     cfg = params.config
-    grads = zero_gradients(params)
     d_raw = np.asarray(upstream, dtype=float)
-    if d_raw.shape != cache.raw.shape:
-        raise ValueError(f"upstream gradient shape {d_raw.shape} != output shape {cache.raw.shape}")
+    expected = (len(rows), *cache.raw.shape[1:])
+    if d_raw.shape != expected:
+        raise ValueError(f"upstream gradient shape {d_raw.shape} != output shape {expected}")
     if not np.all(np.isfinite(d_raw)):
         raise ValueError("upstream gradients must be finite")
+    shape = expected[:2]
+    codes = cache.codes[rows]
+    d_codes = np.zeros_like(codes)
+    grads: dict[str, np.ndarray] = {}
 
-    d_y = d_raw.T  # (6, T)
-    grads.out_w[...] = d_y @ cache.x_last.T
-    grads.out_b[...] = d_y.sum(axis=1)
-    d_x = params.out_w.T @ d_y
+    d_y = _flat(d_raw.transpose(2, 0, 1))  # (6, R*T)
+    grads["out_w"] = d_y @ _flat(cache.x_last[:, rows]).T
+    grads["out_b"] = d_y.sum(axis=1)
+    d_x = (params.out_w.T @ d_y).reshape(cfg.width, *shape)
 
-    d_mod_h = [np.zeros(cfg.width) for _ in range(cfg.depth)]
+    d_mod_h = [np.zeros((len(rows), cfg.width)) for _ in range(cfg.depth)]
     for layer in reversed(range(cfg.depth)):
-        _, act_deriv = activation(cache.zs[layer], cfg.activation, cfg.omega0)
+        _, act_deriv = activation(cache.zs[layer][:, rows], cfg.activation, cfg.omega0)
         if cfg.conditioning == "modulation":
-            d_mod_h[layer] = (cache.acts[layer] * d_x).sum(axis=1)
-            d_z = cache.mod_hs[layer][:, None] * d_x * act_deriv
+            d_mod_h[layer] = (cache.acts[layer][:, rows] * d_x).sum(axis=2).T
+            d_z = _flat(cache.mod_hs[layer][rows].T[:, :, None] * d_x * act_deriv)
         else:
-            d_z = d_x * act_deriv
-        grads.block_w[layer][...] = d_z @ cache.inputs[layer].T
-        grads.block_b[layer][...] = d_z.sum(axis=1)
-        d_inp = params.block_w[layer].T @ d_z
+            d_z = _flat(d_x * act_deriv)
+        inp = cache.inputs[layer][:, rows]
+        grads[f"block_w{layer}"] = d_z @ _flat(inp).T
+        grads[f"block_b{layer}"] = d_z.sum(axis=1)
+        d_inp = (params.block_w[layer].T @ d_z).reshape(inp.shape)
         if cfg.conditioning == "modulation":
             d_x = d_inp
         else:
-            split = cache.inputs[layer].shape[0] - cfg.code_dim
+            split = inp.shape[0] - cfg.code_dim
             d_x = d_inp[:split]
-            grads.codeword += d_inp[split:].sum(axis=1)
+            d_codes += d_inp[split:].sum(axis=2).T
 
     if cfg.conditioning == "modulation":
         carry = d_mod_h[cfg.depth - 1]
         for layer in reversed(range(cfg.depth)):
-            d_pre = carry * (cache.mod_pres[layer] > 0)
-            grads.mod_b[layer][...] = d_pre
+            d_pre = carry * (cache.mod_pres[layer][rows] > 0)
+            grads[f"mod_b{layer}"] = d_pre.sum(axis=0)
             if layer == 0:
-                grads.mod_w[0][...] = np.outer(d_pre, cache.code)
-                grads.codeword += params.mod_w[0].T @ d_pre
+                grads["mod_w0"] = d_pre.T @ codes
+                d_codes += d_pre @ params.mod_w[0]
             else:
-                cat = np.concatenate([cache.mod_hs[layer - 1], cache.code])
-                grads.mod_w[layer][...] = np.outer(d_pre, cat)
-                d_cat = params.mod_w[layer].T @ d_pre
-                carry = d_mod_h[layer - 1] + d_cat[: cfg.width]
-                grads.codeword += d_cat[cfg.width :]
+                cat = np.concatenate([cache.mod_hs[layer - 1][rows], codes], axis=1)
+                grads[f"mod_w{layer}"] = d_pre.T @ cat
+                d_cat = d_pre @ params.mod_w[layer]
+                carry = d_mod_h[layer - 1] + d_cat[:, : cfg.width]
+                d_codes += d_cat[:, cfg.width :]
 
-    if not cfg.use_bias:
-        for layer in range(cfg.depth):
-            grads.block_b[layer][...] = 0.0
-        grads.out_b[...] = 0.0
-        for layer in range(len(grads.mod_b)):
-            grads.mod_b[layer][...] = 0.0
-    return grads
+    code_grads = np.zeros_like(cache.codes)
+    code_grads[rows] = d_codes
+    return _without_bias(cfg, grads), code_grads
 
 
-def head_backward(params: HeadParams, codeword, xs, upstream) -> Gradients:
-    """Exact gradients of the batched pose forward pass.
+def head_backward(params: HeadParams, codewords, xs, upstream) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Exact gradients of the pose forward pass over a codeword bank.
 
-    `upstream` holds d(loss)/d(raw output) per sample, shape (T, 6).
-    Gradients are accumulated over the batch; the modulation product
-    routes them into both the block branch and the modulator branch.
-    The confidence fields of the result stay zero.
+    `upstream` holds d(loss)/d(raw output) per slot and sample, shape
+    (N, T, 6). Returns the pose weight gradients, summed over slots and
+    samples and keyed like named_parameters, and the (N, code_dim)
+    codeword gradients. The modulation product routes gradients into both
+    the block branch and the modulator branch.
     """
-    cache = _forward_with_cache(params, codeword, xs)
-    return _backward_from_cache(params, cache, upstream)
+    cache = _forward_with_cache(params, codewords, xs)
+    return _backward_from_cache(params, cache, upstream, np.arange(len(cache.codes)))
 
 
-def _conf_backward_from_cache(params: HeadParams, cache: _ConfCache, d_prob: float) -> Gradients:
-    grads = zero_gradients(params)
-    d_logit = float(d_prob) * cache.prob * (1.0 - cache.prob)
-    grads.conf_w2[...] = d_logit * cache.hidden
-    grads.conf_b2[...] = d_logit
-    d_hidden = params.conf_w2 * d_logit
-    d_pre = d_hidden * (cache.pre1 > 0)
-    grads.conf_w1[...] = np.outer(d_pre, cache.code)
-    grads.conf_b1[...] = d_pre
-    grads.codeword += params.conf_w1.T @ d_pre
-    if not params.config.use_bias:
-        grads.conf_b1[...] = 0.0
-        grads.conf_b2[...] = 0.0
-    return grads
+def _conf_backward_from_cache(
+    params: HeadParams, cache: _ConfCache, d_prob
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    d_prob = np.asarray(d_prob, dtype=float)
+    if d_prob.shape != cache.prob.shape:
+        raise ValueError(f"confidence gradient shape {d_prob.shape} != output shape {cache.prob.shape}")
+    d_logit = d_prob * cache.prob * (1.0 - cache.prob)
+    d_pre = np.outer(d_logit, params.conf_w2) * (cache.pre1 > 0)
+    grads = {
+        "conf_w1": d_pre.T @ cache.codes,
+        "conf_b1": d_pre.sum(axis=0),
+        "conf_w2": d_logit @ cache.hidden,
+        "conf_b2": np.array(d_logit.sum()),
+    }
+    return _without_bias(params.config, grads), d_pre @ params.conf_w1
 
 
-def confidence_backward(params: HeadParams, codeword, d_prob: float) -> Gradients:
-    """Gradients of the confidence output w.r.t. its branch and the codeword."""
-    code = _as_codeword(params, codeword)
-    cache = _confidence_with_cache(params, code)
-    return _conf_backward_from_cache(params, cache, d_prob)
+def confidence_backward(params: HeadParams, codewords, d_prob) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Gradients of the confidences w.r.t. their branch and the codewords.
+
+    `d_prob` holds d(loss)/d(confidence) per slot, shape (N,). Returns the
+    branch gradients summed over slots, keyed like named_parameters, and
+    the (N, code_dim) codeword gradients.
+    """
+    return _conf_backward_from_cache(params, _confidence_with_cache(params, codewords), d_prob)
 
 
 def named_parameters(params: HeadParams) -> dict[str, np.ndarray]:
@@ -494,25 +454,6 @@ def named_parameters(params: HeadParams) -> dict[str, np.ndarray]:
     named["conf_b1"] = params.conf_b1
     named["conf_w2"] = params.conf_w2
     named["conf_b2"] = params.conf_b2
-    return named
-
-
-def gradient_arrays(grads: Gradients) -> dict[str, np.ndarray]:
-    """Name -> gradient array, matching named_parameters keys plus 'codeword'."""
-    named: dict[str, np.ndarray] = {}
-    for layer, (w, b) in enumerate(zip(grads.block_w, grads.block_b)):
-        named[f"block_w{layer}"] = w
-        named[f"block_b{layer}"] = b
-    named["out_w"] = grads.out_w
-    named["out_b"] = grads.out_b
-    for layer, (w, b) in enumerate(zip(grads.mod_w, grads.mod_b)):
-        named[f"mod_w{layer}"] = w
-        named[f"mod_b{layer}"] = b
-    named["conf_w1"] = grads.conf_w1
-    named["conf_b1"] = grads.conf_b1
-    named["conf_w2"] = grads.conf_w2
-    named["conf_b2"] = grads.conf_b2
-    named["codeword"] = grads.codeword
     return named
 
 
@@ -543,13 +484,3 @@ def head_from_document(doc: dict) -> HeadParams:
         arr[...] = loaded
     return params
 
-
-def save_head(params: HeadParams, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(head_to_document(params), fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_head(path) -> HeadParams:
-    with open(path) as fh:
-        return head_from_document(json.load(fh))

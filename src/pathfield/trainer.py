@@ -29,15 +29,12 @@ from .neural_field import (
     _conf_backward_from_cache,
     _confidence_with_cache,
     _forward_with_cache,
-    accumulate_gradients,
     confidence_forward,
-    gradient_arrays,
     head_forward_batch,
     head_from_document,
     head_to_document,
     init_head,
     named_parameters,
-    zero_gradients,
 )
 from .paths import ParamSamplingConfig, Path, PredictedPath, SAMPLING_STRATEGIES, sample_params
 
@@ -237,61 +234,47 @@ def _object_gradients(
 ) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
     head = state.head
     codes = state.codewords[object_id]
-    n_slots = config.slots
     t_count = svals.size
-    targets = pad_targets(gt_paths, n_slots, svals)
+    targets = pad_targets(gt_paths, config.slots, svals)
 
-    caches = [_forward_with_cache(head, codes[i], svals) for i in range(n_slots)]
-    raw = np.stack([c.raw for c in caches])  # (N, T, 6)
-    conf_caches = [_confidence_with_cache(head, codes[i]) for i in range(n_slots)]
-    confs = np.array([c.prob for c in conf_caches])
+    cache = _forward_with_cache(head, codes, svals)
+    raw = cache.raw  # (N, T, 6)
+    conf_cache = _confidence_with_cache(head, codes)
+    confs = conf_cache.prob
 
     match = hungarian(position_cost_matrix(targets.paths, targets.conf_targets, raw))
     perm = match.permutation
-    assigned_real = targets.conf_targets[perm] > 0.5
-    n_real = int(assigned_real.sum())
-
-    d_raw = np.zeros_like(raw)
-    points_total = 0.0
-    if n_real:
-        weight = 1.0 / (n_real * t_count)
-        for i in np.nonzero(assigned_real)[0]:
-            tgt = targets.paths[perm[i]]
-            delta_p = raw[i, :, :3] - tgt[:, :3]
-            dist = np.linalg.norm(delta_p, axis=1)
-            tgt_unit = tgt[:, 3:] / np.linalg.norm(tgt[:, 3:], axis=1)[:, None]
-            pred_ori = raw[i, :, 3:]
-            ori_norm = np.linalg.norm(pred_ori, axis=1)
-            if np.any(ori_norm < 1e-12):
-                raise TrainingError(f"degenerate predicted orientation for object {object_id!r}")
-            cosine = (tgt_unit * pred_ori).sum(axis=1) / ori_norm
-            gap = tgt_unit - pred_ori / ori_norm[:, None]
-            points_total += float((dist + 0.5 * (gap * gap).sum(axis=1)).sum()) * weight
-            safe = np.where(dist > 0, dist, 1.0)
-            d_raw[i, :, :3] = weight * np.where(dist[:, None] > 0, delta_p / safe[:, None], 0.0)
-            d_raw[i, :, 3:] = weight * (
-                cosine[:, None] * pred_ori / (ori_norm ** 2)[:, None] - tgt_unit / ori_norm[:, None]
-            )
-
     conf_targets = targets.conf_targets[perm]
+    real = np.nonzero(conf_targets > 0.5)[0]  # prediction slots assigned a real path
+
+    tgt = targets.paths[perm[real]]
+    delta_p = raw[real, :, :3] - tgt[:, :, :3]
+    dist = np.linalg.norm(delta_p, axis=2)
+    tgt_unit = tgt[:, :, 3:] / np.linalg.norm(tgt[:, :, 3:], axis=2, keepdims=True)
+    pred_ori = raw[real, :, 3:]
+    ori_norm = np.linalg.norm(pred_ori, axis=2, keepdims=True)
+    if np.any(ori_norm < 1e-12):
+        raise TrainingError(f"degenerate predicted orientation for object {object_id!r}")
+    cosine = (tgt_unit * pred_ori).sum(axis=2, keepdims=True) / ori_norm
+    gap = tgt_unit - pred_ori / ori_norm
+    weight = 1.0 / (max(real.size, 1) * t_count)
+    points_total = float((dist + 0.5 * (gap * gap).sum(axis=2)).sum()) * weight
+    safe = np.where(dist > 0, dist, 1.0)[:, :, None]
+    d_raw = weight * np.concatenate(
+        [
+            np.where(dist[:, :, None] > 0, delta_p / safe, 0.0),
+            cosine * pred_ori / ori_norm ** 2 - tgt_unit / ori_norm,
+        ],
+        axis=2,
+    )
+
     conf_loss = focal_conf_loss(conf_targets, confs, config.gamma)
     d_prob = focal_prob_gradient(conf_targets, confs, config.gamma)
 
-    total = zero_gradients(head)
-    code_grads = np.zeros_like(codes)
-    for i in range(n_slots):
-        if d_raw[i].any():
-            pose_grads = _backward_from_cache(head, caches[i], d_raw[i])
-            accumulate_gradients(total, pose_grads)
-            code_grads[i] += pose_grads.codeword
-        conf_grads = _conf_backward_from_cache(head, conf_caches[i], float(d_prob[i]))
-        accumulate_gradients(total, conf_grads)
-        code_grads[i] += conf_grads.codeword
-
-    grads = {
-        f"head.{name}": arr for name, arr in gradient_arrays(total).items() if name != "codeword"
-    }
-    grads[f"codewords.{object_id}"] = code_grads
+    pose_grads, pose_code_grads = _backward_from_cache(head, cache, d_raw, real)
+    conf_grads, conf_code_grads = _conf_backward_from_cache(head, conf_cache, d_prob)
+    grads = {f"head.{name}": arr for name, arr in (pose_grads | conf_grads).items()}
+    grads[f"codewords.{object_id}"] = pose_code_grads + conf_code_grads
     breakdown = LossBreakdown(points_total, conf_loss, points_total + conf_loss)
     return breakdown, grads
 
@@ -361,13 +344,15 @@ def predict(
     count = cfg.test_samples if t_test is None else int(t_test)
     threshold = cfg.conf_threshold if conf_threshold is None else float(conf_threshold)
     grid = sample_params(ParamSamplingConfig("equispaced", count))
+    codes = state.codewords[object_id]
+    confidences = confidence_forward(state.head, codes)
     kept: list[PredictedPath] = []
-    for slot in range(cfg.slots):
-        code = state.codewords[object_id][slot]
-        confidence = confidence_forward(state.head, code)
+    for slot, confidence in enumerate(confidences.tolist()):
         if confidence < threshold:
             continue
-        raw = head_forward_batch(state.head, code, grid)
+        # one slot at a time: a whole bank at test resolution would cache
+        # (width, N, T) activations for every block
+        raw = head_forward_batch(state.head, codes[slot], grid)
         norms = np.linalg.norm(raw[:, 3:], axis=1)
         if np.any(norms < 1e-12):
             raise TrainingError(f"degenerate predicted orientation for object {object_id!r}")

@@ -222,6 +222,11 @@ class TestAveragePrecision:
         ds = one_object_dataset([self.gt], [])
         with pytest.warns(RuntimeWarning):
             assert average_precision(ds, 0.5) == 0.0
+        with pytest.warns(RuntimeWarning):
+            assert ap_suite(ds) == (0.0, 0.0, 0.0)
+        with pytest.warns(RuntimeWarning):
+            report = evaluate_dataset(ds)
+        assert (report.ap50, report.ap, report.ap_easy) == (0.0, 0.0, 0.0)
 
     def test_no_gt_raises(self):
         ds = one_object_dataset([], [PredictedPath(self.gt, 0.5)])

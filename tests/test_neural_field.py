@@ -2,19 +2,17 @@ import numpy as np
 import pytest
 
 from pathfield.neural_field import (
+    _forward_with_cache,
     HeadConfig,
     HeadParams,
     activation,
     confidence_backward,
     confidence_forward,
-    gradient_arrays,
     head_backward,
-    head_forward,
     head_forward_batch,
     head_from_document,
     head_to_document,
     init_head,
-    modulator_forward,
     named_parameters,
     parameter_count,
 )
@@ -47,28 +45,28 @@ def naive_forward(params: HeadParams, code, x: float) -> np.ndarray:
 
 
 def fd_gradient_check(config: HeadConfig, seed: int, step=1e-5, tol=1e-4):
-    """Compare every analytic gradient (including the codeword's) against
-    central finite differences of a random linear probe loss."""
+    """Compare every analytic gradient (including the codewords') against
+    central finite differences of a random linear probe loss over a bank of
+    two distinct codewords, so the sum over slots is checked too."""
     params = init_head(config)
     rng = np.random.default_rng(seed)
-    code = rng.normal(0.0, 0.5, config.code_dim)
+    codes = rng.normal(0.0, 0.5, (2, config.code_dim))
     xs = rng.uniform(-1.0, 1.0, 5)
-    probe = rng.normal(0.0, 1.0, (5, 6))
-    conf_weight = rng.normal(0.0, 1.0)
+    probe = rng.normal(0.0, 1.0, (2, 5, 6))
+    conf_weight = rng.normal(0.0, 1.0, 2)
 
     def loss():
-        raw = head_forward_batch(params, code, xs)
-        return float((raw * probe).sum()) + conf_weight * confidence_forward(params, code)
+        raw = head_forward_batch(params, codes, xs)
+        return float((raw * probe).sum()) + float(conf_weight @ confidence_forward(params, codes))
 
-    pose_grads = head_backward(params, code, xs, probe)
-    conf_grads = confidence_backward(params, code, conf_weight)
-    analytic = {k: v.copy() for k, v in gradient_arrays(pose_grads).items()}
-    for name, arr in gradient_arrays(conf_grads).items():
-        analytic[name] = analytic[name] + arr
+    pose_grads, pose_code_grads = head_backward(params, codes, xs, probe)
+    conf_grads, conf_code_grads = confidence_backward(params, codes, conf_weight)
+    analytic = pose_grads | conf_grads
+    analytic["codeword"] = pose_code_grads + conf_code_grads
 
     worst = 0.0
     targets = dict(named_parameters(params))
-    targets["codeword"] = code
+    targets["codeword"] = codes
     for name, arr in targets.items():
         it = np.nditer(arr, flags=["multi_index"], op_flags=["readwrite"])
         for _ in it:
@@ -163,14 +161,15 @@ class TestModulator:
             w[...] = 0.0
         for b in params.mod_b:
             b[...] = 0.0
-        hs = modulator_forward(params, np.ones(2))
+        hs = _forward_with_cache(params, np.ones(2), [0.0]).mod_hs
         assert all(not h.any() for h in hs)
 
     def test_outputs_nonnegative(self):
         cfg = HeadConfig(depth=3, width=8, code_dim=4, seed=3)
         params = init_head(cfg)
-        hs = modulator_forward(params, np.random.default_rng(0).normal(0, 2, 4))
-        assert all(np.all(h >= 0) for h in hs)
+        codes = np.random.default_rng(0).normal(0, 2, (3, 4))
+        hs = _forward_with_cache(params, codes, [0.0]).mod_hs
+        assert all(h.shape == (3, 8) and np.all(h >= 0) for h in hs)
 
     def test_hand_case_unit_weights(self):
         # depth 2, width 2, code 1, all weights and biases one
@@ -180,16 +179,16 @@ class TestModulator:
         params.mod_b[0][...] = 1.0
         params.mod_w[1][...] = 1.0
         params.mod_b[1][...] = 1.0
-        hs = modulator_forward(params, [2.0])
+        hs = _forward_with_cache(params, [2.0], [0.0]).mod_hs
         # h0 = relu(1*2 + 1) = 3; h1 = relu(3 + 3 + 2 + 1) = 9
-        assert hs[0].tolist() == [3.0, 3.0]
-        assert hs[1].tolist() == [9.0, 9.0]
+        assert hs[0].tolist() == [[3.0, 3.0]]
+        assert hs[1].tolist() == [[9.0, 9.0]]
 
     def test_concat_mode_has_no_modulator(self):
         cfg = HeadConfig(depth=2, width=4, code_dim=2, conditioning="concat")
         params = init_head(cfg)
-        with pytest.raises(ValueError):
-            modulator_forward(params, np.zeros(2))
+        assert params.mod_w == [] and params.mod_b == []
+        assert _forward_with_cache(params, np.zeros(2), [0.0]).mod_hs == []
 
 
 class TestHeadForward:
@@ -198,23 +197,38 @@ class TestHeadForward:
         params = init_head(cfg)
         for arr in named_parameters(params).values():
             arr[...] = 0.0
-        raw, pose = head_forward(params, np.ones(2), 0.3)
-        assert raw.tolist() == [0.0] * 6
-        assert pose is None
+        raw = head_forward_batch(params, np.ones(2), [0.3])
+        assert raw.tolist() == [[0.0] * 6]
 
     def test_output_has_six_components(self):
         for cond in ("modulation", "concat"):
             cfg = HeadConfig(depth=3, width=8, code_dim=4, conditioning=cond, seed=1)
             params = init_head(cfg)
-            raw, pose = head_forward(params, np.random.default_rng(1).normal(0, 1, 4), -0.5)
-            assert raw.shape == (6,)
-            assert abs(np.linalg.norm(pose.orientation) - 1.0) <= 1e-6
+            codes = np.random.default_rng(1).normal(0, 1, (3, 4))
+            assert head_forward_batch(params, codes[0], [-0.5, 0.5]).shape == (2, 6)
+            assert head_forward_batch(params, codes, [-0.5, 0.5]).shape == (3, 2, 6)
+
+    @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
+    @pytest.mark.parametrize("kind", ["relu", "finer"])
+    def test_bank_matches_one_slot_at_a_time(self, kind, conditioning):
+        cfg = HeadConfig(
+            depth=3, width=8, code_dim=4, activation=kind, conditioning=conditioning, seed=4
+        )
+        params = init_head(cfg)
+        codes = np.random.default_rng(4).normal(0, 1, (5, 4))
+        xs = np.linspace(-1, 1, 7)
+        bank = head_forward_batch(params, codes, xs)
+        for slot, code in enumerate(codes):
+            assert np.allclose(bank[slot], head_forward_batch(params, code, xs), rtol=1e-12, atol=1e-14)
+        confs = confidence_forward(params, codes)
+        assert confs.shape == (5,)
+        assert [confidence_forward(params, code) for code in codes] == pytest.approx(confs, rel=1e-12)
 
     def test_rejects_out_of_range(self):
         cfg = HeadConfig(depth=1, width=4, code_dim=2)
         params = init_head(cfg)
         with pytest.raises(ValueError):
-            head_forward(params, np.zeros(2), 1.5)
+            head_forward_batch(params, np.zeros(2), [1.5])
 
     @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
     @pytest.mark.parametrize("kind", ["relu", "siren", "finer"])
@@ -308,15 +322,18 @@ class TestBackward:
         params = init_head(cfg)
         code = np.random.default_rng(1).normal(0, 1, 4)
         xs = np.linspace(-1, 1, 4)
-        grads = head_backward(params, code, xs, np.zeros((4, 6)))
-        for name, arr in gradient_arrays(grads).items():
+        grads, code_grads = head_backward(params, code[None], xs, np.zeros((1, 4, 6)))
+        for name, arr in grads.items():
             assert not arr.any(), name
+        assert not code_grads.any()
 
     def test_shape_mismatch_raises(self):
         cfg = HeadConfig(depth=1, width=4, code_dim=2)
         params = init_head(cfg)
         with pytest.raises(ValueError):
-            head_backward(params, np.zeros(2), [0.0, 0.5], np.zeros((3, 6)))
+            head_backward(params, np.zeros((1, 2)), [0.0, 0.5], np.zeros((1, 3, 6)))
+        with pytest.raises(ValueError):
+            confidence_backward(params, np.zeros((2, 2)), np.zeros(3))
 
     @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
     @pytest.mark.parametrize("kind", ["relu", "siren", "finer"])
@@ -329,10 +346,12 @@ class TestBackward:
     def test_no_bias_keeps_bias_gradients_zero(self):
         cfg = HeadConfig(depth=2, width=4, code_dim=3, use_bias=False, seed=0)
         params = init_head(cfg)
-        code = np.random.default_rng(0).normal(0, 1, 3)
-        grads = head_backward(params, code, [0.1, 0.7], np.ones((2, 6)))
-        assert not grads.out_b.any()
-        assert all(not b.any() for b in grads.block_b)
+        codes = np.random.default_rng(0).normal(0, 1, (2, 3))
+        grads, _ = head_backward(params, codes, [0.1, 0.7], np.ones((2, 2, 6)))
+        conf_grads, _ = confidence_backward(params, codes, np.ones(2))
+        for name in ("out_b", "block_b0", "block_b1", "mod_b0", "mod_b1"):
+            assert not grads[name].any(), name
+        assert not conf_grads["conf_b1"].any() and not conf_grads["conf_b2"].any()
 
 
 class TestSerialization:
@@ -344,17 +363,6 @@ class TestSerialization:
         doc = json.loads(json.dumps(head_to_document(params)))
         loaded = head_from_document(doc)
         assert loaded.config == cfg
-        for name, arr in named_parameters(params).items():
-            assert np.array_equal(arr, named_parameters(loaded)[name]), name
-
-    def test_file_round_trip(self, tmp_path):
-        from pathfield.neural_field import load_head, save_head
-
-        cfg = HeadConfig(depth=1, width=4, code_dim=2, seed=8)
-        params = init_head(cfg)
-        target = tmp_path / "head.json"
-        save_head(params, target)
-        loaded = load_head(target)
         for name, arr in named_parameters(params).items():
             assert np.array_equal(arr, named_parameters(loaded)[name]), name
 

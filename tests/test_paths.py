@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -37,6 +37,9 @@ def path_arrays(draw, min_len=2, max_len=9):
         )
     )
     ori = ori / np.linalg.norm(ori, axis=1)[:, None]
+    # antipodal neighbours have no interpolated orientation between them
+    # (interp_at rightly raises); see test_antipodal_neighbours_raise
+    assume(np.all((ori[1:] * ori[:-1]).sum(axis=1) > -1.0 + 1e-6))
     return np.concatenate([pos, ori], axis=1)
 
 
@@ -102,6 +105,12 @@ class TestInterpAt:
         ss = np.sort(np.random.default_rng(0).uniform(-1, 1, 7))
         xs = [interp_at(p, s).position[0] for s in ss]
         assert all(a <= b + 1e-12 for a, b in zip(xs, xs[1:]))
+
+    def test_antipodal_neighbours_raise(self):
+        rows = np.zeros((2, 6))
+        rows[0, 5], rows[1, 5] = 1.0, -1.0
+        with pytest.raises(ValueError, match="degenerates"):
+            interp_at(Path(rows), 0.0)
 
     @given(path_arrays(), st.floats(-1, 1, allow_nan=False))
     @settings(max_examples=60)

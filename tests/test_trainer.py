@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from pathfield.dataio import SyntheticConfig, gen_dataset
-from pathfield.neural_field import HeadConfig, named_parameters
-from pathfield.paths import Path
+from pathfield.matching import total_loss
+from pathfield.neural_field import HeadConfig, confidence_forward, head_forward_batch, named_parameters
+from pathfield.paths import ParamSamplingConfig, Path, PredictedPath, sample_params
 from pathfield.trainer import (
     TrainConfig,
     TrainingError,
+    _object_gradients,
     adam_step,
     checkpoint_from_document,
     checkpoint_to_document,
@@ -157,6 +159,66 @@ class TestTrainEpoch:
         for name, arr in named_parameters(a.head).items():
             assert np.array_equal(arr, named_parameters(b.head)[name]), name
         assert np.array_equal(a.codewords["obj"], b.codewords["obj"])
+
+
+def object_gradient_case(activation: str, conditioning: str):
+    """Fresh state of a small head plus the object's train-time samples."""
+    dataset = {"obj": [line_path(0.0, 6), line_path(0.5, 6)]}
+    config = tiny_config(
+        slots=4,
+        train_samples=8,
+        codeword_sigma=0.5,
+        head=tiny_head(width=4, code_dim=3, activation=activation, conditioning=conditioning),
+    )
+    state = init_state(dataset, config)
+    svals = sample_params(ParamSamplingConfig("uniform", config.train_samples, None, 7))
+    return dataset["obj"], config, state, svals
+
+
+class TestObjectGradients:
+    @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
+    @pytest.mark.parametrize("activation", ["relu", "finer"])
+    def test_matches_finite_differences_of_the_loss(self, activation, conditioning):
+        gt, config, state, svals = object_gradient_case(activation, conditioning)
+
+        def loss() -> float:
+            return _object_gradients(state, "obj", gt, svals, config)[0].total
+
+        _, grads = _object_gradients(state, "obj", gt, svals, config)
+        params = {f"head.{k}": v for k, v in named_parameters(state.head).items()}
+        params["codewords.obj"] = state.codewords["obj"]
+        assert grads.keys() == params.keys()
+        step, worst = 1e-6, 0.0
+        for name, arr in params.items():
+            for idx in np.ndindex(arr.shape):
+                saved = arr[idx]
+                arr[idx] = saved + step
+                plus = loss()
+                arr[idx] = saved - step
+                minus = loss()
+                arr[idx] = saved
+                fd = (plus - minus) / (2 * step)
+                analytic = grads[name][idx]
+                worst = max(worst, abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-6))
+        assert worst < 1e-4
+
+    @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
+    def test_loss_equals_total_loss(self, conditioning):
+        gt, config, state, svals = object_gradient_case("finer", conditioning)
+        breakdown, _ = _object_gradients(state, "obj", gt, svals, config)
+
+        codes = state.codewords["obj"]
+        raw = head_forward_batch(state.head, codes, svals)
+        unit = raw[:, :, 3:] / np.linalg.norm(raw[:, :, 3:], axis=2, keepdims=True)
+        preds = [
+            PredictedPath(Path(np.concatenate([raw[i, :, :3], unit[i]], axis=1)), conf)
+            for i, conf in enumerate(confidence_forward(state.head, codes))
+        ]
+        expected = total_loss(gt, preds, config.slots, svals, config.gamma)
+        assert breakdown.points_loss > 0 and breakdown.conf_loss > 0
+        assert breakdown.points_loss == pytest.approx(expected.points_loss, rel=1e-12)
+        assert breakdown.conf_loss == pytest.approx(expected.conf_loss, rel=1e-12)
+        assert breakdown.total == pytest.approx(expected.total, rel=1e-12)
 
 
 class TestPredict:
