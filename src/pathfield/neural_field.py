@@ -242,7 +242,6 @@ def _modulator_with_cache(params: HeadParams, codes: np.ndarray):
 
 @dataclass
 class _ForwardCache:
-    xs: np.ndarray  # (T,)
     codes: np.ndarray  # (N, code_dim)
     inputs: list[np.ndarray]  # fed to each block, (in_dim, N, T)
     zs: list[np.ndarray]  # block pre-activations, (width, N, T)
@@ -284,7 +283,7 @@ def _forward_with_cache(params: HeadParams, codewords, xs) -> _ForwardCache:
         acts.append(act)
         x = mod_hs[layer].T[:, :, None] * act if cfg.conditioning == "modulation" else act
     raw = (params.out_w @ _flat(x) + params.out_b[:, None]).reshape(6, *shape).transpose(1, 2, 0)
-    return _ForwardCache(x_arr, codes, inputs, zs, acts, mod_pres, mod_hs, x, raw)
+    return _ForwardCache(codes, inputs, zs, acts, mod_pres, mod_hs, x, raw)
 
 
 def head_forward_batch(params: HeadParams, codewords, xs) -> np.ndarray:
