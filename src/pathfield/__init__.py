@@ -32,10 +32,7 @@ from .matching import (
     PaddedTargets,
     focal_conf_loss,
     hungarian,
-    match_cost,
     pad_targets,
-    points_loss,
-    total_loss,
 )
 from .neural_field import (
     HeadConfig,

@@ -4,16 +4,17 @@ Ground-truth paths are resampled at the drawn scalar parameters and
 zero-padded up to the number of prediction slots. A bipartite matching on
 mean 3D position distance assigns each prediction a target slot; matched
 real slots contribute a position+orientation points loss and every slot
-contributes a focal confidence loss.
+contributes a focal confidence loss. `objective` is the one definition of
+that loss and of its gradient.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .paths import Path, PredictedPath, resample
+from .paths import Path, resample
 
 CONF_CLAMP = 1e-7
 
@@ -23,11 +24,11 @@ __all__ = [
     "PaddedTargets",
     "LossBreakdown",
     "pad_targets",
-    "match_cost",
+    "position_cost_matrix",
     "hungarian",
-    "points_loss",
     "focal_conf_loss",
-    "total_loss",
+    "focal_prob_gradient",
+    "objective",
 ]
 
 
@@ -68,17 +69,6 @@ def pad_targets(gt: Sequence[Path], n_slots: int, params: Sequence[float]) -> Pa
     conf = np.zeros(n_slots)
     conf[: len(gt)] = 1.0
     return PaddedTargets(arrays, conf)
-
-
-def match_cost(target, pred, is_real: bool) -> float:
-    """Mean position distance at equal sample index; padded slots cost 0."""
-    tgt = np.asarray(target, dtype=float)
-    prd = np.asarray(pred, dtype=float)
-    if tgt.ndim != 2 or prd.ndim != 2 or tgt.shape[1] not in (3, 6) or tgt.shape != prd.shape:
-        raise ValueError("target and prediction must be equal-shape (T, 3) or (T, 6) arrays")
-    if not is_real:
-        return 0.0
-    return float(np.linalg.norm(tgt[:, :3] - prd[:, :3], axis=1).mean())
 
 
 def hungarian(cost) -> MatchResult:
@@ -188,32 +178,6 @@ def _rows_matchable(adjacency, used_cols, start: int, n: int) -> bool:
     return True
 
 
-def points_loss(matched_pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> float:
-    """Mean over real slots and samples of position distance + cosine gap.
-
-    Each term is ||p - p_hat|| + (1 - cos angle(v, v_hat)) with both
-    orientation vectors normalized before the cosine.
-    """
-    total = 0.0
-    count = 0
-    for target, pred in matched_pairs:
-        tgt = np.asarray(target, dtype=float)
-        prd = np.asarray(pred, dtype=float)
-        if tgt.shape != prd.shape or tgt.ndim != 2 or tgt.shape[1] != 6:
-            raise ValueError("matched pair must be equal-shape (T, 6) arrays")
-        dist = np.linalg.norm(tgt[:, :3] - prd[:, :3], axis=1)
-        tgt_norm = np.linalg.norm(tgt[:, 3:], axis=1)
-        prd_norm = np.linalg.norm(prd[:, 3:], axis=1)
-        if np.any(tgt_norm < 1e-12) or np.any(prd_norm < 1e-12):
-            raise ValueError("zero-norm orientation in points loss")
-        # 1 - cos computed as half the squared unit-vector gap: same value,
-        # but exactly 0 for identical inputs and never negative
-        gap = tgt[:, 3:] / tgt_norm[:, None] - prd[:, 3:] / prd_norm[:, None]
-        total += float((dist + 0.5 * (gap * gap).sum(axis=1)).sum())
-        count += tgt.shape[0]
-    return total / count if count else 0.0
-
-
 def focal_conf_loss(targets, predicted, gamma: float = 2.0) -> float:
     """Focal confidence loss summed over slots.
 
@@ -235,6 +199,22 @@ def focal_conf_loss(targets, predicted, gamma: float = 2.0) -> float:
     return float(terms.sum())
 
 
+def focal_prob_gradient(targets, predicted, gamma: float = 2.0) -> np.ndarray:
+    """d(focal_conf_loss)/d(predicted probability), elementwise.
+
+    Uses the clamped probabilities like the loss itself, so the powers
+    never see a zero base even for gamma < 1.
+    """
+    tgt = np.asarray(targets, dtype=float)
+    f = np.clip(np.asarray(predicted, dtype=float), CONF_CLAMP, 1.0 - CONF_CLAMP)
+    g = float(gamma)
+    return np.where(
+        tgt > 0.5,
+        g * (1.0 - f) ** (g - 1.0) * np.log(f) - (1.0 - f) ** g / f,
+        -g * f ** (g - 1.0) * np.log(1.0 - f) + f ** g / (1.0 - f),
+    )
+
+
 def position_cost_matrix(target_paths: np.ndarray, conf_targets: np.ndarray, pred_paths: np.ndarray) -> np.ndarray:
     """(N, N) matching cost: rows are predictions, columns are target slots."""
     diff = pred_paths[:, None, :, :3] - target_paths[None, :, :, :3]
@@ -242,32 +222,52 @@ def position_cost_matrix(target_paths: np.ndarray, conf_targets: np.ndarray, pre
     return cost * (conf_targets > 0.5)[None, :]
 
 
-def total_loss(
-    gt: Sequence[Path],
-    preds: Sequence[PredictedPath],
-    n_slots: int,
-    params: Sequence[float],
-    gamma: float = 2.0,
-) -> LossBreakdown:
-    """Full training objective for one object: points loss plus confidence loss."""
-    preds = list(preds)
-    if len(preds) != n_slots:
-        raise ValueError(f"expected {n_slots} predictions, got {len(preds)}")
-    targets = pad_targets(gt, n_slots, params)
-    vals = np.asarray(params, dtype=float)
-    arrays = np.stack([p.path.poses for p in preds])
-    if arrays.shape[1] != vals.size:
-        raise ValueError("predictions are not sampled at the given params")
-    confidences = np.array([p.confidence for p in preds])
+def objective(targets: PaddedTargets, permutation, raw, confs, gamma: float = 2.0):
+    """Set loss of one object under a fixed assignment, and its gradient.
 
-    cost = position_cost_matrix(targets.paths, targets.conf_targets, arrays)
-    result = hungarian(cost)
-    is_real = targets.conf_targets > 0.5
-    pairs = [
-        (targets.paths[result.permutation[i]], arrays[i])
-        for i in range(n_slots)
-        if is_real[result.permutation[i]]
-    ]
-    points = points_loss(pairs) if pairs else 0.0
-    conf = focal_conf_loss(targets.conf_targets[result.permutation], confidences, gamma)
-    return LossBreakdown(points, conf, points + conf)
+    `raw` is the (N, T, 6) head output with unnormalised orientations,
+    `confs` the (N,) confidences, and prediction i is assigned target slot
+    permutation[i]. The points loss is the mean over real slots and samples
+    of ||p - p_hat|| + (1 - cos angle(v, v_hat)); the focal confidence loss
+    sums over every slot. Returns (LossBreakdown, real, d_raw, d_confs):
+    `real` holds the prediction rows assigned a real path, d_raw is
+    d(loss)/d(raw[real]) and d_confs is d(loss)/d(confs). A zero predicted
+    orientation in a real slot raises ValueError.
+    """
+    raw = np.asarray(raw, dtype=float)
+    confs = np.asarray(confs, dtype=float)
+    if raw.shape != targets.paths.shape or confs.shape != targets.conf_targets.shape:
+        raise ValueError(
+            f"predictions of shape {raw.shape} and {confs.shape} do not match the padded "
+            f"targets {targets.paths.shape}"
+        )
+    perm = np.asarray(permutation)
+    conf_targets = targets.conf_targets[perm]
+    real = np.nonzero(conf_targets > 0.5)[0]
+
+    tgt = targets.paths[perm[real]]
+    delta_p = raw[real, :, :3] - tgt[:, :, :3]
+    dist = np.linalg.norm(delta_p, axis=2)
+    tgt_unit = tgt[:, :, 3:] / np.linalg.norm(tgt[:, :, 3:], axis=2, keepdims=True)
+    pred_ori = raw[real, :, 3:]
+    ori_norm = np.linalg.norm(pred_ori, axis=2, keepdims=True)
+    if np.any(ori_norm < 1e-12):
+        raise ValueError("degenerate predicted orientation")
+    cosine = (tgt_unit * pred_ori).sum(axis=2, keepdims=True) / ori_norm
+    # 1 - cos computed as half the squared unit-vector gap: same value,
+    # but exactly 0 for identical inputs and never negative
+    gap = tgt_unit - pred_ori / ori_norm
+    weight = 1.0 / (max(real.size, 1) * raw.shape[1])
+    points = float((dist + 0.5 * (gap * gap).sum(axis=2)).sum()) * weight
+    safe = np.where(dist > 0, dist, 1.0)[:, :, None]
+    d_raw = weight * np.concatenate(
+        [
+            np.where(dist[:, :, None] > 0, delta_p / safe, 0.0),
+            cosine * pred_ori / ori_norm ** 2 - tgt_unit / ori_norm,
+        ],
+        axis=2,
+    )
+
+    conf = focal_conf_loss(conf_targets, confs, gamma)
+    d_confs = focal_prob_gradient(conf_targets, confs, gamma)
+    return LossBreakdown(points, conf, points + conf), real, d_raw, d_confs

@@ -244,7 +244,7 @@ def _modulator_with_cache(params: HeadParams, codes: np.ndarray):
 class _ForwardCache:
     codes: np.ndarray  # (N, code_dim)
     inputs: list[np.ndarray]  # fed to each block, (in_dim, N, T)
-    zs: list[np.ndarray]  # block pre-activations, (width, N, T)
+    derivs: list[np.ndarray]  # activation derivative at each block's pre-activation, (width, N, T)
     acts: list[np.ndarray]  # block activation outputs, (width, N, T)
     mod_pres: list[np.ndarray]  # (N, width)
     mod_hs: list[np.ndarray]  # (N, width)
@@ -272,18 +272,18 @@ def _forward_with_cache(params: HeadParams, codewords, xs) -> _ForwardCache:
 
     x = np.broadcast_to(x_arr, (1, *shape))
     inputs: list[np.ndarray] = []
-    zs: list[np.ndarray] = []
+    derivs: list[np.ndarray] = []
     acts: list[np.ndarray] = []
     for layer in range(cfg.depth):
         inp = x if cfg.conditioning == "modulation" else np.concatenate([x, code_tile])
         z = (params.block_w[layer] @ _flat(inp) + params.block_b[layer][:, None]).reshape(cfg.width, *shape)
-        act, _ = activation(z, cfg.activation, cfg.omega0)
+        act, deriv = activation(z, cfg.activation, cfg.omega0)
         inputs.append(inp)
-        zs.append(z)
+        derivs.append(deriv)
         acts.append(act)
         x = mod_hs[layer].T[:, :, None] * act if cfg.conditioning == "modulation" else act
     raw = (params.out_w @ _flat(x) + params.out_b[:, None]).reshape(6, *shape).transpose(1, 2, 0)
-    return _ForwardCache(codes, inputs, zs, acts, mod_pres, mod_hs, x, raw)
+    return _ForwardCache(codes, inputs, derivs, acts, mod_pres, mod_hs, x, raw)
 
 
 def head_forward_batch(params: HeadParams, codewords, xs) -> np.ndarray:
@@ -361,7 +361,7 @@ def _backward_from_cache(
 
     d_mod_h = [np.zeros((len(rows), cfg.width)) for _ in range(cfg.depth)]
     for layer in reversed(range(cfg.depth)):
-        _, act_deriv = activation(cache.zs[layer][:, rows], cfg.activation, cfg.omega0)
+        act_deriv = cache.derivs[layer][:, rows]
         if cfg.conditioning == "modulation":
             d_mod_h[layer] = (cache.acts[layer][:, rows] * d_x).sum(axis=2).T
             d_z = _flat(cache.mod_hs[layer][rows].T[:, :, None] * d_x * act_deriv)

@@ -14,14 +14,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .matching import (
-    CONF_CLAMP,
-    LossBreakdown,
-    focal_conf_loss,
-    hungarian,
-    pad_targets,
-    position_cost_matrix,
-)
+from .matching import LossBreakdown, hungarian, objective, pad_targets, position_cost_matrix
 from .neural_field import (
     HeadConfig,
     HeadParams,
@@ -202,22 +195,6 @@ def adam_step(
     return state
 
 
-def focal_prob_gradient(targets, predicted, gamma: float = 2.0) -> np.ndarray:
-    """d(focal_conf_loss)/d(predicted probability), elementwise.
-
-    Uses the clamped probabilities like the loss itself, so the powers
-    never see a zero base even for gamma < 1.
-    """
-    tgt = np.asarray(targets, dtype=float)
-    f = np.clip(np.asarray(predicted, dtype=float), CONF_CLAMP, 1.0 - CONF_CLAMP)
-    g = float(gamma)
-    return np.where(
-        tgt > 0.5,
-        g * (1.0 - f) ** (g - 1.0) * np.log(f) - (1.0 - f) ** g / f,
-        -g * f ** (g - 1.0) * np.log(1.0 - f) + f ** g / (1.0 - f),
-    )
-
-
 def _epoch_step_size(config: TrainConfig, epoch: int) -> float:
     if config.lr_schedule == "constant":
         return config.step_size
@@ -234,48 +211,21 @@ def _object_gradients(
 ) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
     head = state.head
     codes = state.codewords[object_id]
-    t_count = svals.size
     targets = pad_targets(gt_paths, config.slots, svals)
-
     cache = _forward_with_cache(head, codes, svals)
-    raw = cache.raw  # (N, T, 6)
     conf_cache = _confidence_with_cache(head, codes)
-    confs = conf_cache.prob
-
-    match = hungarian(position_cost_matrix(targets.paths, targets.conf_targets, raw))
-    perm = match.permutation
-    conf_targets = targets.conf_targets[perm]
-    real = np.nonzero(conf_targets > 0.5)[0]  # prediction slots assigned a real path
-
-    tgt = targets.paths[perm[real]]
-    delta_p = raw[real, :, :3] - tgt[:, :, :3]
-    dist = np.linalg.norm(delta_p, axis=2)
-    tgt_unit = tgt[:, :, 3:] / np.linalg.norm(tgt[:, :, 3:], axis=2, keepdims=True)
-    pred_ori = raw[real, :, 3:]
-    ori_norm = np.linalg.norm(pred_ori, axis=2, keepdims=True)
-    if np.any(ori_norm < 1e-12):
-        raise TrainingError(f"degenerate predicted orientation for object {object_id!r}")
-    cosine = (tgt_unit * pred_ori).sum(axis=2, keepdims=True) / ori_norm
-    gap = tgt_unit - pred_ori / ori_norm
-    weight = 1.0 / (max(real.size, 1) * t_count)
-    points_total = float((dist + 0.5 * (gap * gap).sum(axis=2)).sum()) * weight
-    safe = np.where(dist > 0, dist, 1.0)[:, :, None]
-    d_raw = weight * np.concatenate(
-        [
-            np.where(dist[:, :, None] > 0, delta_p / safe, 0.0),
-            cosine * pred_ori / ori_norm ** 2 - tgt_unit / ori_norm,
-        ],
-        axis=2,
-    )
-
-    conf_loss = focal_conf_loss(conf_targets, confs, config.gamma)
-    d_prob = focal_prob_gradient(conf_targets, confs, config.gamma)
+    match = hungarian(position_cost_matrix(targets.paths, targets.conf_targets, cache.raw))
+    try:
+        breakdown, real, d_raw, d_prob = objective(
+            targets, match.permutation, cache.raw, conf_cache.prob, config.gamma
+        )
+    except ValueError as exc:
+        raise TrainingError(f"{exc} for object {object_id!r}") from exc
 
     pose_grads, pose_code_grads = _backward_from_cache(head, cache, d_raw, real)
     conf_grads, conf_code_grads = _conf_backward_from_cache(head, conf_cache, d_prob)
     grads = {f"head.{name}": arr for name, arr in (pose_grads | conf_grads).items()}
     grads[f"codewords.{object_id}"] = pose_code_grads + conf_code_grads
-    breakdown = LossBreakdown(points_total, conf_loss, points_total + conf_loss)
     return breakdown, grads
 
 

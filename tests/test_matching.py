@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathfield.matching import (
+    PaddedTargets,
     focal_conf_loss,
     hungarian,
-    match_cost,
+    objective,
     pad_targets,
-    points_loss,
-    total_loss,
+    position_cost_matrix,
 )
-from pathfield.paths import Path, PredictedPath, sample_params, ParamSamplingConfig
+from pathfield.paths import Path, PredictedPath, resample, sample_params, ParamSamplingConfig
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -64,21 +64,24 @@ class TestPadTargets:
 class TestMatchCost:
     def test_identical_is_zero(self):
         arr = np.random.default_rng(0).normal(0, 1, (5, 6))
-        assert match_cost(arr, arr, True) == 0.0
+        assert position_cost_matrix(arr[None], np.ones(1), arr[None]).tolist() == [[0.0]]
 
     def test_padded_slot_is_free(self):
         rng = np.random.default_rng(1)
-        assert match_cost(rng.normal(0, 1, (4, 6)), rng.normal(0, 1, (4, 6)), False) == 0.0
+        targets = rng.normal(0, 1, (2, 4, 6))
+        cost = position_cost_matrix(targets, np.array([1.0, 0.0]), rng.normal(0, 1, (2, 4, 6)))
+        assert np.all(cost[:, 0] > 0.0)
+        assert cost[:, 1].tolist() == [0.0, 0.0]
 
     def test_unit_offset(self):
-        target = np.zeros((5, 6))
-        pred = np.zeros((5, 6))
-        pred[:, 0] = 1.0
-        assert match_cost(target, pred, True) == 1.0
+        target = np.zeros((1, 5, 6))
+        pred = np.zeros((1, 5, 6))
+        pred[..., 0] = 1.0
+        assert position_cost_matrix(target, np.ones(1), pred).tolist() == [[1.0]]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            match_cost(np.zeros((4, 6)), np.zeros((5, 6)), True)
+            position_cost_matrix(np.zeros((1, 4, 6)), np.ones(1), np.zeros((1, 5, 6)))
 
 
 class TestHungarian:
@@ -135,32 +138,38 @@ class TestHungarian:
         assert first.total_cost == second.total_cost
 
 
+def one_slot_points_loss(target, pred) -> float:
+    """Points loss of one real slot predicted as `pred` (raw orientations)."""
+    targets = PaddedTargets(np.asarray(target)[None], np.ones(1))
+    return objective(targets, np.zeros(1, dtype=int), np.asarray(pred)[None], np.full(1, 0.5))[0].points_loss
+
+
 class TestPointsLoss:
     def test_exact_match_is_zero(self):
         arr = np.random.default_rng(3).normal(0, 1, (6, 6))
         arr[:, 3:] /= np.linalg.norm(arr[:, 3:], axis=1)[:, None]
-        assert points_loss([(arr, arr)]) == 0.0
+        assert one_slot_points_loss(arr, arr) == 0.0
 
     def test_orthogonal_orientations(self):
         target = np.zeros((4, 6))
         target[:, 3] = 1.0
         pred = np.zeros((4, 6))
         pred[:, 4] = 1.0
-        assert points_loss([(target, pred)]) == 1.0
+        assert one_slot_points_loss(target, pred) == 1.0
 
     def test_position_offset(self):
         target = np.zeros((4, 6))
         target[:, 5] = 1.0
         pred = target.copy()
         pred[:, 0] = 0.2
-        assert points_loss([(target, pred)]) == pytest.approx(0.2, abs=1e-15)
+        assert one_slot_points_loss(target, pred) == pytest.approx(0.2, abs=1e-15)
 
     def test_zero_orientation_raises(self):
         target = np.zeros((2, 6))
         target[:, 5] = 1.0
         pred = np.zeros((2, 6))
-        with pytest.raises(ValueError):
-            points_loss([(target, pred)])
+        with pytest.raises(ValueError, match="degenerate predicted orientation"):
+            one_slot_points_loss(target, pred)
 
     @given(st.integers(0, 5000))
     @settings(max_examples=40)
@@ -170,12 +179,12 @@ class TestPointsLoss:
         target[:, 3:] += np.sign(target[:, 3:]) * 0.1  # keep orientations away from zero
         pred = rng.normal(0, 1, (5, 6))
         pred[:, 3:] += np.sign(pred[:, 3:]) * 0.1
-        value = points_loss([(target, pred)])
+        value = one_slot_points_loss(target, pred)
         assert value >= 0.0
         scale = rng.uniform(0.5, 2.0)
         scaled = target.copy()
         scaled[:, 3:] *= scale  # parallel orientations, same positions
-        assert points_loss([(target, scaled)]) == pytest.approx(0.0, abs=1e-12)
+        assert one_slot_points_loss(target, scaled) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestFocalConfLoss:
@@ -208,50 +217,85 @@ class TestTotalLoss:
         ]
 
     def preds_from(self, gts, confidences, n_slots):
-        from pathfield.paths import resample
-
         preds = [PredictedPath(resample(g, self.params), c) for g, c in zip(gts, confidences)]
         filler = make_path([[5.0, 5.0, 5.0], [5.0, 5.0, 5.0 + 1e-6]])
         while len(preds) < n_slots:
             preds.append(PredictedPath(resample(filler, self.params), confidences[len(preds)]))
         return preds
 
+    def set_loss(self, gts, preds, n_slots):
+        """Pad, match on position, then score: the trainer's path to `objective`."""
+        targets = pad_targets(gts, n_slots, self.params)
+        raw = np.stack([p.path.poses for p in preds])
+        match = hungarian(position_cost_matrix(targets.paths, targets.conf_targets, raw))
+        confs = np.array([p.confidence for p in preds])
+        return objective(targets, match.permutation, raw, confs)[0]
+
     def test_exact_predictions_near_zero(self):
         confs = [1.0 - 1e-9, 1.0 - 1e-9, 1e-9, 1e-9]
-        out = total_loss(self.gts, self.preds_from(self.gts, confs, 4), 4, self.params)
+        out = self.set_loss(self.gts, self.preds_from(self.gts, confs, 4), 4)
         assert out.points_loss == 0.0
         assert out.total == pytest.approx(0.0, abs=1e-6)
 
     def test_half_confidences(self):
-        out = total_loss(self.gts, self.preds_from(self.gts, [0.5] * 4, 4), 4, self.params)
+        out = self.set_loss(self.gts, self.preds_from(self.gts, [0.5] * 4, 4), 4)
         assert out.points_loss == 0.0
         assert out.conf_loss == pytest.approx(4 * 0.25 * np.log(2.0), rel=1e-12)
         assert out.total == out.points_loss + out.conf_loss
 
     def test_gt_order_invariance(self):
         confs = [0.9, 0.8, 0.1, 0.2]
-        a = total_loss(self.gts, self.preds_from(self.gts, confs, 4), 4, self.params)
-        b = total_loss(self.gts[::-1], self.preds_from(self.gts, confs, 4), 4, self.params)
+        a = self.set_loss(self.gts, self.preds_from(self.gts, confs, 4), 4)
+        b = self.set_loss(self.gts[::-1], self.preds_from(self.gts, confs, 4), 4)
         assert a.total == pytest.approx(b.total, abs=1e-12)
 
     def test_prediction_order_invariance(self):
         confs = [0.9, 0.8, 0.1, 0.2]
         preds = self.preds_from(self.gts, confs, 4)
-        a = total_loss(self.gts, preds, 4, self.params)
-        b = total_loss(self.gts, preds[::-1], 4, self.params)
+        a = self.set_loss(self.gts, preds, 4)
+        b = self.set_loss(self.gts, preds[::-1], 4)
         assert a.total == pytest.approx(b.total, abs=1e-12)
 
     def test_padding_never_contributes(self):
         confs = [0.7, 0.6]
-        base_preds = self.preds_from(self.gts, confs, 2)
-        base = total_loss(self.gts, base_preds, 2, self.params)
+        base = self.set_loss(self.gts, self.preds_from(self.gts, confs, 2), 2)
         # add two padded slots with near-zero predicted confidence: the points
         # loss must not move, the conf loss only by the tiny padded terms
-        wide_preds = self.preds_from(self.gts, confs + [1e-9, 1e-9], 4)
-        wide = total_loss(self.gts, wide_preds, 4, self.params)
+        wide = self.set_loss(self.gts, self.preds_from(self.gts, confs + [1e-9, 1e-9], 4), 4)
         assert wide.points_loss == base.points_loss
         assert wide.conf_loss == pytest.approx(base.conf_loss, abs=1e-6)
 
     def test_wrong_prediction_count(self):
+        raw = np.stack([p.path.poses for p in self.preds_from(self.gts, [0.5, 0.5], 2)])
         with pytest.raises(ValueError):
-            total_loss(self.gts, self.preds_from(self.gts, [0.5, 0.5], 2), 3, self.params)
+            objective(pad_targets(self.gts, 3, self.params), np.arange(2), raw, np.full(2, 0.5))
+
+
+class TestObjective:
+    @pytest.mark.parametrize("n_real", [0, 2, 3])
+    def test_gradients_match_finite_differences(self, n_real):
+        rng = np.random.default_rng(n_real)
+        paths = np.zeros((3, 5, 6))
+        paths[:n_real] = rng.normal(0, 1, (n_real, 5, 6))
+        targets = PaddedTargets(paths, (np.arange(3) < n_real).astype(float))
+        perm = np.array([2, 0, 1])
+        raw = rng.normal(0, 1, (3, 5, 6))
+        confs = rng.uniform(0.1, 0.9, 3)
+
+        def total() -> float:
+            return objective(targets, perm, raw, confs, 1.5)[0].total
+
+        _, real, d_raw, d_confs = objective(targets, perm, raw, confs, 1.5)
+        assert real.tolist() == [i for i in range(3) if perm[i] < n_real]
+        full = np.zeros_like(raw)
+        full[real] = d_raw
+        step = 1e-6
+        for arr, grad in ((raw, full), (confs, d_confs)):
+            for idx in np.ndindex(arr.shape):
+                saved = arr[idx]
+                arr[idx] = saved + step
+                plus = total()
+                arr[idx] = saved - step
+                minus = total()
+                arr[idx] = saved
+                assert grad[idx] == pytest.approx((plus - minus) / (2 * step), rel=1e-5, abs=1e-8)

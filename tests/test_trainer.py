@@ -3,8 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from pathfield.dataio import SyntheticConfig, gen_dataset
-from pathfield.matching import total_loss
+from pathfield.cli import main
+from pathfield.dataio import ObjectRecord, SyntheticConfig, gen_dataset, save_dataset
+from pathfield.matching import (
+    focal_conf_loss,
+    focal_prob_gradient,
+    hungarian,
+    pad_targets,
+    position_cost_matrix,
+)
 from pathfield.neural_field import HeadConfig, confidence_forward, head_forward_batch, named_parameters
 from pathfield.paths import ParamSamplingConfig, Path, PredictedPath, sample_params
 from pathfield.trainer import (
@@ -106,9 +113,6 @@ class TestFocalProbGradient:
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0, 3.0])
     @pytest.mark.parametrize("target", [0.0, 1.0])
     def test_matches_finite_differences(self, gamma, target):
-        from pathfield.matching import focal_conf_loss
-        from pathfield.trainer import focal_prob_gradient
-
         step = 1e-7
         for f in (0.05, 0.3, 0.5, 0.7, 0.95):
             analytic = focal_prob_gradient([target], [f], gamma)[0]
@@ -161,9 +165,9 @@ class TestTrainEpoch:
         assert np.array_equal(a.codewords["obj"], b.codewords["obj"])
 
 
-def object_gradient_case(activation: str, conditioning: str):
+def object_gradient_case(activation: str, conditioning: str, n_paths: int = 2):
     """Fresh state of a small head plus the object's train-time samples."""
-    dataset = {"obj": [line_path(0.0, 6), line_path(0.5, 6)]}
+    dataset = {"obj": [line_path(0.5 * i, 6) for i in range(n_paths)]}
     config = tiny_config(
         slots=4,
         train_samples=8,
@@ -175,35 +179,73 @@ def object_gradient_case(activation: str, conditioning: str):
     return dataset["obj"], config, state, svals
 
 
+def assert_gradients_match_finite_differences(gt, config, state, svals) -> dict[str, np.ndarray]:
+    """Central differences of _object_gradients' own loss over every parameter."""
+
+    def loss() -> float:
+        return _object_gradients(state, "obj", gt, svals, config)[0].total
+
+    _, grads = _object_gradients(state, "obj", gt, svals, config)
+    params = {f"head.{k}": v for k, v in named_parameters(state.head).items()}
+    params["codewords.obj"] = state.codewords["obj"]
+    assert grads.keys() == params.keys()
+    step, worst = 1e-6, 0.0
+    for name, arr in params.items():
+        for idx in np.ndindex(arr.shape):
+            saved = arr[idx]
+            arr[idx] = saved + step
+            plus = loss()
+            arr[idx] = saved - step
+            minus = loss()
+            arr[idx] = saved
+            fd = (plus - minus) / (2 * step)
+            analytic = grads[name][idx]
+            worst = max(worst, abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-6))
+    assert worst < 1e-4
+    return grads
+
+
+def reference_set_loss(gt, preds, svals, gamma) -> tuple[float, float]:
+    """(points, conf) scored pair by pair on normalised paths, apart from `objective`."""
+    targets = pad_targets(gt, len(preds), svals)
+    arrays = np.stack([p.path.poses for p in preds])
+    perm = hungarian(position_cost_matrix(targets.paths, targets.conf_targets, arrays)).permutation
+    total, count = 0.0, 0
+    for i, slot in enumerate(perm):
+        if targets.conf_targets[slot] < 0.5:
+            continue
+        tgt, prd = targets.paths[slot], arrays[i]
+        dist = np.linalg.norm(tgt[:, :3] - prd[:, :3], axis=1)
+        unit = [v / np.linalg.norm(v, axis=1)[:, None] for v in (tgt[:, 3:], prd[:, 3:])]
+        gap = unit[0] - unit[1]
+        total += float((dist + 0.5 * (gap * gap).sum(axis=1)).sum())
+        count += tgt.shape[0]
+    conf = focal_conf_loss(targets.conf_targets[perm], [p.confidence for p in preds], gamma)
+    return (total / count if count else 0.0), conf
+
+
 class TestObjectGradients:
     @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
     @pytest.mark.parametrize("activation", ["relu", "finer"])
     def test_matches_finite_differences_of_the_loss(self, activation, conditioning):
-        gt, config, state, svals = object_gradient_case(activation, conditioning)
+        assert_gradients_match_finite_differences(*object_gradient_case(activation, conditioning))
 
-        def loss() -> float:
-            return _object_gradients(state, "obj", gt, svals, config)[0].total
-
-        _, grads = _object_gradients(state, "obj", gt, svals, config)
-        params = {f"head.{k}": v for k, v in named_parameters(state.head).items()}
-        params["codewords.obj"] = state.codewords["obj"]
-        assert grads.keys() == params.keys()
-        step, worst = 1e-6, 0.0
-        for name, arr in params.items():
-            for idx in np.ndindex(arr.shape):
-                saved = arr[idx]
-                arr[idx] = saved + step
-                plus = loss()
-                arr[idx] = saved - step
-                minus = loss()
-                arr[idx] = saved
-                fd = (plus - minus) / (2 * step)
-                analytic = grads[name][idx]
-                worst = max(worst, abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-6))
-        assert worst < 1e-4
+    def test_object_without_paths_has_only_confidence_gradients(self):
+        gt, config, state, svals = object_gradient_case("finer", "modulation", n_paths=0)
+        breakdown, _ = _object_gradients(state, "obj", gt, svals, config)
+        assert breakdown.points_loss == 0.0 and breakdown.conf_loss > 0
+        grads = assert_gradients_match_finite_differences(gt, config, state, svals)
+        for name, grad in grads.items():
+            assert np.any(grad != 0) == (name.startswith("head.conf_") or name == "codewords.obj"), name
 
     @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
-    def test_loss_equals_total_loss(self, conditioning):
+    def test_object_filling_every_slot(self, conditioning):
+        gt, config, state, svals = object_gradient_case("finer", conditioning, n_paths=4)
+        assert len(gt) == config.slots
+        assert_gradients_match_finite_differences(gt, config, state, svals)
+
+    @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
+    def test_loss_equals_per_pair_reference(self, conditioning):
         gt, config, state, svals = object_gradient_case("finer", conditioning)
         breakdown, _ = _object_gradients(state, "obj", gt, svals, config)
 
@@ -214,11 +256,24 @@ class TestObjectGradients:
             PredictedPath(Path(np.concatenate([raw[i, :, :3], unit[i]], axis=1)), conf)
             for i, conf in enumerate(confidence_forward(state.head, codes))
         ]
-        expected = total_loss(gt, preds, config.slots, svals, config.gamma)
+        points, conf = reference_set_loss(gt, preds, svals, config.gamma)
         assert breakdown.points_loss > 0 and breakdown.conf_loss > 0
-        assert breakdown.points_loss == pytest.approx(expected.points_loss, rel=1e-12)
-        assert breakdown.conf_loss == pytest.approx(expected.conf_loss, rel=1e-12)
-        assert breakdown.total == pytest.approx(expected.total, rel=1e-12)
+        assert breakdown.points_loss == pytest.approx(points, rel=1e-12)
+        assert breakdown.conf_loss == pytest.approx(conf, rel=1e-12)
+        assert breakdown.total == pytest.approx(points + conf, rel=1e-12)
+
+    def test_zero_predicted_orientation_is_a_training_error(self, tmp_path):
+        dataset = {"obj": [line_path(0.0)]}
+        state = init_state(dataset, tiny_config(epochs=1))
+        state.head.out_w[3:] = 0.0
+        state.head.out_b[3:] = 0.0
+        with pytest.raises(TrainingError, match="degenerate predicted orientation for object 'obj'"):
+            train_epoch(state, dataset)
+        # the CLI reports it as a runtime error, exit code 2
+        data, ckpt = tmp_path / "data.json", tmp_path / "ckpt.json"
+        save_dataset([ObjectRecord("obj", dataset["obj"])], data)
+        save_checkpoint(state, ckpt)
+        assert main(["fit", "--dataset", str(data), "--checkpoint", str(ckpt), "--resume"]) == 2
 
 
 class TestPredict:
