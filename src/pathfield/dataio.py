@@ -14,7 +14,7 @@ whole scene is normalized to centroid zero and unit max radius.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -126,18 +126,7 @@ def gen_dataset(config: SyntheticConfig, objects: int = 1) -> list[ObjectRecord]
     records = []
     for index in range(objects):
         sub_seed = int(np.random.SeedSequence([config.seed, index]).generate_state(1)[0])
-        sub = SyntheticConfig(
-            strokes=config.strokes,
-            waypoints_per_stroke=config.waypoints_per_stroke,
-            face_extent=config.face_extent,
-            stroke_spacing=config.stroke_spacing,
-            face_normal=config.face_normal,
-            jitter_sigma=config.jitter_sigma,
-            curvature=config.curvature,
-            cloud_points=config.cloud_points,
-            seed=sub_seed,
-        )
-        records.append(gen_raster_object(sub, f"object-{index:03d}"))
+        records.append(gen_raster_object(replace(config, seed=sub_seed), f"object-{index:03d}"))
     return records
 
 

@@ -240,18 +240,20 @@ def _ap_from_entries(entries: Sequence[_ScoredPrediction], n_gt: int, tau: float
     return _every_point_ap(recall, precision)
 
 
-def _ap_family(entries: Sequence[_ScoredPrediction], n_gt: int) -> tuple[float, float, float]:
-    """(AP at tau 0.5, mean AP over HARD_TAUS, mean AP over EASY_TAUS).
-
-    All three are 0, with a warning, when there is no prediction to score.
-    """
+def _ap_at(entries: Sequence[_ScoredPrediction], n_gt: int, taus: Sequence[float]) -> list[float]:
+    """AP at each tau; all 0, with a warning, when there is no prediction to score."""
     if n_gt == 0:
         raise ValueError("dataset holds no ground-truth paths")
     if not entries:
         warnings.warn("no predictions to score; AP is 0", RuntimeWarning, stacklevel=3)
-        return 0.0, 0.0, 0.0
-    hard = [_ap_from_entries(entries, n_gt, tau) for tau in HARD_TAUS]
-    easy = [_ap_from_entries(entries, n_gt, tau) for tau in EASY_TAUS]
+        return [0.0] * len(taus)
+    return [_ap_from_entries(entries, n_gt, tau) for tau in taus]
+
+
+def _ap_family(entries: Sequence[_ScoredPrediction], n_gt: int) -> tuple[float, float, float]:
+    """(AP at tau 0.5, mean AP over HARD_TAUS, mean AP over EASY_TAUS)."""
+    aps = _ap_at(entries, n_gt, HARD_TAUS + EASY_TAUS)
+    hard, easy = aps[: len(HARD_TAUS)], aps[len(HARD_TAUS) :]
     return hard[0], float(np.mean(hard)), float(np.mean(easy))
 
 
@@ -271,13 +273,7 @@ def average_precision(
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
-    entries, n_gt = _score_dataset(dataset, delta, theta_deg)
-    if n_gt == 0:
-        raise ValueError("dataset holds no ground-truth paths")
-    if not entries:
-        warnings.warn("no predictions to score; AP is 0", RuntimeWarning, stacklevel=2)
-        return 0.0
-    return _ap_from_entries(entries, n_gt, tau)
+    return _ap_at(*_score_dataset(dataset, delta, theta_deg), (tau,))[0]
 
 
 def ap_suite(

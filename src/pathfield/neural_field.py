@@ -19,7 +19,7 @@ them against central finite differences.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,8 +40,6 @@ __all__ = [
     "confidence_backward",
     "named_parameters",
     "parameter_count",
-    "head_to_document",
-    "head_from_document",
 ]
 
 
@@ -458,28 +456,4 @@ def named_parameters(params: HeadParams) -> dict[str, np.ndarray]:
 
 def parameter_count(params: HeadParams) -> int:
     return sum(arr.size for arr in named_parameters(params).values())
-
-
-def head_to_document(params: HeadParams) -> dict:
-    """Self-describing dict with the config and every weight array."""
-    return {
-        "config": asdict(params.config),
-        "weights": {name: arr.tolist() for name, arr in named_parameters(params).items()},
-    }
-
-
-def head_from_document(doc: dict) -> HeadParams:
-    config = HeadConfig(**doc["config"])
-    params = _allocate(config)
-    named = named_parameters(params)
-    weights = doc["weights"]
-    missing = set(named) - set(weights)
-    if missing:
-        raise ValueError(f"head document is missing arrays: {sorted(missing)}")
-    for name, arr in named.items():
-        loaded = np.asarray(weights[name], dtype=float)
-        if loaded.shape != arr.shape:
-            raise ValueError(f"array {name} has shape {loaded.shape}, expected {arr.shape}")
-        arr[...] = loaded
-    return params
 

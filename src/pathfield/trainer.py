@@ -7,8 +7,10 @@ is float64 and fully deterministic given the config seed.
 """
 from __future__ import annotations
 
+import base64
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields, asdict
 from typing import Callable, Mapping, Sequence
 
@@ -18,20 +20,19 @@ from .matching import LossBreakdown, hungarian, objective, pad_targets, position
 from .neural_field import (
     HeadConfig,
     HeadParams,
+    _allocate,
     _backward_from_cache,
     _conf_backward_from_cache,
     _confidence_with_cache,
     _forward_with_cache,
     confidence_forward,
     head_forward_batch,
-    head_from_document,
-    head_to_document,
     init_head,
     named_parameters,
 )
 from .paths import ParamSamplingConfig, Path, PredictedPath, SAMPLING_STRATEGIES, sample_params
 
-CHECKPOINT_FORMAT = "pathfield.checkpoint.v1"
+CHECKPOINT_FORMAT = "pathfield.checkpoint.v2"
 
 __all__ = [
     "TrainingError",
@@ -312,51 +313,88 @@ def predict(
     return kept
 
 
+def _encode(arr: np.ndarray) -> str:
+    return base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")
+
+
+def _decode(text, shape: tuple, name: str) -> np.ndarray:
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint array {name!r} is not base64 text: {exc}") from exc
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"checkpoint array {name!r} holds {len(raw)} bytes, expected shape {shape}")
+    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+
+
 def checkpoint_to_document(state: TrainState) -> dict:
+    """The config once, then every registry array as base64 of its little-endian float64 bytes."""
     return {
         "format": CHECKPOINT_FORMAT,
         "config": state.config.to_document(),
-        "head": head_to_document(state.head),
-        "codewords": {oid: arr.tolist() for oid, arr in state.codewords.items()},
-        "moments": {
-            name: {"m": slot["m"].tolist(), "v": slot["v"].tolist(), "step": slot["step"]}
-            for name, slot in state.moments.items()
-        },
         "epoch": state.epoch,
         "loss_history": [list(entry) for entry in state.loss_history],
+        "parameters": {name: _encode(arr) for name, arr in _parameter_registry(state).items()},
+        "moments": {
+            name: {"m": _encode(slot["m"]), "v": _encode(slot["v"]), "step": slot["step"]}
+            for name, slot in state.moments.items()
+        },
     }
 
 
 def checkpoint_from_document(doc: dict) -> TrainState:
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError("not a checkpoint document")
-    config_doc = dict(doc["config"])
-    head_doc = config_doc.get("head")
-    config = TrainConfig.from_document(config_doc)
-    head = head_from_document(doc["head"])
-    if head_doc is not None and asdict(head.config) != asdict(config.head):
-        raise ValueError("checkpoint head config disagrees with train config")
-    codewords = {}
-    for object_id, values in doc["codewords"].items():
-        arr = np.asarray(values, dtype=float)
-        if arr.shape != (config.slots, config.head.code_dim):
-            raise ValueError(f"codeword array for {object_id!r} has shape {arr.shape}")
-        codewords[object_id] = arr
-    moments = {}
-    for name, slot in doc.get("moments", {}).items():
-        moments[name] = {
-            "m": np.asarray(slot["m"], dtype=float),
-            "v": np.asarray(slot["v"], dtype=float),
-            "step": int(slot["step"]),
+    """Rebuild a state; shapes come from the config, so every array must match its registry name."""
+    found = doc.get("format") if isinstance(doc, dict) else None
+    if found != CHECKPOINT_FORMAT:
+        raise ValueError(f"not a {CHECKPOINT_FORMAT} checkpoint document (format {found!r})")
+    try:
+        config = TrainConfig.from_document(doc["config"])
+        arrays = doc["parameters"]
+        codewords = {
+            name.removeprefix("codewords."): np.zeros((config.slots, config.head.code_dim))
+            for name in arrays
+            if name.startswith("codewords.")
         }
-    history = [tuple(float(x) for x in entry) for entry in doc.get("loss_history", [])]
-    return TrainState(config, head, codewords, moments, int(doc["epoch"]), history)
+        history = [tuple(float(x) for x in entry) for entry in doc["loss_history"]]
+        state = TrainState(config, _allocate(config.head), codewords, {}, int(doc["epoch"]), history)
+        registry = _parameter_registry(state)
+        unknown = sorted(arrays.keys() - registry.keys())
+        if unknown:
+            raise ValueError(f"checkpoint arrays {unknown} are not parameters of this config")
+        for name, arr in registry.items():
+            if name not in arrays:
+                raise ValueError(f"checkpoint is missing array {name!r}")
+            arr[...] = _decode(arrays[name], arr.shape, name)
+        for name, slot in doc["moments"].items():
+            if name not in registry:
+                raise ValueError(f"checkpoint has moments for unknown parameter {name!r}")
+            shape = registry[name].shape
+            state.moments[name] = {
+                "m": _decode(slot["m"], shape, f"{name}.m"),
+                "v": _decode(slot["v"], shape, f"{name}.v"),
+                "step": int(slot["step"]),
+            }
+    except KeyError as exc:
+        raise ValueError(f"checkpoint document is missing key {exc}") from exc
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(f"malformed checkpoint document: {exc}") from exc
+    return state
 
 
 def save_checkpoint(state: TrainState, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(checkpoint_to_document(state), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    """Write to a temp file beside `path`, then replace `path` with it in one step."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(checkpoint_to_document(state), fh, sort_keys=True, separators=(",", ":"))
+            fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> TrainState:

@@ -192,6 +192,18 @@ class TestCli:
         out = tmp_path / "r.json"
         assert run_cli("evaluate", "--gt", bad, "--pred", bad, "--out", out) == 1
 
+    @pytest.mark.parametrize("doc,named", [
+        ({"format": "pathfield.checkpoint.v1", "config": {}}, "pathfield.checkpoint.v2"),
+        ({"format": "pathfield.checkpoint.v2", "config": {}}, "'parameters'"),
+        ({"format": "pathfield.checkpoint.v2", "config": {"head": {"depht": 4}}}, "depht"),
+        ({"format": "pathfield.checkpoint.v2", "config": {"slots": "many"}}, "malformed"),
+    ], ids=["v1", "missing-key", "unknown-head-key", "wrong-type"])
+    def test_malformed_checkpoint_is_validation_error(self, tmp_path, capsys, doc, named):
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(json.dumps(doc))
+        assert run_cli("predict", "--checkpoint", ckpt, "--object", "all", "--out", tmp_path / "p.json") == 1
+        assert named in capsys.readouterr().err
+
     def test_exit_code_runtime_error(self, tmp_path):
         ckpt = tmp_path / "missing-dir" / "nested" / "ckpt.json"
         data = tmp_path / "data.json"

@@ -138,6 +138,35 @@ class TestHungarian:
         assert first.total_cost == second.total_cost
 
 
+def assert_matches_scipy(cost):
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    rows, cols = linear_sum_assignment(cost)
+    res = hungarian(cost)
+    n = cost.shape[0]
+    assert sorted(res.permutation.tolist()) == list(range(n))
+    assert res.total_cost == pytest.approx(cost[rows, cols].sum(), rel=1e-12, abs=1e-12)
+    assert cost[np.arange(n), res.permutation].sum() == pytest.approx(res.total_cost, rel=1e-12, abs=1e-12)
+
+
+class TestHungarianScipyOracle:
+    """Sizes criterion 2's brute force cannot reach, against scipy (test-only dependency)."""
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 17, 40])
+    def test_random_square(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            assert_matches_scipy(rng.uniform(0, 10, (n, n)))
+
+    @pytest.mark.parametrize("n,real", [(8, 1), (8, 3), (8, 8), (40, 3), (40, 10), (40, 24), (40, 40)])
+    def test_training_shaped(self, n, real):
+        # real path columns first, then zero-cost padded columns, as position_cost_matrix builds them
+        rng = np.random.default_rng([n, real])
+        for _ in range(5):
+            cost = np.zeros((n, n))
+            cost[:, :real] = rng.uniform(0, 2, (n, real))
+            assert_matches_scipy(cost)
+
+
 def one_slot_points_loss(target, pred) -> float:
     """Points loss of one real slot predicted as `pred` (raw orientations)."""
     targets = PaddedTargets(np.asarray(target)[None], np.ones(1))

@@ -10,8 +10,6 @@ from pathfield.neural_field import (
     confidence_forward,
     head_backward,
     head_forward_batch,
-    head_from_document,
-    head_to_document,
     init_head,
     named_parameters,
     parameter_count,
@@ -353,22 +351,3 @@ class TestBackward:
             assert not grads[name].any(), name
         assert not conf_grads["conf_b1"].any() and not conf_grads["conf_b2"].any()
 
-
-class TestSerialization:
-    def test_round_trip_bit_exact(self, tmp_path):
-        import json
-
-        cfg = HeadConfig(depth=2, width=8, code_dim=4, activation="finer", seed=21)
-        params = init_head(cfg)
-        doc = json.loads(json.dumps(head_to_document(params)))
-        loaded = head_from_document(doc)
-        assert loaded.config == cfg
-        for name, arr in named_parameters(params).items():
-            assert np.array_equal(arr, named_parameters(loaded)[name]), name
-
-    def test_missing_array_rejected(self):
-        cfg = HeadConfig(depth=1, width=4, code_dim=2)
-        doc = head_to_document(init_head(cfg))
-        del doc["weights"]["out_w"]
-        with pytest.raises(ValueError, match="out_w"):
-            head_from_document(doc)

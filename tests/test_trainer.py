@@ -18,6 +18,7 @@ from pathfield.trainer import (
     TrainConfig,
     TrainingError,
     _object_gradients,
+    _parameter_registry,
     adam_step,
     checkpoint_from_document,
     checkpoint_to_document,
@@ -338,6 +339,67 @@ class TestCheckpoint:
     def test_rejects_foreign_document(self):
         with pytest.raises(ValueError):
             checkpoint_from_document({"format": "something-else"})
+
+    @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
+    @pytest.mark.parametrize("kind", ["relu", "finer"])
+    def test_round_trip_bit_exact(self, kind, conditioning):
+        dataset = {"a": [line_path(0.0)], "b": [line_path(0.2), line_path(0.4)]}
+        config = tiny_config(epochs=2, head=tiny_head(activation=kind, conditioning=conditioning))
+        state = fit(dataset, config)
+        doc = json.loads(json.dumps(checkpoint_to_document(state)))
+        registry = _parameter_registry(state)
+        assert set(doc) == {"format", "config", "epoch", "loss_history", "parameters", "moments"}
+        assert doc["parameters"].keys() == registry.keys() == doc["moments"].keys()
+        loaded = checkpoint_from_document(doc)
+        assert loaded.config == config and loaded.epoch == 2
+        assert loaded.loss_history == state.loss_history
+        loaded_registry = _parameter_registry(loaded)
+        assert loaded_registry.keys() == registry.keys()
+        for name, arr in registry.items():
+            assert loaded_registry[name].shape == arr.shape, name
+            assert loaded_registry[name].tobytes() == arr.tobytes(), name
+            for key in ("m", "v"):
+                assert loaded.moments[name][key].tobytes() == state.moments[name][key].tobytes(), name
+            assert loaded.moments[name]["step"] == state.moments[name]["step"]
+
+    def test_missing_array_rejected(self, fitted):
+        doc = checkpoint_to_document(fitted[2])
+        del doc["parameters"]["head.out_w"]
+        with pytest.raises(ValueError, match="head.out_w"):
+            checkpoint_from_document(doc)
+
+    def test_wrong_size_array_rejected(self, fitted):
+        doc = checkpoint_to_document(fitted[2])
+        doc["parameters"]["head.out_b"] = doc["parameters"]["head.conf_b1"]
+        with pytest.raises(ValueError, match="head.out_b"):
+            checkpoint_from_document(doc)
+
+    def test_extra_array_rejected(self, fitted):
+        doc = checkpoint_to_document(fitted[2])
+        doc["parameters"]["head.block_w9"] = doc["parameters"]["head.out_b"]
+        with pytest.raises(ValueError, match="head.block_w9"):
+            checkpoint_from_document(doc)
+
+    def test_unknown_moment_rejected(self, fitted):
+        doc = checkpoint_to_document(fitted[2])
+        doc["moments"]["codewords.ghost"] = doc["moments"]["codewords.obj"]
+        with pytest.raises(ValueError, match="codewords.ghost"):
+            checkpoint_from_document(doc)
+
+    def test_failed_save_keeps_previous_checkpoint(self, fitted, tmp_path, monkeypatch):
+        target = tmp_path / "ckpt.json"
+        save_checkpoint(fitted[2], target)
+        before = target.read_bytes()
+
+        def failing_dump(obj, fh, **kwargs):
+            fh.write('{"format": "half-written')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", failing_dump)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(fitted[2], target)
+        assert target.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
 
 
 class TestTrainConfigDocument:
