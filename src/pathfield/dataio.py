@@ -14,6 +14,7 @@ whole scene is normalized to centroid zero and unit max radius.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -36,6 +37,7 @@ __all__ = [
     "save_path_document",
     "save_report",
     "load_json",
+    "save_json",
 ]
 
 
@@ -142,10 +144,20 @@ def load_json(path) -> dict:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _dump_json(doc, path, indent: int | None = 1) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=indent)
-        fh.write("\n")
+def save_json(doc, path, indent: int | None = 1, separators: tuple[str, str] | None = None) -> None:
+    """Write `doc` (keys sorted) to a temp file beside `path`, fsync it, then os.replace it over `path`."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh, sort_keys=True, indent=indent, separators=separators)
+            fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _path_from_rows(rows, object_id: str, where: str) -> Path:
@@ -229,7 +241,7 @@ def load_dataset(path) -> list[ObjectRecord]:
 
 
 def save_dataset(records: Sequence[ObjectRecord], path) -> None:
-    _dump_json(dataset_to_document(records), path)
+    save_json(dataset_to_document(records), path)
 
 
 def load_path_document(path) -> Path:
@@ -240,8 +252,8 @@ def load_path_document(path) -> Path:
 
 
 def save_path_document(path_obj: Path, path) -> None:
-    _dump_json({"poses": path_obj.poses.tolist()}, path)
+    save_json({"poses": path_obj.poses.tolist()}, path)
 
 
 def save_report(report: EvalReport, path) -> None:
-    _dump_json(report.to_document(), path, indent=2)
+    save_json(report.to_document(), path, indent=2)

@@ -9,12 +9,12 @@ set-to-set chamfer distance on positions.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .paths import ParamSamplingConfig, Path, Pose6D, PredictedPath, resample, sample_params
+from .paths import ParamSamplingConfig, Path, PredictedPath, resample, sample_params
 
 DEFAULT_DELTA = 0.025
 DEFAULT_THETA_DEG = 10.0
@@ -64,19 +64,15 @@ class FScoreResult:
 def _pose_array(obj) -> np.ndarray:
     if isinstance(obj, Path):
         return obj.poses
-    if isinstance(obj, (list, tuple)) and obj and isinstance(obj[0], Pose6D):
-        return np.stack([p.as_vector() for p in obj])
     arr = np.asarray(obj, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 6:
-        raise ValueError("expected a Path, Pose6D list, or (K, 6) array")
+        raise ValueError("expected a Path or a (K, 6) array")
     return arr
 
 
 def _position_array(obj) -> np.ndarray:
     if isinstance(obj, Path):
         return obj.positions
-    if isinstance(obj, (list, tuple)) and obj and isinstance(obj[0], Pose6D):
-        return np.stack([p.position for p in obj])
     arr = np.asarray(obj, dtype=float)
     if arr.ndim != 2 or arr.shape[1] not in (3, 6):
         raise ValueError("expected positions as a (K, 3) or (K, 6) array")
@@ -188,47 +184,47 @@ def fscore_bidirectional(
     return forward
 
 
-@dataclass(frozen=True)
-class _ScoredPrediction:
-    confidence: float
-    object_id: str
-    index: int
-    scores: np.ndarray  # bidirectional F-score against each gt path of its object
+ScoreTable = dict[str, tuple[np.ndarray, np.ndarray]]
 
 
-def _score_dataset(dataset: DatasetMap, delta: float, theta_deg: float):
-    entries: list[_ScoredPrediction] = []
+def _score_dataset(dataset: DatasetMap, delta: float, theta_deg: float) -> tuple[ScoreTable, int]:
+    """Per object, in sorted id order, (confidences (P,), F-scores (P, G)); and the ground-truth count.
+
+    Cell (p, g) is the bidirectional F-score of prediction p against
+    ground-truth path g of the same object.
+    """
+    scored: ScoreTable = {}
     n_gt = 0
     for object_id in sorted(dataset):
         gt_paths, preds = dataset[object_id]
         gt_paths = list(gt_paths)
         n_gt += len(gt_paths)
-        for index, pred in enumerate(preds):
-            scores = np.array(
-                [fscore_bidirectional(g, pred.path, delta, theta_deg).fscore for g in gt_paths]
-            )
-            entries.append(_ScoredPrediction(pred.confidence, object_id, index, scores))
-    return entries, n_gt
+        fscores = np.array(
+            [[fscore_bidirectional(g, p.path, delta, theta_deg).fscore for g in gt_paths] for p in preds]
+        ).reshape(len(preds), len(gt_paths))
+        scored[object_id] = (np.array([p.confidence for p in preds], dtype=float), fscores)
+    return scored, n_gt
 
 
 def _every_point_ap(recall: np.ndarray, precision: np.ndarray) -> float:
     mrec = np.concatenate(([0.0], recall, [1.0]))
-    mpre = np.concatenate(([0.0], precision, [0.0]))
-    for i in range(mpre.size - 1, 0, -1):
-        mpre[i - 1] = max(mpre[i - 1], mpre[i])
+    # the precision envelope: the maximum of every precision at or after each point
+    mpre = np.maximum.accumulate(np.concatenate(([0.0], precision, [0.0]))[::-1])[::-1]
     idx = np.nonzero(mrec[1:] != mrec[:-1])[0]
     return float(((mrec[idx + 1] - mrec[idx]) * mpre[idx + 1]).sum())
 
 
-def _ap_from_entries(entries: Sequence[_ScoredPrediction], n_gt: int, tau: float) -> float:
-    order = sorted(entries, key=lambda e: (-e.confidence, e.object_id, e.index))
-    consumed: dict[str, np.ndarray] = {}
+def _ap_from_entries(
+    scored: ScoreTable, order: Sequence[tuple[float, str, int]], n_gt: int, tau: float
+) -> float:
+    """AP at one tau, visiting the predictions in `order`: sorted (-confidence, object id, index)."""
+    consumed = {oid: np.zeros(table.shape[1], dtype=bool) for oid, (_, table) in scored.items()}
     hits = np.zeros(len(order), dtype=bool)
-    for rank, entry in enumerate(order):
-        if entry.scores.size == 0:
+    for rank, (_, object_id, index) in enumerate(order):
+        used = consumed[object_id]
+        if used.size == 0:
             continue
-        used = consumed.setdefault(entry.object_id, np.zeros(entry.scores.size, dtype=bool))
-        masked = np.where(used, -np.inf, entry.scores)
+        masked = np.where(used, -np.inf, scored[object_id][1][index])
         best = int(np.argmax(masked))
         if masked[best] >= tau:
             used[best] = True
@@ -240,19 +236,24 @@ def _ap_from_entries(entries: Sequence[_ScoredPrediction], n_gt: int, tau: float
     return _every_point_ap(recall, precision)
 
 
-def _ap_at(entries: Sequence[_ScoredPrediction], n_gt: int, taus: Sequence[float]) -> list[float]:
+def _ap_at(scored: ScoreTable, n_gt: int, taus: Sequence[float]) -> list[float]:
     """AP at each tau; all 0, with a warning, when there is no prediction to score."""
     if n_gt == 0:
         raise ValueError("dataset holds no ground-truth paths")
-    if not entries:
+    order = sorted(
+        (-confidence, object_id, index)
+        for object_id, (confs, _) in scored.items()
+        for index, confidence in enumerate(confs.tolist())
+    )
+    if not order:
         warnings.warn("no predictions to score; AP is 0", RuntimeWarning, stacklevel=3)
         return [0.0] * len(taus)
-    return [_ap_from_entries(entries, n_gt, tau) for tau in taus]
+    return [_ap_from_entries(scored, order, n_gt, tau) for tau in taus]
 
 
-def _ap_family(entries: Sequence[_ScoredPrediction], n_gt: int) -> tuple[float, float, float]:
+def _ap_family(scored: ScoreTable, n_gt: int) -> tuple[float, float, float]:
     """(AP at tau 0.5, mean AP over HARD_TAUS, mean AP over EASY_TAUS)."""
-    aps = _ap_at(entries, n_gt, HARD_TAUS + EASY_TAUS)
+    aps = _ap_at(scored, n_gt, HARD_TAUS + EASY_TAUS)
     hard, easy = aps[: len(HARD_TAUS)], aps[len(HARD_TAUS) :]
     return hard[0], float(np.mean(hard)), float(np.mean(easy))
 
@@ -313,16 +314,7 @@ class EvalReport:
     per_object: dict
 
     def to_document(self) -> dict:
-        return {
-            "ap": self.ap,
-            "ap50": self.ap50,
-            "ap_easy": self.ap_easy,
-            "delta": self.delta,
-            "pcd": self.pcd,
-            "per_object": self.per_object,
-            "resample_t": self.resample_t,
-            "theta_deg": self.theta_deg,
-        }
+        return asdict(self)
 
 
 def evaluate_dataset(
@@ -350,16 +342,12 @@ def evaluate_dataset(
     else:
         work = {oid: (list(g), list(p)) for oid, (g, p) in dataset.items()}
 
-    entries, n_gt = _score_dataset(work, delta, theta_deg)
-    ap50, ap, ap_easy = _ap_family(entries, n_gt)
-
-    by_object: dict[str, list[_ScoredPrediction]] = {}
-    for entry in entries:
-        by_object.setdefault(entry.object_id, []).append(entry)
+    scored, n_gt = _score_dataset(work, delta, theta_deg)
+    ap50, ap, ap_easy = _ap_family(scored, n_gt)
 
     per_object: dict[str, dict] = {}
     object_pcds = []
-    for object_id in sorted(work):
+    for object_id, (_, fscores) in scored.items():
         gt_paths, preds = work[object_id]
         obj_pcd = None
         if gt_paths and preds:
@@ -367,12 +355,9 @@ def evaluate_dataset(
             pred_pool = np.concatenate([p.path.positions for p in preds])
             obj_pcd = pcd(pred_pool, gt_pool)
             object_pcds.append(obj_pcd)
-        fscores = [
-            float(e.scores.max()) if e.scores.size else 0.0
-            for e in sorted(by_object.get(object_id, []), key=lambda e: e.index)
-        ]
         per_object[object_id] = {
-            "fscores": fscores,
+            # F-scores are >= 0, so the initial 0.0 only shows for an object without ground truth
+            "fscores": fscores.max(axis=1, initial=0.0).tolist(),
             "n_gt": len(gt_paths),
             "n_predictions": len(preds),
             "pcd": obj_pcd,

@@ -8,14 +8,13 @@ is float64 and fully deterministic given the config seed.
 from __future__ import annotations
 
 import base64
-import json
 import math
-import os
 from dataclasses import dataclass, field, fields, asdict
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .dataio import load_json, save_json
 from .matching import LossBreakdown, hungarian, objective, pad_targets, position_cost_matrix
 from .neural_field import (
     HeadConfig,
@@ -112,13 +111,16 @@ class TrainConfig:
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(f"unknown train config keys: {unknown}")
-        if head_doc is not None:
-            head_known = {f.name for f in fields(HeadConfig)}
-            head_unknown = sorted(set(head_doc) - head_known)
-            if head_unknown:
-                raise ValueError(f"unknown head config keys: {head_unknown}")
-            data["head"] = HeadConfig(**head_doc)
-        return cls(**data)
+        try:
+            if head_doc is not None:
+                head_known = {f.name for f in fields(HeadConfig)}
+                head_unknown = sorted(set(head_doc) - head_known)
+                if head_unknown:
+                    raise ValueError(f"unknown head config keys: {head_unknown}")
+                data["head"] = HeadConfig(**head_doc)
+            return cls(**data)
+        except (AttributeError, TypeError) as exc:
+            raise ValueError(f"malformed train config: {exc}") from exc
 
 
 @dataclass
@@ -382,21 +384,8 @@ def checkpoint_from_document(doc: dict) -> TrainState:
 
 
 def save_checkpoint(state: TrainState, path) -> None:
-    """Write to a temp file beside `path`, then replace `path` with it in one step."""
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            json.dump(checkpoint_to_document(state), fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    save_json(checkpoint_to_document(state), path, indent=None, separators=(",", ":"))
 
 
 def load_checkpoint(path) -> TrainState:
-    with open(path) as fh:
-        return checkpoint_from_document(json.load(fh))
+    return checkpoint_from_document(load_json(path))

@@ -16,7 +16,9 @@ from pathfield.dataio import (
     load_dataset,
     load_path_document,
     save_dataset,
+    save_report,
 )
+from pathfield.metrics import EvalReport
 from pathfield.paths import Path, PredictedPath
 
 
@@ -123,6 +125,22 @@ class TestDatasetDocuments:
         with pytest.raises(ValidationError, match="line 2"):
             load_dataset(target)
 
+    def test_failed_report_save_keeps_previous_report(self, tmp_path, monkeypatch):
+        target = tmp_path / "report.json"
+        report = EvalReport(1.5, 1.0, 0.75, 1.0, 0.025, 10.0, 384, {"obj": {"fscores": [1.0]}})
+        save_report(report, target)
+        before = target.read_bytes()
+
+        def failing_dump(obj, fh, **kwargs):
+            fh.write('{"ap": 0.')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", failing_dump)
+        with pytest.raises(OSError, match="disk full"):
+            save_report(report, target)
+        assert target.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
 
 class TestCli:
     def test_gen_fit_predict_evaluate_round(self, tmp_path):
@@ -203,6 +221,26 @@ class TestCli:
         ckpt.write_text(json.dumps(doc))
         assert run_cli("predict", "--checkpoint", ckpt, "--object", "all", "--out", tmp_path / "p.json") == 1
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [
+        {"slots": "many"},
+        {"head": {"depth": "two"}},
+        {"head": []},
+    ], ids=["slots-str", "head-depth-str", "head-list"])
+    def test_wrong_typed_config_is_validation_error(self, tmp_path, capsys, config):
+        data = tmp_path / "data.json"
+        run_cli("gen", "--strokes", 2, "--waypoints", 6, "--seed", 0, "--out", data)
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        assert run_cli("fit", "--dataset", data, "--config", config_path,
+                       "--checkpoint", tmp_path / "ckpt.json") == 1
+        assert "malformed train config" in capsys.readouterr().err
+
+    def test_truncated_checkpoint_names_file(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text('{"format": "pathfield.checkpoint.v2", "config": {"slo')
+        assert run_cli("predict", "--checkpoint", ckpt, "--object", "all", "--out", tmp_path / "p.json") == 1
+        assert str(ckpt) in capsys.readouterr().err
 
     def test_exit_code_runtime_error(self, tmp_path):
         ckpt = tmp_path / "missing-dir" / "nested" / "ckpt.json"

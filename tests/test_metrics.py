@@ -218,6 +218,30 @@ class TestAveragePrecision:
         )
         assert average_precision(ds2, 0.5) == 1.0
 
+    @pytest.mark.parametrize("first,second,expected", [
+        ("miss", "hit", 0.25),
+        ("hit", "miss", 0.5),
+    ])
+    def test_tied_confidences_rank_by_object_id(self, first, second, expected):
+        paths = {"hit": self.gt, "miss": self.miss}
+        ds = {
+            "a": ([self.gt], [PredictedPath(paths[first], 0.5)]),
+            "b": ([self.gt], [PredictedPath(paths[second], 0.5)]),
+        }
+        assert average_precision(ds, 0.5) == expected
+
+    @pytest.mark.parametrize("first,second,expected", [
+        ("hit", "miss", 1.0),
+        ("miss", "hit", 0.5),
+    ])
+    def test_tied_confidences_rank_by_prediction_index(self, first, second, expected):
+        paths = {"hit": self.gt, "miss": self.miss}
+        ds = one_object_dataset(
+            [self.gt],
+            [PredictedPath(paths[first], 0.5), PredictedPath(paths[second], 0.5)],
+        )
+        assert average_precision(ds, 0.5) == expected
+
     def test_empty_predictions_warns_zero(self):
         ds = one_object_dataset([self.gt], [])
         with pytest.warns(RuntimeWarning):
@@ -337,3 +361,16 @@ class TestEvaluateDataset:
         report = evaluate_dataset(ds, resample_t=32)
         assert report.ap50 == 0.5
         assert report.per_object["b"]["pcd"] is None
+
+    def test_object_without_ground_truth_scores_false_positives(self):
+        gt = make_path(np.linspace([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 12))
+        ds = {
+            "a": ([gt], [PredictedPath(gt, 0.9)]),
+            "b": ([], [PredictedPath(gt, 0.95), PredictedPath(gt, 0.92)]),
+        }
+        report = evaluate_dataset(ds, resample_t=32)
+        assert report.per_object["b"]["fscores"] == [0.0, 0.0]
+        assert report.per_object["b"]["pcd"] is None
+        assert report.per_object["a"]["fscores"] == [1.0]
+        # both of b's predictions rank above a's hit and match nothing
+        assert report.ap50 == 1 / 3
