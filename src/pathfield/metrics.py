@@ -47,10 +47,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AlignmentResult:
-    """Warp cost plus the monotone index pairing that realizes it."""
+    """Warp cost plus the monotone index pairing that realizes it.
 
-    cost: float
-    warp: np.ndarray  # (W, 2) int array of (first-sequence, second-sequence) indices
+    For one pair, `cost` is a float and `warp` a (W, 2) int array of
+    (first-sequence, second-sequence) indices. For a batch of B pairs,
+    `cost` is (B,) and `warp` (B, W, 2), each warp padded at its front
+    with repeats of (0, 0) to the longest warp of the batch.
+    """
+
+    cost: float | np.ndarray
+    warp: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -86,50 +92,154 @@ def _unit_rows(vectors: np.ndarray) -> np.ndarray:
     return vectors / norms[:, None]
 
 
+# Traceback move codes, one uint8 per DP cell. Their order is the tie rule:
+# 0 is the diagonal step, then the step advancing the first sequence, then the other.
+_ADVANCE_FIRST, _ADVANCE_SECOND, _START = 1, 2, 3
+
+# Cells of one batched DP, so its move codes take at most 32 MiB.
+DTW_BATCH_CELLS = 1 << 25
+
+# Prediction rows per block of pcd's distance table.
+PCD_BLOCK_ROWS = 256
+
+
 def dtw_align(a, b) -> AlignmentResult:
     """Minimum-cost monotone alignment between two point sequences.
 
     Steps advance the first sequence, the second, or both by one index;
     each visited cell contributes the Euclidean distance of its point
-    pair. The dynamic program fills anti-diagonals, O(K*M). Traceback
-    ties prefer the diagonal step, then the step advancing the first
-    sequence.
+    pair. Traceback ties prefer the diagonal step, then the step
+    advancing the first sequence.
+
+    Takes one pair, (K, D) and (M, D), or a batch of equal-shape pairs,
+    (B, K, D) and (B, M, D), aligned by one dynamic program in O(B*K*M):
+    it fills anti-diagonals for the whole batch at once, keeps three of
+    them, and stores a move code per cell, which the traceback follows
+    for every pair in step.
     """
     first = np.asarray(a, dtype=float)
     second = np.asarray(b, dtype=float)
-    if first.ndim != 2 or second.ndim != 2 or first.shape[0] == 0 or second.shape[0] == 0:
-        raise ValueError("dtw_align needs nonempty 2-D point arrays")
-    if first.shape[1] != second.shape[1]:
+    pair = first.ndim == 2 and second.ndim == 2
+    if pair:
+        first, second = first[None], second[None]
+    if first.ndim != 3 or second.ndim != 3 or len(first) != len(second) or 0 in first.shape[1:] + second.shape[1:]:
+        raise ValueError("dtw_align needs nonempty 2-D point arrays, or equal-length stacks of them")
+    if first.shape[2] != second.shape[2]:
         raise ValueError("point dimensionality differs between inputs")
-    k, m = first.shape[0], second.shape[0]
-    d = np.linalg.norm(first[:, None, :] - second[None, :, :], axis=2)
-    acc = np.empty((k, m))
-    acc[0, :] = np.cumsum(d[0, :])
-    acc[:, 0] = np.cumsum(d[:, 0])
-    for s in range(2, k + m - 1):
-        i_lo = max(1, s - (m - 1))
-        i_hi = min(k - 1, s - 1)
-        if i_lo > i_hi:
+    n, k, dim = first.shape
+    m = second.shape[1]
+    # Coordinates batch-last, the second sequence reversed: cell (i, j) of
+    # anti-diagonal i + j = s pairs first[i] with reversed[m - 1 - s + i], so
+    # a diagonal reads one contiguous slice of each.
+    fx = np.ascontiguousarray(first.transpose(2, 1, 0))
+    rx = np.ascontiguousarray(second[:, ::-1].transpose(2, 1, 0))
+    # Costs of diagonals s, s - 1 and s - 2, at row i + 1; row 0 and rows
+    # never written hold the inf that closes off the grid's edges.
+    diagonals = np.full((3, k + 1, n), np.inf)
+    moves = np.empty((k, m, n), dtype=np.uint8)  # at (i, m - 1 - j)
+    cells = moves.reshape(k * m, n)
+    for s in range(k + m - 1):
+        lo, hi = max(0, s - m + 1), min(k - 1, s)
+        r = lo + m - 1 - s
+        width = hi - lo + 1
+        # squared coordinate differences summed in index order, as np.linalg.norm does
+        step = fx[0, lo : hi + 1] - rx[0, r : r + width]
+        dist = step * step
+        for c in range(1, dim):
+            np.subtract(fx[c, lo : hi + 1], rx[c, r : r + width], out=step)
+            step *= step
+            dist += step
+        np.sqrt(dist, out=dist)
+        cur, prev, prev2 = diagonals[s % 3], diagonals[(s - 1) % 3], diagonals[(s - 2) % 3]
+        start = lo * m + r
+        code = cells[start : start + (width - 1) * (m + 1) + 1 : m + 1]
+        if s == 0:
+            cur[1] = dist[0]
+            code[0] = _START
             continue
-        i = np.arange(i_lo, i_hi + 1)
-        j = s - i
-        best = np.minimum(acc[i - 1, j - 1], np.minimum(acc[i - 1, j], acc[i, j - 1]))
-        acc[i, j] = d[i, j] + best
+        diag, up, left = prev2[lo : hi + 1], prev[lo : hi + 1], prev[lo + 1 : hi + 2]
+        other = np.minimum(up, left)
+        np.add(dist, np.minimum(diag, other), out=cur[lo + 1 : hi + 2])
+        skip = other < diag
+        np.add(skip, skip & (left < up), out=code, dtype=np.uint8)
+        # on the grid's edges one move is the only one, also when costs are inf
+        if lo == 0:
+            code[0] = _ADVANCE_SECOND
+        if hi == s:
+            code[-1] = _ADVANCE_FIRST
 
-    i, j = k - 1, m - 1
-    pairs = [(i, j)]
-    while i > 0 or j > 0:
-        moves = []
-        if i > 0 and j > 0:
-            moves.append((acc[i - 1, j - 1], i - 1, j - 1))
-        if i > 0:
-            moves.append((acc[i - 1, j], i - 1, j))
-        if j > 0:
-            moves.append((acc[i, j - 1], i, j - 1))
-        _, i, j = min(moves, key=lambda mv: mv[0])
-        pairs.append((i, j))
-    pairs.reverse()
-    return AlignmentResult(float(acc[k - 1, m - 1]), np.array(pairs, dtype=int))
+    flat = moves.reshape(-1)
+    shift = np.array([n - m * n, -m * n, n, 0])  # flat-index step of each move code
+    pos = (k - 1) * m * n + np.arange(n)
+    trail = [pos]
+    while True:
+        code = flat[pos]
+        if (code == _START).all():
+            break
+        pos = pos + shift[code]  # a finished walk stays on (0, 0)
+        trail.append(pos)
+    trail = np.array(trail[::-1]).T
+    warp = np.stack([trail // (m * n), m - 1 - (trail // n) % m], axis=-1)
+    cost = diagonals[(k + m - 2) % 3][k].copy()
+    if pair:
+        return AlignmentResult(float(cost[0]), warp[0])
+    return AlignmentResult(cost, warp)
+
+
+# Ground-truth poses (K, 6) and their unit orientations, then the prediction's
+# (M, 6) and theirs, in the direction the prediction is scored.
+_PosePair = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _pose_pair(gt, pred, delta: float, theta_deg: float) -> _PosePair:
+    """The checked arrays of one (ground truth, prediction) pair, the prediction as given."""
+    gt_arr = _pose_array(gt)
+    pred_arr = _pose_array(pred)
+    if gt_arr.shape[0] == 0 or pred_arr.shape[0] == 0:
+        raise ValueError("pose lists must be nonempty")
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    if not 0.0 < theta_deg < 180.0:
+        raise ValueError("theta must lie in (0, 180) degrees")
+    return gt_arr, _unit_rows(gt_arr[:, 3:]), pred_arr, _unit_rows(pred_arr[:, 3:])
+
+
+def _reversed(pair: _PosePair) -> _PosePair:
+    gt_arr, gt_unit, pred_arr, pred_unit = pair
+    return gt_arr, gt_unit, pred_arr[::-1], pred_unit[::-1]
+
+
+def _pose_fscores(pairs: Sequence[_PosePair], delta: float, theta_deg: float) -> np.ndarray:
+    """(precision, recall, F-score) of each pair, as an (n, 3) array.
+
+    Pairs of equal shape are aligned together by dtw_align, in batches
+    of at most DTW_BATCH_CELLS cells.
+    """
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for index, (gt_arr, _, pred_arr, _) in enumerate(pairs):
+        by_shape.setdefault((len(gt_arr), len(pred_arr)), []).append(index)
+    scores = np.empty((len(pairs), 3))
+    for (k, m), members in by_shape.items():
+        batches = -(-len(members) // max(1, DTW_BATCH_CELLS // (k * m)))
+        for batch in np.array_split(np.array(members), batches):
+            gt_arr, gt_unit, pred_arr, pred_unit = (np.stack(a) for a in zip(*(pairs[t] for t in batch)))
+            warp = dtw_align(gt_arr[:, :, :3], pred_arr[:, :, :3]).warp
+            rows = np.broadcast_to(np.arange(len(batch))[:, None], warp.shape[:2])
+            g, p = warp[..., 0], warp[..., 1]
+            # a warp's (0, 0) padding repeats its first pair, which changes no flag
+            dist_ok = np.linalg.norm(gt_arr[rows, g, :3] - pred_arr[rows, p, :3], axis=-1) < delta
+            cosines = np.clip((gt_unit[rows, g] * pred_unit[rows, p]).sum(axis=-1), -1.0, 1.0)
+            ok = dist_ok & (np.degrees(np.arccos(cosines)) < theta_deg)
+            recalled = np.zeros((len(batch), k), dtype=bool)
+            recalled[rows[ok], g[ok]] = True
+            precise = np.zeros((len(batch), m), dtype=bool)
+            precise[rows[ok], p[ok]] = True
+            recall = recalled.mean(axis=1)
+            precision = precise.mean(axis=1)
+            total = precision + recall
+            fscore = np.divide(2.0 * precision * recall, total, out=np.zeros(len(batch)), where=total > 0)
+            scores[batch] = np.stack([precision, recall, fscore], axis=1)
+    return scores
 
 
 def pose_fscore(gt, pred, delta: float = DEFAULT_DELTA, theta_deg: float = DEFAULT_THETA_DEG) -> FScoreResult:
@@ -141,31 +251,8 @@ def pose_fscore(gt, pred, delta: float = DEFAULT_DELTA, theta_deg: float = DEFAU
     for precision. Orientations are normalized defensively before the
     angle test.
     """
-    gt_arr = _pose_array(gt)
-    pred_arr = _pose_array(pred)
-    if gt_arr.shape[0] == 0 or pred_arr.shape[0] == 0:
-        raise ValueError("pose lists must be nonempty")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if not 0.0 < theta_deg < 180.0:
-        raise ValueError("theta must lie in (0, 180) degrees")
-    gt_unit = _unit_rows(gt_arr[:, 3:])
-    pred_unit = _unit_rows(pred_arr[:, 3:])
-    align = dtw_align(gt_arr[:, :3], pred_arr[:, :3])
-    k = align.warp[:, 0]
-    m = align.warp[:, 1]
-    dist_ok = np.linalg.norm(gt_arr[k, :3] - pred_arr[m, :3], axis=1) < delta
-    cosines = np.clip((gt_unit[k] * pred_unit[m]).sum(axis=1), -1.0, 1.0)
-    angle_ok = np.degrees(np.arccos(cosines)) < theta_deg
-    ok = dist_ok & angle_ok
-    recalled = np.zeros(gt_arr.shape[0], dtype=bool)
-    recalled[k[ok]] = True
-    precise = np.zeros(pred_arr.shape[0], dtype=bool)
-    precise[m[ok]] = True
-    recall = float(recalled.mean())
-    precision = float(precise.mean())
-    fscore = 2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return FScoreResult(precision, recall, fscore, False)
+    precision, recall, fscore = _pose_fscores([_pose_pair(gt, pred, delta, theta_deg)], delta, theta_deg)[0]
+    return FScoreResult(float(precision), float(recall), float(fscore), False)
 
 
 def fscore_bidirectional(
@@ -176,12 +263,11 @@ def fscore_bidirectional(
     Path execution has no preferred direction, so the higher of the two
     scores wins; the `reversed` flag records which one did.
     """
-    pred_arr = _pose_array(pred)
-    forward = pose_fscore(gt, pred_arr, delta, theta_deg)
-    backward = pose_fscore(gt, pred_arr[::-1], delta, theta_deg)
-    if backward.fscore > forward.fscore:
-        return FScoreResult(backward.precision, backward.recall, backward.fscore, True)
-    return forward
+    pair = _pose_pair(gt, pred, delta, theta_deg)
+    forward, backward = _pose_fscores([pair, _reversed(pair)], delta, theta_deg).tolist()
+    if backward[2] > forward[2]:
+        return FScoreResult(*backward, True)
+    return FScoreResult(*forward, False)
 
 
 ScoreTable = dict[str, tuple[np.ndarray, np.ndarray]]
@@ -191,18 +277,30 @@ def _score_dataset(dataset: DatasetMap, delta: float, theta_deg: float) -> tuple
     """Per object, in sorted id order, (confidences (P,), F-scores (P, G)); and the ground-truth count.
 
     Cell (p, g) is the bidirectional F-score of prediction p against
-    ground-truth path g of the same object.
+    ground-truth path g of the same object. Every pair of the dataset,
+    in both directions, is scored in one _pose_fscores call.
     """
-    scored: ScoreTable = {}
+    pairs: list[_PosePair] = []
+    shapes = []
     n_gt = 0
     for object_id in sorted(dataset):
         gt_paths, preds = dataset[object_id]
         gt_paths = list(gt_paths)
         n_gt += len(gt_paths)
-        fscores = np.array(
-            [[fscore_bidirectional(g, p.path, delta, theta_deg).fscore for g in gt_paths] for p in preds]
-        ).reshape(len(preds), len(gt_paths))
-        scored[object_id] = (np.array([p.confidence for p in preds], dtype=float), fscores)
+        shapes.append((object_id, preds, len(gt_paths)))
+        for p in preds:
+            for g in gt_paths:
+                pair = _pose_pair(g, p.path, delta, theta_deg)
+                pairs += [pair, _reversed(pair)]
+    # the better direction of each pair
+    fscores = _pose_fscores(pairs, delta, theta_deg)[:, 2].reshape(-1, 2).max(axis=1)
+    scored: ScoreTable = {}
+    offset = 0
+    for object_id, preds, n_obj_gt in shapes:
+        size = len(preds) * n_obj_gt
+        table = fscores[offset : offset + size].reshape(len(preds), n_obj_gt)
+        offset += size
+        scored[object_id] = (np.array([p.confidence for p in preds], dtype=float), table)
     return scored, n_gt
 
 
@@ -296,8 +394,21 @@ def pcd(pred_poses, gt_poses) -> float:
     gt = _position_array(gt_poses)
     if pred.shape[0] == 0 or gt.shape[0] == 0:
         raise ValueError("pcd needs nonempty pose sets")
-    d2 = ((pred[:, None, :] - gt[None, :, :]) ** 2).sum(axis=2)
-    return float((d2.min(axis=1).mean() + d2.min(axis=0).mean()) * 1e4)
+    # Squared distances PCD_BLOCK_ROWS predictions at a time, the squares
+    # summed in coordinate order; a minimum of minima is exact.
+    pred_min = np.empty(pred.shape[0])
+    gt_min = np.full(gt.shape[0], np.inf)
+    for lo in range(0, pred.shape[0], PCD_BLOCK_ROWS):
+        block = pred[lo : lo + PCD_BLOCK_ROWS]
+        step = block[:, :1] - gt[:, 0]
+        d2 = step * step
+        for c in (1, 2):
+            np.subtract(block[:, c : c + 1], gt[:, c], out=step)
+            step *= step
+            d2 += step
+        pred_min[lo : lo + PCD_BLOCK_ROWS] = d2.min(axis=1)
+        np.minimum(gt_min, d2.min(axis=0), out=gt_min)
+    return float((pred_min.mean() + gt_min.mean()) * 1e4)
 
 
 @dataclass(frozen=True)

@@ -196,6 +196,25 @@ class TestCli:
                        "--out", resampled) == 0
         assert len(load_path_document(resampled)) == 7
 
+    def test_dtw_output_is_byte_identical(self, tmp_path, capsys):
+        # the warp takes all three steps: first-sequence, diagonal and second-sequence
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(json.dumps({"poses": [
+            [0.0, 0.0, 0.0, 0, 0, 1], [0.1, 0.02, 0.0, 0, 0, 1], [0.2, 0.07, 0.01, 0, 0, 1],
+            [0.3, 0.05, 0.0, 0, 0, 1], [0.45, 0.0, -0.02, 0, 0, 1], [0.6, -0.03, 0.0, 0, 0, 1],
+        ]}))
+        b.write_text(json.dumps({"poses": [
+            [0.01, 0.01, 0.0, 0, 1, 0], [0.22, 0.05, 0.0, 0, 1, 0], [0.27, 0.06, 0.01, 0, 1, 0],
+            [0.29, 0.055, 0.01, 0, 1, 0], [0.31, 0.04, 0.0, 0, 1, 0], [0.33, 0.02, 0.0, 0, 1, 0],
+            [0.61, -0.02, 0.01, 0, 1, 0],
+        ]}))
+        assert run_cli("dtw", "--a", a, "--b", b) == 0
+        assert capsys.readouterr().out == (
+            "cost 0.3376131586674584\n"
+            "0 0\n1 0\n2 1\n3 2\n3 3\n3 4\n4 5\n5 6\n"
+        )
+
     def test_resample_whole_dataset(self, tmp_path):
         data = tmp_path / "data.json"
         run_cli("gen", "--strokes", 2, "--waypoints", 9, "--seed", 5, "--out", data)

@@ -3,7 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathfield import metrics
 from pathfield.metrics import (
+    DEFAULT_DELTA,
+    DEFAULT_THETA_DEG,
+    _score_dataset,
     ap_suite,
     average_precision,
     dtw_align,
@@ -12,7 +16,7 @@ from pathfield.metrics import (
     pcd,
     pose_fscore,
 )
-from pathfield.paths import Path, PredictedPath, reverse
+from pathfield.paths import ParamSamplingConfig, Path, PredictedPath, resample, reverse, sample_params
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -40,6 +44,61 @@ def brute_force_dtw_cost(a, b):
     return best[0]
 
 
+def reference_dtw_align(a, b):
+    """Per-pair DTW: a loop over anti-diagonals, then a traceback by `min` over (cost, i, j) tuples.
+
+    Returns (cost, warp as a list of [i, j]); dtw_align must reproduce both exactly.
+    """
+    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    k, m = d.shape
+    acc = np.empty((k, m))
+    acc[0, :] = np.cumsum(d[0, :])
+    acc[:, 0] = np.cumsum(d[:, 0])
+    for s in range(2, k + m - 1):
+        i = np.arange(max(1, s - (m - 1)), min(k - 1, s - 1) + 1)
+        j = s - i
+        acc[i, j] = d[i, j] + np.minimum(acc[i - 1, j - 1], np.minimum(acc[i - 1, j], acc[i, j - 1]))
+    i, j = k - 1, m - 1
+    pairs = [[i, j]]
+    while i > 0 or j > 0:
+        moves = []
+        if i > 0 and j > 0:
+            moves.append((acc[i - 1, j - 1], i - 1, j - 1))
+        if i > 0:
+            moves.append((acc[i - 1, j], i - 1, j))
+        if j > 0:
+            moves.append((acc[i, j - 1], i, j - 1))
+        _, i, j = min(moves, key=lambda mv: mv[0])
+        pairs.append([i, j])
+    return float(acc[k - 1, m - 1]), pairs[::-1]
+
+
+def reference_fscore(gt, pred, delta=DEFAULT_DELTA, theta_deg=DEFAULT_THETA_DEG):
+    """(precision, recall, F-score) of one direction, over reference_dtw_align's warp."""
+    gt_unit = gt[:, 3:] / np.linalg.norm(gt[:, 3:], axis=1)[:, None]
+    pred_unit = pred[:, 3:] / np.linalg.norm(pred[:, 3:], axis=1)[:, None]
+    warp = np.array(reference_dtw_align(gt[:, :3], pred[:, :3])[1])
+    k, m = warp[:, 0], warp[:, 1]
+    dist_ok = np.linalg.norm(gt[k, :3] - pred[m, :3], axis=1) < delta
+    cosines = np.clip((gt_unit[k] * pred_unit[m]).sum(axis=1), -1.0, 1.0)
+    ok = dist_ok & (np.degrees(np.arccos(cosines)) < theta_deg)
+    recalled = np.zeros(len(gt), dtype=bool)
+    recalled[k[ok]] = True
+    precise = np.zeros(len(pred), dtype=bool)
+    precise[m[ok]] = True
+    recall = float(recalled.mean())
+    precision = float(precise.mean())
+    fscore = 2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    return precision, recall, fscore
+
+
+def reference_bidirectional(gt, pred, delta=DEFAULT_DELTA, theta_deg=DEFAULT_THETA_DEG):
+    """((precision, recall, F-score), reversed) of the better direction; forward wins ties."""
+    forward = reference_fscore(gt, pred, delta, theta_deg)
+    backward = reference_fscore(gt, pred[::-1], delta, theta_deg)
+    return (backward, True) if backward[2] > forward[2] else (forward, False)
+
+
 def make_path(positions, orientation=Z):
     pos = np.asarray(positions, dtype=float)
     return Path(np.concatenate([pos, np.tile(orientation, (len(pos), 1))], axis=1))
@@ -49,6 +108,12 @@ def rotated(vec, degrees):
     theta = np.radians(degrees)
     x, _, z = vec
     return np.array([x * np.cos(theta) + z * np.sin(theta), 0.0, z * np.cos(theta) - x * np.sin(theta)])
+
+
+def tilted_path(rng, positions, spread_deg):
+    """A path whose orientations tilt away from Z by up to spread_deg, point by point."""
+    orientations = [rotated(Z, angle) for angle in rng.uniform(-spread_deg, spread_deg, len(positions))]
+    return Path(np.concatenate([positions, orientations], axis=1))
 
 
 class TestDtwAlign:
@@ -117,6 +182,95 @@ class TestDtwAlign:
         assert dtw_align(a, b).cost == dtw_align(b, a).cost
 
 
+def tie_heavy_points(rng, n):
+    """Points at x = 0, 1 or 2 on a line: integer distances, so that many warp costs tie."""
+    return np.stack([rng.integers(0, 3, n), np.zeros(n), np.zeros(n)], axis=1).astype(float)
+
+
+def uniform_points(rng, n):
+    return rng.uniform(-1, 1, (n, 3))
+
+
+class TestBatchedDtw:
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_pair_matches_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        a = uniform_points(rng, rng.integers(1, 12))
+        b = uniform_points(rng, rng.integers(1, 12))
+        res = dtw_align(a, b)
+        assert (res.cost, res.warp.tolist()) == reference_dtw_align(a, b)
+
+    def test_ties_match_reference(self):
+        # among 300 draws, several warps pass a cell where the two single steps tie
+        # and beat the diagonal, so this also pins their order
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            a = tie_heavy_points(rng, rng.integers(1, 9))
+            b = tie_heavy_points(rng, rng.integers(1, 9))
+            res = dtw_align(a, b)
+            assert (res.cost, res.warp.tolist()) == reference_dtw_align(a, b)
+
+    @pytest.mark.parametrize("points", ["uniform", "tie-heavy"])
+    def test_batch_matches_single_calls(self, points):
+        rng = np.random.default_rng(11)
+        draw = tie_heavy_points if points == "tie-heavy" else uniform_points
+        firsts = np.stack([draw(rng, 7) for _ in range(5)])
+        seconds = np.stack([draw(rng, 10) for _ in range(5)])
+        batch = dtw_align(firsts, seconds)
+        assert batch.cost.shape == (5,)
+        for q in range(5):
+            single = dtw_align(firsts[q], seconds[q])
+            pad = len(batch.warp[q]) - len(single.warp)
+            assert batch.cost[q] == single.cost
+            assert batch.warp[q][pad:].tolist() == single.warp.tolist()
+            assert not batch.warp[q][:pad].any()
+
+    @pytest.mark.parametrize("k,m", [(1, 1), (1, 6), (6, 1)])
+    def test_single_point_sequences(self, k, m):
+        rng = np.random.default_rng(k * 10 + m)
+        firsts = rng.uniform(-1, 1, (3, k, 3))
+        seconds = rng.uniform(-1, 1, (3, m, 3))
+        batch = dtw_align(firsts, seconds)
+        for q in range(3):
+            cost, warp = reference_dtw_align(firsts[q], seconds[q])
+            assert batch.cost[q] == cost
+            assert batch.warp[q].tolist() == warp
+            single = dtw_align(firsts[q], seconds[q])
+            assert (single.cost, single.warp.tolist()) == (cost, warp)
+
+    @pytest.mark.parametrize("k,m,expected", [
+        (4, 4, [[0, 0], [1, 1], [2, 2], [3, 3]]),
+        (6, 3, [[0, 0], [1, 0], [2, 0], [3, 0], [4, 1], [5, 2]]),
+        (3, 6, [[0, 0], [0, 1], [0, 2], [0, 3], [1, 4], [2, 5]]),
+    ])
+    def test_all_ties_take_diagonal_first(self, k, m, expected):
+        # constant positions: every cell costs 0, so every move ties
+        firsts = np.full((2, k, 3), 0.25)
+        seconds = np.full((2, m, 3), 0.25)
+        batch = dtw_align(firsts, seconds)
+        assert batch.cost.tolist() == [0.0, 0.0]
+        assert batch.warp.tolist() == [expected, expected]
+        assert dtw_align(firsts[0], seconds[0]).warp.tolist() == expected == reference_dtw_align(firsts[0], seconds[0])[1]
+
+    def test_overflowing_costs_stay_on_the_grid(self):
+        # distances of inf tie everywhere; the warp must still be a monotone path on the grid
+        a = np.array([[0.0, 0, 0], [1e200, 0, 0], [-1e200, 0, 0]])
+        b = np.array([[1e200, 0, 0], [-1e200, 0, 0]])
+        for first, second in ((a, b), (b, a)):
+            with np.errstate(over="ignore"):
+                res = dtw_align(first, second)
+                cost, warp = reference_dtw_align(first, second)
+            assert res.cost == cost == np.inf
+            assert res.warp.tolist() == warp
+
+    def test_mismatched_batches_rejected(self):
+        with pytest.raises(ValueError):
+            dtw_align(np.zeros((2, 3, 3)), np.zeros((3, 3, 3)))
+        with pytest.raises(ValueError):
+            dtw_align(np.zeros((2, 3, 3)), np.zeros((2, 0, 3)))
+
+
 class TestPoseFscore:
     def test_exact_match(self):
         p = make_path([[0, 0, 0], [0.5, 0, 0], [1, 0, 0]])
@@ -175,6 +329,21 @@ class TestBidirectional:
         a = fscore_bidirectional(gt, pred)
         b = fscore_bidirectional(gt, reverse(pred))
         assert a.fscore == b.fscore
+
+
+class TestFscoreCallers:
+    @given(st.integers(0, 5000))
+    @settings(max_examples=40, deadline=None)
+    def test_match_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        gt = tilted_path(rng, np.cumsum(rng.normal(0, 0.01, (rng.integers(2, 9), 3)), axis=0), 8.0)
+        pred = tilted_path(rng, gt.positions + rng.normal(0, 0.01, gt.positions.shape), 8.0)
+        if seed % 2:
+            pred = reverse(pred)
+        one = pose_fscore(gt, pred)
+        assert ((one.precision, one.recall, one.fscore), one.reversed) == (reference_fscore(gt.poses, pred.poses), False)
+        both = fscore_bidirectional(gt, pred)
+        assert ((both.precision, both.recall, both.fscore), both.reversed) == reference_bidirectional(gt.poses, pred.poses)
 
 
 def one_object_dataset(gt_paths, predictions):
@@ -337,6 +506,117 @@ class TestPcd:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             pcd(np.zeros((0, 3)), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("n_pred,n_gt", [(1, 1), (255, 7), (256, 300), (257, 5), (600, 513)])
+    def test_matches_whole_table(self, n_pred, n_gt):
+        rng = np.random.default_rng(n_pred + n_gt)
+        pred = rng.uniform(-1, 1, (n_pred, 3))
+        gt = rng.uniform(-1, 1, (n_gt, 3))
+        d2 = ((pred[:, None, :] - gt[None, :, :]) ** 2).sum(axis=2)
+        assert pcd(pred, gt) == float((d2.min(axis=1).mean() + d2.min(axis=0).mean()) * 1e4)
+
+
+def mixed_dataset(seed):
+    """Objects of mixed path lengths: noisy, reversed and unrelated predictions, one object
+    without predictions and one without ground truth."""
+    rng = np.random.default_rng(seed)
+
+    def random_path(n):
+        return tilted_path(rng, np.cumsum(rng.normal(0, 0.01, (n, 3)), axis=0), 12.0)
+
+    dataset = {}
+    for o in range(3):
+        gts = [random_path(int(rng.integers(2, 14))) for _ in range(2)]
+        preds = []
+        for q in range(3):
+            base = gts[q % 2]
+            copy = Path(np.concatenate([base.positions + rng.normal(0, 0.004, base.positions.shape),
+                                        base.orientations], axis=1))
+            path = [copy, reverse(copy), random_path(int(rng.integers(2, 14)))][q]
+            preds.append(PredictedPath(path, float(rng.uniform(0, 1))))
+        dataset[f"o{o}"] = (gts, preds)
+    dataset["no-preds"] = ([random_path(5)], [])
+    dataset["no-gt"] = ([], [PredictedPath(random_path(6), 0.5)])
+    return dataset
+
+
+def resampled(dataset, t):
+    grid = sample_params(ParamSamplingConfig("equispaced", t))
+    return {
+        oid: ([resample(g, grid) for g in gts], [PredictedPath(resample(p.path, grid), p.confidence) for p in preds])
+        for oid, (gts, preds) in dataset.items()
+    }
+
+
+class TestScoreDataset:
+    @pytest.mark.parametrize("resample_t", [384, None])
+    def test_matches_per_pair_scores(self, resample_t):
+        dataset = mixed_dataset(5)
+        if resample_t is not None:
+            dataset = {oid: dataset[oid] for oid in ("o0", "no-preds", "no-gt")}
+            dataset = resampled(dataset, resample_t)
+        scored, n_gt = _score_dataset(dataset, DEFAULT_DELTA, DEFAULT_THETA_DEG)
+        assert list(scored) == sorted(dataset)
+        assert n_gt == sum(len(gts) for gts, _ in dataset.values())
+        hits = 0
+        for oid, (confidences, table) in scored.items():
+            gts, preds = dataset[oid]
+            assert confidences.tolist() == [p.confidence for p in preds]
+            assert table.shape == (len(preds), len(gts))
+            for p, pred in enumerate(preds):
+                for g, gt in enumerate(gts):
+                    expected = reference_bidirectional(gt.poses, pred.path.poses)[0][2]
+                    assert table[p, g] == expected == fscore_bidirectional(gt, pred.path).fscore
+                    hits += expected > 0.5
+        assert hits > 0
+
+    def test_batches_are_cut_at_the_cell_cap(self, monkeypatch):
+        dataset = resampled(mixed_dataset(6), 16)
+        uncapped, _ = _score_dataset(dataset, DEFAULT_DELTA, DEFAULT_THETA_DEG)
+        sizes = []
+
+        def recording(a, b):
+            sizes.append(len(a))
+            return dtw_align(a, b)
+
+        monkeypatch.setattr(metrics, "DTW_BATCH_CELLS", 5 * 16 * 16)
+        monkeypatch.setattr(metrics, "dtw_align", recording)
+        capped, _ = _score_dataset(dataset, DEFAULT_DELTA, DEFAULT_THETA_DEG)
+        # 3 objects x 3 predictions x 2 paths, both directions: 36 pairs in 8 even batches of 4 or 5
+        assert sorted(sizes) == [4] * 4 + [5] * 4
+        for oid, (_, table) in uncapped.items():
+            assert capped[oid][1].tolist() == table.tolist()
+
+
+class TestScoringValidation:
+    """Argument errors of the per-pair F-score, raised by a batched evaluation."""
+
+    def setup_method(self):
+        self.gt = make_path(np.linspace([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 12))
+
+    def test_empty_pose_list_rejected(self):
+        ds = one_object_dataset([np.zeros((0, 6))], [PredictedPath(self.gt, 0.5)])
+        with pytest.raises(ValueError, match="pose lists must be nonempty"):
+            evaluate_dataset(ds, resample_t=None)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.01])
+    def test_nonpositive_delta_rejected(self, delta):
+        ds = one_object_dataset([self.gt], [PredictedPath(self.gt, 0.5)])
+        with pytest.raises(ValueError, match="delta must be positive"):
+            evaluate_dataset(ds, delta=delta)
+
+    @pytest.mark.parametrize("theta", [0.0, 180.0, -5.0, 200.0])
+    def test_theta_outside_range_rejected(self, theta):
+        ds = one_object_dataset([self.gt], [PredictedPath(self.gt, 0.5)])
+        with pytest.raises(ValueError, match=r"theta must lie in \(0, 180\) degrees"):
+            evaluate_dataset(ds, theta_deg=theta)
+
+    def test_zero_orientation_in_one_prediction_rejected(self):
+        bad = self.gt.poses.copy()
+        bad[4, 3:] = 0.0
+        preds = [PredictedPath(self.gt, 0.9), PredictedPath(bad, 0.5), PredictedPath(self.gt, 0.3)]
+        with pytest.raises(ValueError, match="zero orientation vector"):
+            evaluate_dataset(one_object_dataset([self.gt], preds), resample_t=None)
 
 
 class TestEvaluateDataset:
