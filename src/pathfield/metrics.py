@@ -281,13 +281,13 @@ def _score_dataset(dataset: DatasetMap, delta: float, theta_deg: float) -> tuple
     in both directions, is scored in one _pose_fscores call.
     """
     pairs: list[_PosePair] = []
-    shapes = []
+    objects = []
     n_gt = 0
     for object_id in sorted(dataset):
         gt_paths, preds = dataset[object_id]
         gt_paths = list(gt_paths)
         n_gt += len(gt_paths)
-        shapes.append((object_id, preds, len(gt_paths)))
+        objects.append((object_id, preds, len(gt_paths)))
         for p in preds:
             for g in gt_paths:
                 pair = _pose_pair(g, p.path, delta, theta_deg)
@@ -296,7 +296,7 @@ def _score_dataset(dataset: DatasetMap, delta: float, theta_deg: float) -> tuple
     fscores = _pose_fscores(pairs, delta, theta_deg)[:, 2].reshape(-1, 2).max(axis=1)
     scored: ScoreTable = {}
     offset = 0
-    for object_id, preds, n_obj_gt in shapes:
+    for object_id, preds, n_obj_gt in objects:
         size = len(preds) * n_obj_gt
         table = fscores[offset : offset + size].reshape(len(preds), n_obj_gt)
         offset += size
