@@ -157,7 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="decode paths from a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--object", required=True, help="object id, or 'all'")
-    p.add_argument("--samples", type=int, default=384)
+    p.add_argument("--samples", type=int, default=None,
+                   help="poses per decoded path (default: the checkpoint's test_samples)")
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_predict)

@@ -117,7 +117,7 @@ def gen_raster_object(config: SyntheticConfig, object_id: str = "object-000") ->
 
     face = rng.uniform(-0.5, 0.5, (config.cloud_points, 2)) * np.array([extent_x, extent_y])
     cloud = np.column_stack([face, np.zeros(config.cloud_points)])
-    cloud, paths, _ = normalize_scene(cloud, paths)
+    cloud, paths = normalize_scene(cloud, paths)
     return ObjectRecord(object_id, paths, cloud, [])
 
 
@@ -188,10 +188,10 @@ def dataset_from_document(doc) -> list[ObjectRecord]:
             raise ValidationError(f"duplicate object_id {object_id!r}")
         seen.add(object_id)
 
-        gt_paths = [
-            _path_from_rows(rows, object_id, f"gt_paths[{i}]")
-            for i, rows in enumerate(entry.get("gt_paths", []))
-        ]
+        gt_rows = entry.get("gt_paths", [])
+        if not isinstance(gt_rows, list):
+            raise ValidationError(f"object {object_id!r}: gt_paths must be a list of paths")
+        gt_paths = [_path_from_rows(rows, object_id, f"gt_paths[{i}]") for i, rows in enumerate(gt_rows)]
 
         cloud = None
         if entry.get("point_cloud") is not None:
@@ -202,8 +202,11 @@ def dataset_from_document(doc) -> list[ObjectRecord]:
             if cloud.ndim != 2 or cloud.shape[1] != 3 or not np.all(np.isfinite(cloud)):
                 raise ValidationError(f"object {object_id!r}: point_cloud rows need 3 finite numbers")
 
+        pred_docs = [] if entry.get("predictions") is None else entry["predictions"]
+        if not isinstance(pred_docs, list):
+            raise ValidationError(f"object {object_id!r}: predictions must be a list of objects")
         predictions = []
-        for i, pred in enumerate(entry.get("predictions", []) or []):
+        for i, pred in enumerate(pred_docs):
             if not isinstance(pred, dict):
                 raise ValidationError(f"object {object_id!r}: predictions[{i}] is not an object")
             confidence = pred.get("confidence")

@@ -20,41 +20,15 @@ SAMPLING_STRATEGIES = ("equispaced", "noisy-equispaced", "uniform")
 __all__ = [
     "ORIENTATION_TOL",
     "SAMPLING_STRATEGIES",
-    "Pose6D",
     "Path",
     "PredictedPath",
     "ParamSamplingConfig",
-    "SceneTransform",
-    "interp_at",
     "resample",
     "sample_params",
     "reverse",
     "normalize_scene",
     "max_second_difference",
 ]
-
-
-@dataclass(frozen=True)
-class Pose6D:
-    """A single end-effector sample: position plus unit orientation."""
-
-    position: np.ndarray
-    orientation: np.ndarray
-
-    def __post_init__(self) -> None:
-        pos = np.asarray(self.position, dtype=float).reshape(3)
-        ori = np.asarray(self.orientation, dtype=float).reshape(3)
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("position components must be finite")
-        if not np.all(np.isfinite(ori)):
-            raise ValueError("orientation components must be finite")
-        if abs(float(np.linalg.norm(ori)) - 1.0) > ORIENTATION_TOL:
-            raise ValueError("orientation must have unit norm")
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "orientation", ori)
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.position, self.orientation])
 
 
 @dataclass(frozen=True)
@@ -91,10 +65,6 @@ class Path:
     @property
     def orientations(self) -> np.ndarray:
         return self.poses[:, 3:]
-
-    def pose(self, index: int) -> Pose6D:
-        row = self.poses[index]
-        return Pose6D(row[:3].copy(), row[3:].copy())
 
 
 @dataclass(frozen=True)
@@ -182,36 +152,16 @@ def _fractional_indices(path: Path, vals: np.ndarray, mode: str) -> np.ndarray:
     return np.where(vals == 1.0, float(k - 1), i0 + np.minimum(frac, 1.0))
 
 
-def interp_at(path: Path, s: float, mode: str = "index") -> Pose6D:
-    """Pose at scalar parameter s via linear interpolation between waypoints.
-
-    Positions are interpolated componentwise; orientations are
-    interpolated then renormalized to unit length. When s lands exactly
-    on a waypoint that waypoint is returned unchanged.
-    """
-    s = float(s)
-    if not -1.0 <= s <= 1.0:
-        raise ValueError("parameter s must lie in [-1, 1]")
-    k = len(path)
-    u = float(_fractional_indices(path, np.array([s]), mode)[0])
-    i0 = min(int(np.floor(u)), k - 2)
-    frac = u - i0
-    if frac == 0.0:
-        return path.pose(i0)
-    if frac == 1.0:
-        return path.pose(i0 + 1)
-    row0 = path.poses[i0]
-    row1 = path.poses[i0 + 1]
-    pos = (1.0 - frac) * row0[:3] + frac * row1[:3]
-    ori = (1.0 - frac) * row0[3:] + frac * row1[3:]
-    n = float(np.sqrt((ori * ori).sum(axis=-1)))
-    if n < 1e-12:
-        raise ValueError("interpolated orientation degenerates to zero")
-    return Pose6D(pos, ori / n)
-
-
 def resample(path: Path, params: Sequence[float], mode: str = "index") -> Path:
-    """New path whose t-th pose is interp_at(path, params[t], mode)."""
+    """New path whose t-th pose is the path at scalar params[t] in [-1, 1].
+
+    Each scalar maps linearly to a fractional index u: over waypoint
+    indices for mode "index" (-1 is waypoint 0, +1 waypoint K-1), over
+    position arc length for "arclength". The pose at u is linear in u
+    between waypoints floor(u) and floor(u) + 1: positions componentwise,
+    orientations likewise and then renormalised to unit length. A scalar
+    that lands exactly on a waypoint returns that waypoint unchanged.
+    """
     vals = np.asarray(params, dtype=float)
     if vals.ndim != 1 or vals.size == 0:
         raise ValueError("params must be a nonempty 1-D sequence")
@@ -241,38 +191,13 @@ def reverse(path: Path) -> Path:
     return Path(path.poses[::-1].copy())
 
 
-@dataclass(frozen=True)
-class SceneTransform:
-    """Centroid shift plus isotropic scale mapping a scene to normalized space."""
-
-    centroid: np.ndarray
-    scale: float
-
-    def apply_points(self, points: np.ndarray) -> np.ndarray:
-        return (np.asarray(points, dtype=float) - self.centroid) / self.scale
-
-    def invert_points(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points, dtype=float) * self.scale + self.centroid
-
-    def apply_path(self, path: Path) -> Path:
-        out = path.poses.copy()
-        out[:, :3] = (out[:, :3] - self.centroid) / self.scale
-        return Path(out)
-
-    def invert_path(self, path: Path) -> Path:
-        out = path.poses.copy()
-        out[:, :3] = out[:, :3] * self.scale + self.centroid
-        return Path(out)
-
-
 def normalize_scene(
     point_cloud: np.ndarray, paths: Sequence[Path]
-) -> tuple[np.ndarray, list[Path], SceneTransform]:
+) -> tuple[np.ndarray, list[Path]]:
     """Center the cloud on its centroid and scale the maximum radius to one.
 
-    The same rigid transform is applied to all path positions;
-    orientations are untouched. Returns (cloud, paths, transform) where
-    the transform inverts the mapping.
+    The same shift and scale map every path position; orientations are
+    untouched. Returns (cloud, paths).
     """
     cloud = np.asarray(point_cloud, dtype=float)
     if cloud.ndim != 2 or cloud.shape[1] != 3 or cloud.shape[0] == 0:
@@ -284,8 +209,12 @@ def normalize_scene(
     scale = float(radii.max())
     if scale <= 0.0:
         raise ValueError("degenerate point cloud: all points coincide")
-    tf = SceneTransform(centroid, scale)
-    return tf.apply_points(cloud), [tf.apply_path(p) for p in paths], tf
+    out = []
+    for path in paths:
+        poses = path.poses.copy()
+        poses[:, :3] = (poses[:, :3] - centroid) / scale
+        out.append(Path(poses))
+    return (cloud - centroid) / scale, out
 
 
 def max_second_difference(path: Path) -> float:

@@ -119,6 +119,15 @@ class TestDatasetDocuments:
         with pytest.raises(ValidationError, match="dup"):
             load_dataset(target)
 
+    @pytest.mark.parametrize("field", ["gt_paths", "predictions"])
+    def test_non_list_field_is_validation_error(self, tmp_path, capsys, field):
+        target = tmp_path / "bad.json"
+        target.write_text(json.dumps({"objects": [{"object_id": "obj", field: 5}]}))
+        with pytest.raises(ValidationError, match=f"'obj': {field} must be a list"):
+            load_dataset(target)
+        assert run_cli("resample", "--in", target, "--t", 4, "--out", tmp_path / "re.json") == 1
+        assert field in capsys.readouterr().err
+
     def test_parse_error_reports_line(self, tmp_path):
         target = tmp_path / "broken.json"
         target.write_text('{"objects": [\n  {"object_id": }\n]}')
@@ -283,6 +292,22 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert data.exists()
+
+    def test_predict_defaults_to_checkpoint_test_samples(self, tmp_path):
+        data = tmp_path / "data.json"
+        ckpt = tmp_path / "ckpt.json"
+        config = tmp_path / "cfg.json"
+        run_cli("gen", "--strokes", 2, "--waypoints", 6, "--seed", 0, "--out", data)
+        config.write_text(json.dumps({
+            "slots": 2, "epochs": 1, "train_samples": 4, "test_samples": 16,
+            "head": {"depth": 1, "width": 4, "code_dim": 2},
+        }))
+        assert run_cli("fit", "--dataset", data, "--config", config, "--checkpoint", ckpt) == 0
+        out = tmp_path / "pred.json"
+        assert run_cli("predict", "--checkpoint", ckpt, "--object", "all", "--threshold", 0.0,
+                       "--out", out) == 0
+        (record,) = load_dataset(out)
+        assert [len(p.path) for p in record.predictions] == [16, 16]
 
     def test_unknown_object_requested(self, tmp_path):
         data = tmp_path / "data.json"

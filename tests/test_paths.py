@@ -7,9 +7,7 @@ from hypothesis.extra.numpy import arrays
 from pathfield.paths import (
     ParamSamplingConfig,
     Path,
-    Pose6D,
     PredictedPath,
-    interp_at,
     max_second_difference,
     normalize_scene,
     resample,
@@ -38,19 +36,60 @@ def path_arrays(draw, min_len=2, max_len=9):
     )
     ori = ori / np.linalg.norm(ori, axis=1)[:, None]
     # antipodal neighbours have no interpolated orientation between them
-    # (interp_at rightly raises); see test_antipodal_neighbours_raise
+    # (resample rightly raises); see test_antipodal_neighbours_raise
     assume(np.all((ori[1:] * ori[:-1]).sum(axis=1) > -1.0 + 1e-6))
     return np.concatenate([pos, ori], axis=1)
 
 
+def at(path, s, mode="index"):
+    """The pose resample returns for the scalar s (passed twice: a Path needs two poses)."""
+    return resample(path, [s, s], mode).poses[0]
+
+
+def reference_pose(path, s, mode="index"):
+    """Per-point statement of the path-parameter rule, one scalar at a time."""
+    rows = path.poses
+    k = len(rows)
+    if mode == "index":
+        u = 0.5 * (s + 1.0) * (k - 1)
+    else:
+        lengths = [float(np.linalg.norm(rows[i + 1, :3] - rows[i, :3])) for i in range(k - 1)]
+        starts = np.concatenate([[0.0], np.cumsum(lengths)])
+        target = 0.5 * (s + 1.0) * starts[-1]
+        i = max(j for j in range(k - 1) if starts[j] <= target)
+        u = float(k - 1) if s == 1.0 else i + min((target - starts[i]) / lengths[i], 1.0)
+    i0 = min(int(np.floor(u)), k - 2)
+    frac = u - i0
+    if frac == 0.0:
+        return rows[i0]
+    if frac == 1.0:
+        return rows[i0 + 1]
+    pos = (1.0 - frac) * rows[i0, :3] + frac * rows[i0 + 1, :3]
+    ori = (1.0 - frac) * rows[i0, 3:] + frac * rows[i0 + 1, 3:]
+    return np.concatenate([pos, ori / np.sqrt((ori * ori).sum())])
+
+
 class TestPoseAndPathInvariants:
     def test_pose_requires_unit_orientation(self):
-        with pytest.raises(ValueError):
-            Pose6D(np.zeros(3), np.array([0.0, 0.0, 0.5]))
+        rows = np.zeros((2, 6))
+        rows[:, 5] = 0.5
+        with pytest.raises(ValueError, match="index 0"):
+            Path(rows)
 
     def test_pose_rejects_nan(self):
-        with pytest.raises(ValueError):
-            Pose6D(np.array([np.nan, 0, 0]), Z)
+        rows = np.zeros((3, 6))
+        rows[:, 5] = 1.0
+        rows[1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            Path(rows)
+
+    def test_path_rejects_nan_orientation(self):
+        # a NaN norm passes the unit-length test, so only the finiteness check stops it
+        rows = np.zeros((3, 6))
+        rows[:, 5] = 1.0
+        rows[2, 4] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            Path(rows)
 
     def test_path_needs_two_poses(self):
         with pytest.raises(ValueError):
@@ -72,28 +111,26 @@ class TestPoseAndPathInvariants:
 
 
 class TestInterpAt:
+    """Interpolation at one scalar s, read through resample."""
+
     def test_s_minus_one_is_first_waypoint(self):
         p = straight_path(3, end=(2.0, 0.0, 0.0))
-        pose = interp_at(p, -1.0)
-        assert np.array_equal(pose.position, p.positions[0])
-        assert np.array_equal(pose.orientation, p.orientations[0])
+        assert np.array_equal(at(p, -1.0), p.poses[0])
 
     def test_s_zero_is_middle_of_odd_path(self):
         p = straight_path(3, end=(2.0, 0.0, 0.0))
-        pose = interp_at(p, 0.0)
-        assert np.array_equal(pose.position, p.positions[1])
+        assert np.array_equal(at(p, 0.0)[:3], p.positions[1])
 
     def test_two_waypoint_midright(self):
         p = straight_path(2)
-        pose = interp_at(p, 0.5)
-        assert np.allclose(pose.position, [0.75, 0.0, 0.0], atol=0, rtol=0)
+        assert np.allclose(at(p, 0.5)[:3], [0.75, 0.0, 0.0], atol=0, rtol=0)
 
     def test_out_of_range_raises(self):
         p = straight_path()
-        with pytest.raises(ValueError):
-            interp_at(p, 1.0 + 1e-9)
-        with pytest.raises(ValueError):
-            interp_at(p, float("nan"))
+        with pytest.raises(ValueError, match="lie in"):
+            at(p, 1.0 + 1e-9)
+        with pytest.raises(ValueError, match="lie in"):
+            at(p, float("nan"))
 
     @given(path_arrays())
     @settings(max_examples=40)
@@ -103,20 +140,19 @@ class TestInterpAt:
         k = rows.shape[0]
         p = straight_path(k, end=(float(k - 1), 0.0, 0.0))
         ss = np.sort(np.random.default_rng(0).uniform(-1, 1, 7))
-        xs = [interp_at(p, s).position[0] for s in ss]
+        xs = [at(p, s)[0] for s in ss]
         assert all(a <= b + 1e-12 for a, b in zip(xs, xs[1:]))
 
     def test_antipodal_neighbours_raise(self):
         rows = np.zeros((2, 6))
         rows[0, 5], rows[1, 5] = 1.0, -1.0
         with pytest.raises(ValueError, match="degenerates"):
-            interp_at(Path(rows), 0.0)
+            at(Path(rows), 0.0)
 
     @given(path_arrays(), st.floats(-1, 1, allow_nan=False))
     @settings(max_examples=60)
     def test_unit_orientation_output(self, rows, s):
-        pose = interp_at(Path(rows), s)
-        assert abs(np.linalg.norm(pose.orientation) - 1.0) <= 1e-6
+        assert abs(np.linalg.norm(at(Path(rows), s)[3:]) - 1.0) <= 1e-6
 
 
 class TestResample:
@@ -125,6 +161,17 @@ class TestResample:
         out = resample(p, [-1.0, 0.25, 1.0])
         assert np.array_equal(out.poses[0], p.poses[0])
         assert np.array_equal(out.poses[-1], p.poses[-1])
+
+    def test_waypoints_returned_unchanged(self):
+        # orientation norms within the unit tolerance but not exactly 1:
+        # renormalising would change them, an exact waypoint must not
+        p = straight_path(5)
+        rows = p.poses.copy()
+        rows[:, 5] = 1.0 + 5e-7
+        p = Path(rows)
+        out = resample(p, [-1.0, -0.5, 0.0, 0.5, 1.0])
+        assert np.array_equal(out.poses, p.poses)
+        assert resample(p, [-0.25, 0.25]).poses[:, 5].tolist() == [1.0, 1.0]
 
     def test_segment_equispaced(self):
         p = straight_path(2)
@@ -142,14 +189,12 @@ class TestResample:
 
     @given(path_arrays(), st.lists(st.floats(-1, 1, allow_nan=False), min_size=2, max_size=12))
     @settings(max_examples=40)
-    def test_matches_interp_at(self, rows, params):
+    def test_matches_per_point_reference(self, rows, params):
         p = Path(rows)
         params = sorted(params)
         out = resample(p, params)
         for t, s in enumerate(params):
-            pose = interp_at(p, s)
-            assert np.array_equal(out.poses[t, :3], pose.position)
-            assert np.array_equal(out.poses[t, 3:], pose.orientation)
+            assert np.array_equal(out.poses[t], reference_pose(p, s))
 
 
 class TestSampleParams:
@@ -206,16 +251,17 @@ class TestReverse:
 class TestNormalizeScene:
     def test_already_normalized_is_identity(self):
         cloud = np.array([[1.0, 0, 0], [-1.0, 0, 0]])
-        out, _, tf = normalize_scene(cloud, [])
+        p = straight_path(3, end=(0.5, -0.25, 0.75))
+        out, paths = normalize_scene(cloud, [p])
         assert np.array_equal(out, cloud)
-        assert np.array_equal(tf.centroid, np.zeros(3))
-        assert tf.scale == 1.0
+        assert np.array_equal(paths[0].poses, p.poses)
 
     def test_two_point_cloud(self):
-        out, _, tf = normalize_scene(np.array([[0.0, 0, 0], [2.0, 0, 0]]), [])
-        assert tf.centroid.tolist() == [1.0, 0.0, 0.0]
-        assert tf.scale == 1.0
+        # centroid (1, 0, 0), max radius 1
+        p = straight_path(2, end=(3.0, 0.0, 0.0))
+        out, paths = normalize_scene(np.array([[0.0, 0, 0], [2.0, 0, 0]]), [p])
         assert out.tolist() == [[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+        assert paths[0].positions[:, 0].tolist() == [-1.0, 2.0]
 
     def test_degenerate_cloud_raises(self):
         with pytest.raises(ValueError):
@@ -230,11 +276,16 @@ class TestNormalizeScene:
     def test_path_equivariance_and_inversion(self, offset, scale, rows):
         cloud = np.random.default_rng(1).normal(0, 1, (16, 3)) * scale + offset
         p = Path(rows)
-        norm_cloud, norm_paths, tf = normalize_scene(cloud, [p])
-        assert np.allclose(norm_paths[0].positions, (p.positions - tf.centroid) / tf.scale)
+        centroid = cloud.mean(axis=0)
+        radius = np.linalg.norm(cloud - centroid, axis=1).max()
+        norm_cloud, norm_paths = normalize_scene(cloud, [p])
+        assert np.allclose(norm_cloud.mean(axis=0), 0.0, atol=1e-12)
+        assert np.linalg.norm(norm_cloud, axis=1).max() == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(norm_cloud, (cloud - centroid) / radius)
+        assert np.allclose(norm_paths[0].positions, (p.positions - centroid) / radius)
         assert np.array_equal(norm_paths[0].orientations, p.orientations)
-        assert np.allclose(tf.invert_path(norm_paths[0]).positions, p.positions, atol=1e-9)
-        assert np.allclose(tf.invert_points(norm_cloud), cloud, atol=1e-9)
+        assert np.allclose(norm_paths[0].positions * radius + centroid, p.positions, atol=1e-9)
+        assert np.allclose(norm_cloud * radius + centroid, cloud, atol=1e-9)
 
 
 class TestArclengthMode:
@@ -245,8 +296,8 @@ class TestArclengthMode:
 
     def test_geometric_midpoint(self):
         p = self.unequal_path()
-        assert interp_at(p, 0.0, mode="index").position[0] == pytest.approx(0.15)
-        assert interp_at(p, 0.0, mode="arclength").position[0] == pytest.approx(0.5)
+        assert at(p, 0.0, mode="index")[0] == pytest.approx(0.15)
+        assert at(p, 0.0, mode="arclength")[0] == pytest.approx(0.5)
 
     def test_endpoints_exact(self):
         p = self.unequal_path()
@@ -259,18 +310,17 @@ class TestArclengthMode:
         params = [-1.0, -0.3, 0.2, 0.9, 1.0]
         out = resample(p, params, mode="arclength")
         for t, s in enumerate(params):
-            pose = interp_at(p, s, mode="arclength")
-            assert np.array_equal(out.poses[t, :3], pose.position)
+            assert np.array_equal(out.poses[t], reference_pose(p, s, mode="arclength"))
 
     def test_zero_length_path_rejected(self):
         rows = np.zeros((3, 6))
         rows[:, 5] = 1.0
         with pytest.raises(ValueError, match="nonzero length"):
-            interp_at(Path(rows), 0.5, mode="arclength")
+            at(Path(rows), 0.5, mode="arclength")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
-            interp_at(straight_path(), 0.0, mode="chordal")
+            at(straight_path(), 0.0, mode="chordal")
 
 
 def test_max_second_difference_flags_corners():

@@ -277,6 +277,23 @@ class TestObjectGradients:
         assert main(["fit", "--dataset", str(data), "--checkpoint", str(ckpt), "--resume"]) == 2
 
 
+class TestAllTiePaddedMatching:
+    """A code_dim 0 concat head is a plain MLP: every slot predicts the same path."""
+
+    @pytest.mark.parametrize("slots", [8, 40])
+    def test_every_column_ties_and_identity_wins(self, slots):
+        gt = gen_dataset(SyntheticConfig(strokes=3, waypoints_per_stroke=20, seed=0))[0].gt_paths
+        config = tiny_config(slots=slots, head=tiny_head(code_dim=0, conditioning="concat"))
+        state = init_state({"obj": gt}, config)
+        svals = sample_params(ParamSamplingConfig("uniform", config.train_samples, seed=3))
+        raw = head_forward_batch(state.head, state.codewords["obj"], svals)
+        targets = pad_targets(gt, slots, svals)
+        cost = position_cost_matrix(targets.paths, targets.conf_targets, raw)
+        assert np.all(cost == cost[0])
+        assert np.all(cost[0, :3] > 0.0) and np.all(cost[0, 3:] == 0.0)
+        assert hungarian(cost).permutation.tolist() == list(range(slots))
+
+
 class TestPredict:
     def test_threshold_zero_returns_all_slots(self, fitted):
         _, config, state = fitted
