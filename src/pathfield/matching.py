@@ -9,6 +9,7 @@ that loss and of its gradient.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -72,104 +73,158 @@ def pad_targets(gt: Sequence[Path], n_slots: int, params: Sequence[float]) -> Pa
 
 
 def hungarian(cost) -> MatchResult:
-    """Minimum-cost assignment on a square matrix, O(N^3).
+    """Minimum-cost assignment of N rows to N columns, R of them given, O(R^2 N).
 
-    Shortest-augmenting-path implementation with dual potentials. The
-    scan order makes the result deterministic; when several assignments
-    tie on cost the lexicographically smallest permutation is returned
-    (resolved on the tight-edge graph of the optimal duals).
+    `cost` is an (N, R) matrix with R <= N: rows are predictions, columns
+    the real targets. The other N - R columns are padding, free for every
+    row and numbered R..N-1; a square matrix (R = N) has none, and R = 0
+    gives the identity. permutation[i] is the column of row i; total_cost
+    sums the chosen costs in row order.
+
+    Shortest augmenting paths with dual potentials, one path per real
+    column (Crouse, IEEE TAES 2016); the rows no real column takes get the
+    padded columns in row order. When several assignments tie on cost the
+    lexicographically smallest permutation is returned, resolved on the
+    tight-edge graph of the optimal duals, in which the padding is one
+    column of capacity N - R.
     """
     c = np.asarray(cost, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] == 0:
-        raise ValueError("cost must be a nonempty square matrix")
+    if c.ndim != 2 or c.shape[0] == 0 or c.shape[1] > c.shape[0]:
+        raise ValueError("cost must be a nonempty (N, R) matrix with R <= N")
     if not np.all(np.isfinite(c)):
         raise ValueError("cost entries must be finite")
-    n = c.shape[0]
+    n, r = c.shape
+    if r == 0:
+        return MatchResult(np.arange(n), 0.0)
 
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=int)  # p[j]: row matched to column j, 1-based, 0 = free
-    way = np.zeros(n + 1, dtype=int)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
+    # Plain lists: at the slot counts training uses (8 to 40) numpy's per-call
+    # overhead costs more than these loops.
+    by_col = c.T.tolist()
+    u = [0.0] * r  # column potentials
+    v = [0.0] * n  # row potentials; a row without a real column keeps 0
+    col_of = [-1] * n  # real column held by each row, -1 = padding
+    row_of = [-1] * r
+    for j in range(r):
+        # Dijkstra over the rows on reduced costs, from column j to a free row
+        dist = [math.inf] * n
+        prev = [0] * n  # column each row was reached from
+        done = [False] * n
+        settled = []
+        col, base = j, 0.0
         while True:
-            used[j0] = True
-            i0 = p[j0]
-            free = np.nonzero(~used[1:])[0] + 1
-            cur = c[i0 - 1, free - 1] - u[i0] - v[free]
-            better = cur < minv[free]
-            minv[free] = np.where(better, cur, minv[free])
-            way[free[better]] = j0
-            pick = int(np.argmin(minv[free]))  # first minimum: smallest column wins ties
-            j1 = int(free[pick])
-            delta = float(minv[j1])
-            u[p[used]] += delta
-            v[used] -= delta
-            minv[~used] -= delta
-            j0 = j1
-            if p[j0] == 0:
+            costs, u_col = by_col[col], u[col]
+            best, row = math.inf, -1
+            for i in range(n):
+                if done[i]:
+                    continue
+                reach = base + costs[i] - u_col - v[i]
+                if reach < dist[i]:
+                    dist[i], prev[i] = reach, col
+                if dist[i] < best:
+                    best, row = dist[i], i
+            base = best
+            done[row] = True
+            settled.append(row)
+            if col_of[row] < 0:
                 break
-        while j0:
-            j1 = int(way[j0])
-            p[j0] = p[j1]
-            j0 = j1
-
-    perm = np.zeros(n, dtype=int)
-    perm[p[1:] - 1] = np.arange(n)
+            col = col_of[row]
+        u[j] += base
+        for i in settled:
+            if col_of[i] >= 0:
+                u[col_of[i]] += base - dist[i]
+            v[i] -= base - dist[i]
+        while True:  # hand each row on the path the column it was reached from
+            col = prev[row]
+            previous = row_of[col]
+            row_of[col], col_of[row] = row, col
+            if col == j:
+                break
+            row = previous
 
     # Complementary slackness: every optimal assignment lives on edges with
-    # zero reduced cost. If any row has more than one such edge the optimum
-    # may be non-unique; re-pick the lexicographically smallest matching.
-    reduced = c - u[1:][:, None] - v[1:][None, :]
+    # zero reduced cost, the padding column (dual 0) included. The optimum is
+    # unique unless the tight edges close an alternating cycle; only then
+    # re-pick the lexicographically smallest assignment.
+    labels = np.array([r if k < 0 else k for k in col_of])
+    u, v = np.array(u), np.array(v)
     tol = 1e-9 * max(1.0, float(np.abs(c).max()))
-    tight = reduced <= tol
-    if np.any(tight.sum(axis=1) > 1):
-        refined = _lex_smallest_tight_matching(tight)
+    tight = np.column_stack([c - v[:, None] - u[None, :] <= tol, -v <= tol])
+    if _has_alternating_cycle(tight, labels):
+        refined = _lex_smallest_tight_matching(tight, [1] * r + [n - r])
         if refined is not None:
-            perm = refined
+            labels = refined
 
+    perm = labels.copy()
+    padded = labels == r
+    perm[padded] = r + np.arange(n - r)
     total = 0.0
-    for i in range(n):
+    for i in np.nonzero(~padded)[0].tolist():
         total += float(c[i, perm[i]])
     return MatchResult(perm, total)
 
 
-def _lex_smallest_tight_matching(tight: np.ndarray) -> np.ndarray | None:
-    """Lexicographically smallest perfect matching on the tight-edge graph."""
+def _has_alternating_cycle(tight: np.ndarray, labels: np.ndarray) -> bool:
+    """Whether the tight edges admit a second assignment besides `labels`.
+
+    Column a points to column b when a row assigned to a has a tight edge
+    to b; a second assignment exists exactly when these arrows close a
+    cycle. Columns pointing at no live column are peeled off until none is
+    left (no cycle) or none can be (a cycle).
+    """
+    arrows = [set() for _ in range(tight.shape[1])]
+    for held, edges in zip(labels.tolist(), tight.tolist()):
+        arrows[held].update(col for col, on in enumerate(edges) if on and col != held)
+    alive = set(range(len(arrows)))
+    while alive:
+        sinks = {col for col in alive if not arrows[col] & alive}
+        if not sinks:
+            return True
+        alive -= sinks
+    return False
+
+
+def _lex_smallest_tight_matching(tight: np.ndarray, capacity) -> np.ndarray | None:
+    """Lexicographically smallest assignment of every row on the tight-edge graph.
+
+    Column k takes at most capacity[k] rows; the capacities sum to the row
+    count, so every column is filled.
+    """
     n = tight.shape[0]
-    adjacency = [np.nonzero(tight[r])[0].tolist() for r in range(n)]
-    used = np.zeros(n, dtype=bool)
+    adjacency = [np.nonzero(tight[row])[0].tolist() for row in range(n)]
+    spare = list(capacity)
     chosen = np.empty(n, dtype=int)
     for row in range(n):
-        placed = False
         for col in adjacency[row]:
-            if used[col]:
+            if spare[col] == 0:
                 continue
-            used[col] = True
-            if _rows_matchable(adjacency, used, row + 1, n):
+            spare[col] -= 1
+            if _rows_matchable(adjacency, spare, row + 1, n):
                 chosen[row] = col
-                placed = True
                 break
-            used[col] = False
-        if not placed:
+            spare[col] += 1
+        else:
             return None
     return chosen
 
 
-def _rows_matchable(adjacency, used_cols, start: int, n: int) -> bool:
-    row_of: dict[int, int] = {}
+def _rows_matchable(adjacency, spare, start: int, n: int) -> bool:
+    """Whether rows start..n-1 can each take a column within the spare capacities."""
+    free = list(spare)
+    holders: dict[int, list[int]] = {}
 
     def augment(row: int, seen: set[int]) -> bool:
         for col in adjacency[row]:
-            if used_cols[col] or col in seen:
+            if col in seen:
                 continue
             seen.add(col)
-            if col not in row_of or augment(row_of[col], seen):
-                row_of[col] = row
+            if free[col] > 0:
+                free[col] -= 1
+                holders.setdefault(col, []).append(row)
                 return True
+            for k, other in enumerate(holders.get(col, [])):
+                if augment(other, seen):
+                    holders[col][k] = row
+                    return True
         return False
 
     for row in range(start, n):
@@ -215,11 +270,15 @@ def focal_prob_gradient(targets, predicted, gamma: float = 2.0) -> np.ndarray:
     )
 
 
-def position_cost_matrix(target_paths: np.ndarray, conf_targets: np.ndarray, pred_paths: np.ndarray) -> np.ndarray:
-    """(N, N) matching cost: rows are predictions, columns are target slots."""
+def position_cost_matrix(target_paths: np.ndarray, pred_paths: np.ndarray) -> np.ndarray:
+    """(N, R) matching cost: mean position distance from each of the N
+    predictions (rows) to each of the R real target paths (columns).
+
+    Padded target slots get no column; `hungarian` gives them to the rows
+    left over, free of cost.
+    """
     diff = pred_paths[:, None, :, :3] - target_paths[None, :, :, :3]
-    cost = np.sqrt((diff ** 2).sum(axis=3)).mean(axis=2)
-    return cost * (conf_targets > 0.5)[None, :]
+    return np.sqrt((diff ** 2).sum(axis=3)).mean(axis=2)
 
 
 def objective(targets: PaddedTargets, permutation, raw, confs, gamma: float = 2.0):

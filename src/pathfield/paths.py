@@ -99,8 +99,8 @@ class ParamSamplingConfig:
     def __post_init__(self) -> None:
         if self.strategy not in SAMPLING_STRATEGIES:
             raise ValueError(f"unknown sampling strategy {self.strategy!r}")
-        if self.count < 1:
-            raise ValueError("count must be a positive integer")
+        if self.count < 2:
+            raise ValueError(f"sample count {self.count} is below 2: a path needs at least two poses")
         if self.noise_sigma is not None and self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
 

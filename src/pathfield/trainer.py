@@ -59,7 +59,8 @@ class TrainConfig:
 
     slots is the number of prediction slots N (must cover the largest
     ground-truth path count). train_samples / test_samples are the
-    scalar counts used during optimization and at inference.
+    scalar counts used during optimization and at inference, each at
+    least 2 because a path needs two poses.
     """
 
     slots: int = 40
@@ -83,8 +84,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.slots < 1:
             raise ValueError("slots must be >= 1")
-        if self.train_samples < 1 or self.test_samples < 1:
-            raise ValueError("sample counts must be >= 1")
+        if self.train_samples < 2 or self.test_samples < 2:
+            raise ValueError("train_samples and test_samples must be >= 2: a path needs at least two poses")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.step_size <= 0:
@@ -217,7 +218,7 @@ def _object_gradients(
     targets = pad_targets(gt_paths, config.slots, svals)
     cache = _forward_with_cache(head, codes, svals)
     conf_cache = _confidence_with_cache(head, codes)
-    match = hungarian(position_cost_matrix(targets.paths, targets.conf_targets, cache.raw))
+    match = hungarian(position_cost_matrix(targets.paths[: len(gt_paths)], cache.raw))
     try:
         breakdown, real, d_raw, d_prob = objective(
             targets, match.permutation, cache.raw, conf_cache.prob, config.gamma

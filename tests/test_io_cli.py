@@ -309,6 +309,60 @@ class TestCli:
         (record,) = load_dataset(out)
         assert [len(p.path) for p in record.predictions] == [16, 16]
 
+    @pytest.mark.parametrize("field", ["train_samples", "test_samples"])
+    def test_config_sample_count_below_two_is_validation_error(self, tmp_path, capsys, field):
+        data = tmp_path / "data.json"
+        ckpt = tmp_path / "ckpt.json"
+        config = tmp_path / "cfg.json"
+        run_cli("gen", "--strokes", 2, "--waypoints", 6, "--seed", 0, "--out", data)
+        config.write_text(json.dumps({
+            "slots": 2, "epochs": 1, "train_samples": 4, "test_samples": 16, field: 1,
+            "head": {"depth": 1, "width": 4, "code_dim": 2},
+        }))
+        capsys.readouterr()
+        assert run_cli("fit", "--dataset", data, "--config", config, "--checkpoint", ckpt) == 1
+        assert "must be >= 2" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    def test_checkpoint_test_samples_below_two_is_validation_error(self, tmp_path, capsys):
+        data = tmp_path / "data.json"
+        ckpt = tmp_path / "ckpt.json"
+        config = tmp_path / "cfg.json"
+        run_cli("gen", "--strokes", 2, "--waypoints", 6, "--seed", 0, "--out", data)
+        config.write_text(json.dumps({
+            "slots": 2, "epochs": 1, "train_samples": 4,
+            "head": {"depth": 1, "width": 4, "code_dim": 2},
+        }))
+        assert run_cli("fit", "--dataset", data, "--config", config, "--checkpoint", ckpt) == 0
+        doc = json.loads(ckpt.read_text())
+        doc["config"]["test_samples"] = 1
+        ckpt.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("predict", "--checkpoint", ckpt, "--object", "all", "--out", tmp_path / "p.json") == 1
+        assert "test_samples must be >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "resample", "evaluate"])
+    def test_requested_sample_count_below_two_is_validation_error(self, tmp_path, capsys, command):
+        data = tmp_path / "data.json"
+        ckpt = tmp_path / "ckpt.json"
+        config = tmp_path / "cfg.json"
+        run_cli("gen", "--strokes", 2, "--waypoints", 6, "--seed", 0, "--out", data)
+        config.write_text(json.dumps({
+            "slots": 2, "epochs": 1, "train_samples": 4,
+            "head": {"depth": 1, "width": 4, "code_dim": 2},
+        }))
+        assert run_cli("fit", "--dataset", data, "--config", config, "--checkpoint", ckpt) == 0
+        out = tmp_path / "out.json"
+        argv = {
+            "predict": ["predict", "--checkpoint", ckpt, "--object", "all", "--samples", 1],
+            "resample": ["resample", "--in", data, "--t", 1],
+            "evaluate": ["evaluate", "--gt", data, "--pred", data, "--resample-t", 1],
+        }[command]
+        capsys.readouterr()
+        assert run_cli(*argv, "--out", out) == 1
+        assert "sample count 1 is below 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_object_requested(self, tmp_path):
         data = tmp_path / "data.json"
         ckpt = tmp_path / "ckpt.json"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathfield.matching import (
+    MatchResult,
     PaddedTargets,
     focal_conf_loss,
     hungarian,
@@ -13,6 +14,9 @@ from pathfield.matching import (
     pad_targets,
     position_cost_matrix,
 )
+from pathfield import trainer
+from pathfield.dataio import SyntheticConfig, gen_dataset
+from pathfield.neural_field import HeadConfig
 from pathfield.paths import Path, PredictedPath, resample, sample_params, ParamSamplingConfig
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -35,6 +39,85 @@ def brute_force_assignment(cost):
             best_cost = total
             best_perm = perm
     return best_perm, best_cost
+
+
+def reference_square_hungarian(cost):
+    """The square solver the rectangular `hungarian` replaced, kept as a reference.
+
+    O(N^3) shortest augmenting paths over every (padded) column, then the
+    lexicographically smallest perfect matching on the tight-edge graph
+    whenever some row has more than one tight edge.
+    """
+    c = np.asarray(cost, dtype=float)
+    n = c.shape[0]
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    p = np.zeros(n + 1, dtype=int)
+    way = np.zeros(n + 1, dtype=int)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = np.full(n + 1, np.inf)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            free = np.nonzero(~used[1:])[0] + 1
+            cur = c[i0 - 1, free - 1] - u[i0] - v[free]
+            better = cur < minv[free]
+            minv[free] = np.where(better, cur, minv[free])
+            way[free[better]] = j0
+            j1 = int(free[int(np.argmin(minv[free]))])
+            delta = float(minv[j1])
+            u[p[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0:
+            j1 = int(way[j0])
+            p[j0] = p[j1]
+            j0 = j1
+    perm = np.zeros(n, dtype=int)
+    perm[p[1:] - 1] = np.arange(n)
+
+    tight = c - u[1:][:, None] - v[1:][None, :] <= 1e-9 * max(1.0, float(np.abs(c).max()))
+    if np.any(tight.sum(axis=1) > 1):
+        adjacency = [np.nonzero(tight[r])[0].tolist() for r in range(n)]
+
+        def completable(used_cols, start):
+            row_of = {}
+
+            def augment(row, seen):
+                for col in adjacency[row]:
+                    if used_cols[col] or col in seen:
+                        continue
+                    seen.add(col)
+                    if col not in row_of or augment(row_of[col], seen):
+                        row_of[col] = row
+                        return True
+                return False
+
+            return all(augment(row, set()) for row in range(start, n))
+
+        used_cols = np.zeros(n, dtype=bool)
+        chosen = []
+        for row in range(n):
+            for col in adjacency[row]:
+                if used_cols[col]:
+                    continue
+                used_cols[col] = True
+                if completable(used_cols, row + 1):
+                    chosen.append(col)
+                    break
+                used_cols[col] = False
+        if len(chosen) == n:
+            perm = np.array(chosen)
+    total = 0.0
+    for i in range(n):
+        total += float(c[i, perm[i]])
+    return MatchResult(perm, total)
 
 
 class TestPadTargets:
@@ -64,24 +147,29 @@ class TestPadTargets:
 class TestMatchCost:
     def test_identical_is_zero(self):
         arr = np.random.default_rng(0).normal(0, 1, (5, 6))
-        assert position_cost_matrix(arr[None], np.ones(1), arr[None]).tolist() == [[0.0]]
+        assert position_cost_matrix(arr[None], arr[None]).tolist() == [[0.0]]
 
     def test_padded_slot_is_free(self):
+        # one real target of two slots: the cost has one column, and the
+        # prediction hungarian leaves over takes the padded slot at no cost
         rng = np.random.default_rng(1)
-        targets = rng.normal(0, 1, (2, 4, 6))
-        cost = position_cost_matrix(targets, np.array([1.0, 0.0]), rng.normal(0, 1, (2, 4, 6)))
-        assert np.all(cost[:, 0] > 0.0)
-        assert cost[:, 1].tolist() == [0.0, 0.0]
+        targets = pad_targets([make_path([[0, 0, 0], [1, 0, 0]])], 2, [-1.0, 0.0, 1.0])
+        cost = position_cost_matrix(targets.paths[:1], rng.normal(0, 1, (2, 3, 6)))
+        assert cost.shape == (2, 1) and np.all(cost > 0.0)
+        res = hungarian(cost)
+        winner = int(np.argmin(cost[:, 0]))
+        assert res.permutation[winner] == 0 and res.permutation[1 - winner] == 1
+        assert res.total_cost == cost[winner, 0]
 
     def test_unit_offset(self):
         target = np.zeros((1, 5, 6))
         pred = np.zeros((1, 5, 6))
         pred[..., 0] = 1.0
-        assert position_cost_matrix(target, np.ones(1), pred).tolist() == [[1.0]]
+        assert position_cost_matrix(target, pred).tolist() == [[1.0]]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            position_cost_matrix(np.zeros((1, 4, 6)), np.ones(1), np.zeros((1, 5, 6)))
+            position_cost_matrix(np.zeros((1, 4, 6)), np.zeros((1, 5, 6)))
 
 
 class TestHungarian:
@@ -98,16 +186,28 @@ class TestHungarian:
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            hungarian(np.zeros((2, 3)))
+            hungarian(np.zeros((2, 3)))  # more real columns than rows
+        with pytest.raises(ValueError):
+            hungarian(np.zeros((0, 0)))
+        with pytest.raises(ValueError):
+            hungarian(np.zeros(3))
         with pytest.raises(ValueError):
             hungarian(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
     def test_ties_resolve_to_lexicographic_smallest(self):
         assert hungarian(np.zeros((4, 4))).permutation.tolist() == [0, 1, 2, 3]
         assert hungarian(np.ones((3, 3))).permutation.tolist() == [0, 1, 2]
+        assert hungarian(np.zeros((5, 0))).permutation.tolist() == [0, 1, 2, 3, 4]  # padding only
         # two optimal permutations: (0,1,2) and (1,0,2); smaller one wins
         cost = np.array([[0.0, 0.0, 5.0], [0.0, 0.0, 5.0], [5.0, 5.0, 0.0]])
         assert hungarian(cost).permutation.tolist() == [0, 1, 2]
+
+    def test_padded_columns_follow_row_order(self):
+        # rows 1 and 3 take the real columns; rows 0, 2, 4 get padded 2, 3, 4
+        cost = np.array([[9.0, 9.0], [1.0, 5.0], [9.0, 9.0], [5.0, 1.0], [9.0, 9.0]])
+        res = hungarian(cost)
+        assert res.permutation.tolist() == [2, 0, 3, 1, 4]
+        assert res.total_cost == 2.0
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -138,14 +238,23 @@ class TestHungarian:
         assert first.total_cost == second.total_cost
 
 
+def padded(cost):
+    """The (N, N) matrix an (N, R) cost implies: zero-cost padded columns after the real ones."""
+    n, real = cost.shape
+    full = np.zeros((n, n))
+    full[:, :real] = cost
+    return full
+
+
 def assert_matches_scipy(cost):
     linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
-    rows, cols = linear_sum_assignment(cost)
+    full = padded(cost)
+    rows, cols = linear_sum_assignment(full)
     res = hungarian(cost)
     n = cost.shape[0]
     assert sorted(res.permutation.tolist()) == list(range(n))
-    assert res.total_cost == pytest.approx(cost[rows, cols].sum(), rel=1e-12, abs=1e-12)
-    assert cost[np.arange(n), res.permutation].sum() == pytest.approx(res.total_cost, rel=1e-12, abs=1e-12)
+    assert res.total_cost == pytest.approx(full[rows, cols].sum(), rel=1e-12, abs=1e-12)
+    assert full[np.arange(n), res.permutation].sum() == pytest.approx(res.total_cost, rel=1e-12, abs=1e-12)
 
 
 class TestHungarianScipyOracle:
@@ -159,12 +268,76 @@ class TestHungarianScipyOracle:
 
     @pytest.mark.parametrize("n,real", [(8, 1), (8, 3), (8, 8), (40, 3), (40, 10), (40, 24), (40, 40)])
     def test_training_shaped(self, n, real):
-        # real path columns first, then zero-cost padded columns, as position_cost_matrix builds them
+        # the (N, R) real block position_cost_matrix builds; scipy solves it zero-padded to (N, N)
         rng = np.random.default_rng([n, real])
         for _ in range(5):
-            cost = np.zeros((n, n))
-            cost[:, :real] = rng.uniform(0, 2, (n, real))
+            cost = rng.uniform(0, 2, (n, real))
             assert_matches_scipy(cost)
+            perm = hungarian(cost).permutation
+            assert perm[perm >= real].tolist() == list(range(real, n))
+
+
+def lexicographic_brute_force(full):
+    """Minimum-cost permutation of a square matrix, lexicographically smallest among ties.
+
+    Row costs are summed in row order, like `total_cost`. itertools yields
+    permutations in lexicographic order and argmin keeps the first minimum.
+    """
+    n = full.shape[0]
+    perms = np.array(list(itertools.permutations(range(n))))
+    totals = np.zeros(len(perms))
+    for i in range(n):
+        totals = totals + full[i, perms[:, i]]
+    best = int(np.argmin(totals))
+    return perms[best].tolist(), float(totals[best])
+
+
+class TestRectangularTieRule:
+    """Every R from 0 to N on small integer costs, where ties are common."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_lexicographic_brute_force(self, n):
+        rng = np.random.default_rng(n)
+        for real in range(n + 1):
+            for trial in range(6):
+                cost = rng.integers(0, 3, (n, real)).astype(float)
+                if n > 1 and trial % 2:
+                    cost[rng.integers(1, n)] = cost[0]  # duplicated rows
+                if real > 1 and trial % 3 == 2:
+                    cost[:, rng.integers(1, real)] = cost[:, 0]  # duplicated real columns
+                expected, best = lexicographic_brute_force(padded(cost))
+                res = hungarian(cost)
+                assert res.permutation.tolist() == expected, cost
+                assert res.total_cost == best
+                assert reference_square_hungarian(padded(cost)).permutation.tolist() == expected
+
+
+class TestTrainingTrace:
+    """Every cost matrix of a short desk fit, against the square reference solver."""
+
+    def test_same_permutations_as_square_solver(self, monkeypatch):
+        # criterion 7's dataset and config, cut to 60 epochs (180 steps)
+        records = gen_dataset(SyntheticConfig(strokes=4, waypoints_per_stroke=20, seed=0), objects=3)
+        config = trainer.TrainConfig(
+            slots=8, train_samples=16, epochs=60, step_size=5e-3, lr_schedule="cosine",
+            lr_min=1e-5, sampling="uniform", seed=0,
+            head=HeadConfig(depth=2, width=32, code_dim=16, activation="finer", omega0=10.0, seed=0),
+        )
+        calls = []
+
+        def recording(cost):
+            result = hungarian(cost)
+            calls.append((np.array(cost), result))
+            return result
+
+        monkeypatch.setattr(trainer, "hungarian", recording)
+        trainer.fit({r.object_id: r.gt_paths for r in records}, config)
+        assert len(calls) == 180
+        for cost, result in calls:
+            assert cost.shape == (8, 4)
+            expected = reference_square_hungarian(padded(cost))
+            assert result.permutation.tolist() == expected.permutation.tolist()
+            assert result.total_cost == expected.total_cost
 
 
 def one_slot_points_loss(target, pred) -> float:
@@ -256,7 +429,7 @@ class TestTotalLoss:
         """Pad, match on position, then score: the trainer's path to `objective`."""
         targets = pad_targets(gts, n_slots, self.params)
         raw = np.stack([p.path.poses for p in preds])
-        match = hungarian(position_cost_matrix(targets.paths, targets.conf_targets, raw))
+        match = hungarian(position_cost_matrix(targets.paths[: len(gts)], raw))
         confs = np.array([p.confidence for p in preds])
         return objective(targets, match.permutation, raw, confs)[0]
 

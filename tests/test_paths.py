@@ -216,9 +216,14 @@ class TestSampleParams:
         with pytest.raises(ValueError):
             ParamSamplingConfig("equispaced", 0)
 
+    def test_single_count_rejected(self):
+        # resample would build a one-pose Path, which Path rejects
+        with pytest.raises(ValueError, match="below 2"):
+            ParamSamplingConfig("uniform", 1)
+
     @given(
         st.sampled_from(["noisy-equispaced", "uniform"]),
-        st.integers(1, 64),
+        st.integers(2, 64),
         st.integers(0, 2**31),
     )
     @settings(max_examples=60)

@@ -210,7 +210,7 @@ def reference_set_loss(gt, preds, svals, gamma) -> tuple[float, float]:
     """(points, conf) scored pair by pair on normalised paths, apart from `objective`."""
     targets = pad_targets(gt, len(preds), svals)
     arrays = np.stack([p.path.poses for p in preds])
-    perm = hungarian(position_cost_matrix(targets.paths, targets.conf_targets, arrays)).permutation
+    perm = hungarian(position_cost_matrix(targets.paths[: len(gt)], arrays)).permutation
     total, count = 0.0, 0
     for i, slot in enumerate(perm):
         if targets.conf_targets[slot] < 0.5:
@@ -288,9 +288,9 @@ class TestAllTiePaddedMatching:
         svals = sample_params(ParamSamplingConfig("uniform", config.train_samples, seed=3))
         raw = head_forward_batch(state.head, state.codewords["obj"], svals)
         targets = pad_targets(gt, slots, svals)
-        cost = position_cost_matrix(targets.paths, targets.conf_targets, raw)
-        assert np.all(cost == cost[0])
-        assert np.all(cost[0, :3] > 0.0) and np.all(cost[0, 3:] == 0.0)
+        cost = position_cost_matrix(targets.paths[:3], raw)
+        assert cost.shape == (slots, 3)
+        assert np.all(cost == cost[0]) and np.all(cost > 0.0)
         assert hungarian(cost).permutation.tolist() == list(range(slots))
 
 
