@@ -11,7 +11,9 @@ codeword to a confidence score.
 The N codewords of an object run as one batch: block activations are
 (width, N, T) arrays, and each weight gradient sums over slots and
 samples inside one matmul. Gradients are name -> array dicts keyed like
-named_parameters.
+named_parameters. Inference (head_forward_batch) computes activation
+values only; the training forward also keeps each block's activation
+derivative and output, and nothing the backward can rebuild from them.
 
 Everything is plain float64 numpy. Backward passes are exact
 reverse-mode differentiation of the forward graph; the test suite checks
@@ -19,7 +21,7 @@ them against central finite differences.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -186,29 +188,49 @@ def init_head(config: HeadConfig) -> HeadParams:
     return params
 
 
+def _activate(z: np.ndarray, kind: str, omega0: float, with_deriv: bool):
+    """Activation value of an array, and its derivative (else None) when asked.
+
+    Shared subexpressions are computed once and updated in place, in the
+    written-out formulas' operation order, so the bits are the formulas'.
+    """
+    if kind == "relu":
+        return np.maximum(z, 0.0), (z > 0).astype(float) if with_deriv else None
+    if kind == "siren":
+        scaled = omega0 * z
+    elif kind == "finer":
+        magnitude = np.abs(z)
+        scaled = magnitude + 1.0
+        scaled *= z
+        scaled *= omega0
+    else:
+        raise ValueError(f"unknown activation {kind!r}")
+    if not with_deriv:
+        return np.sin(scaled, out=scaled), None
+    value = np.sin(scaled)
+    deriv = np.cos(scaled, out=scaled)
+    if kind == "siren":
+        deriv *= omega0
+    else:
+        magnitude *= 2.0
+        magnitude += 1.0
+        magnitude *= omega0
+        magnitude *= deriv
+        deriv = magnitude
+    return value, deriv
+
+
 def activation(z, kind: str, omega0: float = DEFAULT_OMEGA0):
     """Activation value and derivative, elementwise.
 
     relu: max(0, z). siren: sin(omega0 z). finer: sin(omega0 (|z|+1) z),
     whose derivative is omega0 (2|z|+1) cos(omega0 (|z|+1) z); the |z|
-    subgradient at zero is taken as 0.
+    subgradient at zero is taken as 0. A scalar gives two floats, an
+    array two arrays of its shape.
     """
     arr = np.asarray(z, dtype=float)
-    if kind == "relu":
-        value = np.maximum(arr, 0.0)
-        deriv = (arr > 0).astype(float)
-    elif kind == "siren":
-        value = np.sin(omega0 * arr)
-        deriv = omega0 * np.cos(omega0 * arr)
-    elif kind == "finer":
-        scaled = (np.abs(arr) + 1.0) * arr
-        value = np.sin(omega0 * scaled)
-        deriv = omega0 * (2.0 * np.abs(arr) + 1.0) * np.cos(omega0 * scaled)
-    else:
-        raise ValueError(f"unknown activation {kind!r}")
-    if arr.ndim == 0:
-        return float(value), float(deriv)
-    return value, deriv
+    value, deriv = _activate(np.atleast_1d(arr), kind, omega0, True)
+    return (float(value[0]), float(deriv[0])) if arr.ndim == 0 else (value, deriv)
 
 
 def _as_codewords(params: HeadParams, codewords) -> np.ndarray:
@@ -240,57 +262,66 @@ def _modulator_with_cache(params: HeadParams, codes: np.ndarray):
 
 @dataclass
 class _ForwardCache:
+    """What the training backward reads. In modulation mode every block input after
+    layer 0, and the readout input, is mod_hs[l].T[:, :, None] * acts[l] of the
+    block before; the backward rebuilds those with one multiply instead."""
+
     codes: np.ndarray  # (N, code_dim)
-    inputs: list[np.ndarray]  # fed to each block, (in_dim, N, T)
-    derivs: list[np.ndarray]  # activation derivative at each block's pre-activation, (width, N, T)
-    acts: list[np.ndarray]  # block activation outputs, (width, N, T)
-    mod_pres: list[np.ndarray]  # (N, width)
-    mod_hs: list[np.ndarray]  # (N, width)
-    x_last: np.ndarray  # final block output, (width, N, T)
-    raw: np.ndarray  # (N, T, 6)
+    inputs: list[np.ndarray] = field(default_factory=list)  # fed to each block (modulation: layer 0 only), (in_dim, N, T)
+    derivs: list[np.ndarray] = field(default_factory=list)  # activation derivative at each block's pre-activation, (width, N, T)
+    acts: list[np.ndarray] = field(default_factory=list)  # block activation outputs, (width, N, T)
+    mod_pres: list[np.ndarray] = field(default_factory=list)  # (N, width)
+    mod_hs: list[np.ndarray] = field(default_factory=list)  # (N, width)
+    raw: np.ndarray | None = None  # (N, T, 6)
 
 
-def _forward_with_cache(params: HeadParams, codewords, xs) -> _ForwardCache:
+def _head_pass(params: HeadParams, codes: np.ndarray, xs, cache: _ForwardCache | None) -> np.ndarray:
+    """Raw outputs (N, T, 6) of the bank `codes` at the sample parameters xs.
+
+    Activation derivatives are computed, and arrays kept, only into a given cache."""
     cfg = params.config
-    codes = _as_codewords(params, codewords)
     x_arr = np.asarray(xs, dtype=float).reshape(-1)
     if x_arr.size == 0:
         raise ValueError("need at least one sample parameter")
     if not np.all((x_arr >= -1.0) & (x_arr <= 1.0)):
         raise ValueError("sample parameters must lie in [-1, 1]")
     shape = (codes.shape[0], x_arr.size)
+    modulated = cfg.conditioning == "modulation"
 
-    mod_hs: list[np.ndarray] = []
-    mod_pres: list[np.ndarray] = []
-    if cfg.conditioning == "modulation":
+    if modulated:
         mod_hs, mod_pres = _modulator_with_cache(params, codes)
-        code_tile = None
+        if cache is not None:
+            cache.mod_hs, cache.mod_pres = mod_hs, mod_pres
     else:
         code_tile = np.broadcast_to(codes.T[:, :, None], (cfg.code_dim, *shape))
 
     x = np.broadcast_to(x_arr, (1, *shape))
-    inputs: list[np.ndarray] = []
-    derivs: list[np.ndarray] = []
-    acts: list[np.ndarray] = []
     for layer in range(cfg.depth):
-        inp = x if cfg.conditioning == "modulation" else np.concatenate([x, code_tile])
+        inp = x if modulated else np.concatenate([x, code_tile])
         z = (params.block_w[layer] @ _flat(inp) + params.block_b[layer][:, None]).reshape(cfg.width, *shape)
-        act, deriv = activation(z, cfg.activation, cfg.omega0)
-        inputs.append(inp)
-        derivs.append(deriv)
-        acts.append(act)
-        x = mod_hs[layer].T[:, :, None] * act if cfg.conditioning == "modulation" else act
-    raw = (params.out_w @ _flat(x) + params.out_b[:, None]).reshape(6, *shape).transpose(1, 2, 0)
-    return _ForwardCache(codes, inputs, derivs, acts, mod_pres, mod_hs, x, raw)
+        act, deriv = _activate(z, cfg.activation, cfg.omega0, cache is not None)
+        if cache is not None:
+            if layer == 0 or not modulated:
+                cache.inputs.append(inp)
+            cache.derivs.append(deriv)
+            cache.acts.append(act)
+        x = mod_hs[layer].T[:, :, None] * act if modulated else act
+    return (params.out_w @ _flat(x) + params.out_b[:, None]).reshape(6, *shape).transpose(1, 2, 0)
+
+
+def _forward_with_cache(params: HeadParams, codewords, xs) -> _ForwardCache:
+    cache = _ForwardCache(_as_codewords(params, codewords))
+    cache.raw = _head_pass(params, cache.codes, xs, cache)
+    return cache
 
 
 def head_forward_batch(params: HeadParams, codewords, xs) -> np.ndarray:
     """Raw outputs at the sample parameters xs, all slots in one pass.
 
     One codeword (code_dim,) gives (T, 6); a bank (N, code_dim) gives
-    (N, T, 6).
+    (N, T, 6). Nothing a backward pass would need is computed or kept.
     """
-    raw = _forward_with_cache(params, codewords, xs).raw
+    raw = _head_pass(params, _as_codewords(params, codewords), xs, None)
     return raw[0] if np.ndim(codewords) == 1 else raw
 
 
@@ -351,32 +382,42 @@ def _backward_from_cache(
     codes = cache.codes[rows]
     d_codes = np.zeros_like(codes)
     grads: dict[str, np.ndarray] = {}
+    modulated = cfg.conditioning == "modulation"
+    every_slot = len(rows) == len(cache.codes) and np.array_equal(rows, np.arange(len(rows)))
+
+    def take(arr: np.ndarray) -> np.ndarray:
+        # the slots `rows` of a (dim, N, T) cache array, copied only when some are left out
+        return arr if every_slot else arr[:, rows]
+
+    def block_output(layer: int) -> np.ndarray:
+        act = take(cache.acts[layer])
+        return cache.mod_hs[layer][rows].T[:, :, None] * act if modulated else act
 
     d_y = _flat(d_raw.transpose(2, 0, 1))  # (6, R*T)
-    grads["out_w"] = d_y @ _flat(cache.x_last[:, rows]).T
+    grads["out_w"] = d_y @ _flat(block_output(cfg.depth - 1)).T
     grads["out_b"] = d_y.sum(axis=1)
     d_x = (params.out_w.T @ d_y).reshape(cfg.width, *shape)
 
     d_mod_h = [np.zeros((len(rows), cfg.width)) for _ in range(cfg.depth)]
     for layer in reversed(range(cfg.depth)):
-        act_deriv = cache.derivs[layer][:, rows]
-        if cfg.conditioning == "modulation":
-            d_mod_h[layer] = (cache.acts[layer][:, rows] * d_x).sum(axis=2).T
+        act_deriv = take(cache.derivs[layer])
+        if modulated:
+            d_mod_h[layer] = (take(cache.acts[layer]) * d_x).sum(axis=2).T
             d_z = _flat(cache.mod_hs[layer][rows].T[:, :, None] * d_x * act_deriv)
         else:
             d_z = _flat(d_x * act_deriv)
-        inp = cache.inputs[layer][:, rows]
+        inp = block_output(layer - 1) if modulated and layer > 0 else take(cache.inputs[layer])
         grads[f"block_w{layer}"] = d_z @ _flat(inp).T
         grads[f"block_b{layer}"] = d_z.sum(axis=1)
         d_inp = (params.block_w[layer].T @ d_z).reshape(inp.shape)
-        if cfg.conditioning == "modulation":
+        if modulated:
             d_x = d_inp
         else:
             split = inp.shape[0] - cfg.code_dim
             d_x = d_inp[:split]
             d_codes += d_inp[split:].sum(axis=2).T
 
-    if cfg.conditioning == "modulation":
+    if modulated:
         carry = d_mod_h[cfg.depth - 1]
         for layer in reversed(range(cfg.depth)):
             d_pre = carry * (cache.mod_pres[layer][rows] > 0)

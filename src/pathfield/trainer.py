@@ -304,8 +304,8 @@ def predict(
     for slot, confidence in enumerate(confidences.tolist()):
         if confidence < threshold:
             continue
-        # one slot at a time: a whole bank at test resolution would cache
-        # (width, N, T) activations for every block
+        # one slot at a time: BLAS rounds a multi-slot matmul differently, so
+        # a batched decode would not give these prediction bytes
         raw = head_forward_batch(state.head, codes[slot], grid)
         norms = np.linalg.norm(raw[:, 3:], axis=1)
         if np.any(norms < 1e-12):

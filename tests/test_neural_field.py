@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from pathfield.neural_field import (
+    _backward_from_cache,
+    _ForwardCache,
     _forward_with_cache,
     HeadConfig,
     HeadParams,
@@ -83,6 +85,11 @@ def fd_gradient_check(config: HeadConfig, seed: int, step=1e-5, tol=1e-4):
     return worst
 
 
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 class TestInit:
     def test_parameter_count_closed_form(self):
         cfg = HeadConfig(depth=4, width=512, code_dim=384)
@@ -149,6 +156,30 @@ class TestActivation:
         values, derivs = activation(np.array([-1.0, 2.0]), "relu")
         assert values.tolist() == [0.0, 2.0]
         assert derivs.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("kind", ["relu", "siren", "finer"])
+    def test_array_form_is_bitwise_the_written_out_formulas(self, kind):
+        omega0 = 30.0
+        z = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 50.0, -50.0], np.linspace(-2.0, 2.0, 37)])
+        if kind == "relu":
+            reference = (np.maximum(z, 0.0), (z > 0).astype(float))
+        elif kind == "siren":
+            reference = (np.sin(omega0 * z), omega0 * np.cos(omega0 * z))
+        else:
+            scaled = (np.abs(z) + 1.0) * z
+            reference = (np.sin(omega0 * scaled), omega0 * (2.0 * np.abs(z) + 1.0) * np.cos(omega0 * scaled))
+        before = z.copy()
+        for got, want in zip(activation(z, kind, omega0), reference):
+            assert_same_bits(got, want)
+        assert_same_bits(z, before)
+
+    @pytest.mark.parametrize("kind", ["relu", "siren", "finer"])
+    def test_scalar_gives_python_floats(self, kind):
+        for z in (0.0, -0.0, 5e-324, 0.7, np.float64(-1.5), np.array(2.0)):
+            value, deriv = activation(z, kind)
+            assert type(value) is float and type(deriv) is float
+            array_value, array_deriv = activation(np.array([z]), kind)
+            assert (value, deriv) == (array_value[0], array_deriv[0])
 
 
 class TestModulator:
@@ -351,3 +382,76 @@ class TestBackward:
             assert not grads[name].any(), name
         assert not conf_grads["conf_b1"].any() and not conf_grads["conf_b2"].any()
 
+
+
+class TestForwardOnly:
+    @pytest.mark.parametrize("use_bias", [True, False])
+    @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
+    @pytest.mark.parametrize("kind", ["relu", "siren", "finer"])
+    def test_bitwise_equal_to_training_forward(self, kind, conditioning, use_bias):
+        cfg = HeadConfig(
+            depth=3, width=16, code_dim=5, activation=kind, conditioning=conditioning, use_bias=use_bias, seed=4
+        )
+        params = init_head(cfg)
+        codes = np.random.default_rng(8).normal(0.0, 0.5, (4, 5))
+        xs = np.linspace(-1.0, 1.0, 33)
+        assert_same_bits(head_forward_batch(params, codes, xs), _forward_with_cache(params, codes, xs).raw)
+        for code in codes:
+            assert_same_bits(head_forward_batch(params, code, xs), _forward_with_cache(params, code, xs).raw[0])
+
+
+def copied_cache(cache: _ForwardCache, rows) -> _ForwardCache:
+    """The slots `rows` of a forward cache, every array an explicit fancy-indexed copy."""
+    return _ForwardCache(
+        cache.codes[rows],
+        [arr[:, rows] for arr in cache.inputs],
+        [arr[:, rows] for arr in cache.derivs],
+        [arr[:, rows] for arr in cache.acts],
+        [arr[rows] for arr in cache.mod_pres],
+        [arr[rows] for arr in cache.mod_hs],
+        cache.raw[rows],
+    )
+
+
+class TestBackwardRows:
+    """The backward reads the cache directly when it takes every slot in
+    order, and rebuilds modulation-mode block inputs from the activations;
+    both must give the bits that explicit per-row copies give."""
+
+    @staticmethod
+    def case(kind, conditioning):
+        cfg = HeadConfig(depth=3, width=12, code_dim=5, activation=kind, conditioning=conditioning, seed=6)
+        params = init_head(cfg)
+        rng = np.random.default_rng(2)
+        codes = rng.normal(0.0, 0.5, (4, 5))
+        xs = np.sort(rng.uniform(-1.0, 1.0, 9))
+        return params, _forward_with_cache(params, codes, xs), rng
+
+    @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
+    @pytest.mark.parametrize("kind", ["relu", "siren", "finer"])
+    def test_every_slot_equals_copied_cache(self, kind, conditioning):
+        params, cache, rng = self.case(kind, conditioning)
+        rows = np.arange(len(cache.codes))
+        upstream = rng.normal(0.0, 1.0, cache.raw.shape)
+        direct, direct_codes = _backward_from_cache(params, cache, upstream, rows)
+        copied, copied_codes = _backward_from_cache(params, copied_cache(cache, rows), upstream, rows)
+        assert direct.keys() == copied.keys()
+        for name in direct:
+            assert_same_bits(direct[name], copied[name])
+        assert_same_bits(direct_codes, copied_codes)
+
+    @pytest.mark.parametrize("rows", [[0, 2, 3], [3, 0, 2], [1, 0, 3, 2]])
+    @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
+    @pytest.mark.parametrize("kind", ["relu", "siren", "finer"])
+    def test_some_slots_equal_their_copied_cache(self, kind, conditioning, rows):
+        params, cache, rng = self.case(kind, conditioning)
+        rows = np.array(rows)
+        upstream = rng.normal(0.0, 1.0, (len(rows), *cache.raw.shape[1:]))
+        direct, direct_codes = _backward_from_cache(params, cache, upstream, rows)
+        copied, copied_codes = _backward_from_cache(
+            params, copied_cache(cache, rows), upstream, np.arange(len(rows))
+        )
+        for name in direct:
+            assert_same_bits(direct[name], copied[name])
+        assert_same_bits(direct_codes[rows], copied_codes)
+        assert not np.delete(direct_codes, rows, axis=0).any()

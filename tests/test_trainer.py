@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+import pathfield.trainer as trainer_module
 from pathfield.cli import main
 from pathfield.dataio import ObjectRecord, SyntheticConfig, gen_dataset, save_dataset
 from pathfield.matching import (
@@ -316,6 +318,39 @@ class TestPredict:
             predict(state, "missing")
 
 
+class TestTraceBindings:
+    """perfbench times the decode and the training forward by wrapping the
+    trainer's own bindings of these names (as neural_field.predict_forward
+    and neural_field.forward), so the work must go through those bindings."""
+
+    @staticmethod
+    def counting(monkeypatch, name):
+        calls = []
+        original = getattr(trainer_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(f"pathfield.trainer.{name}", wrapper)
+        return calls
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.1])
+    def test_predict_decodes_each_kept_slot_once(self, fitted, monkeypatch, threshold):
+        _, _, state = fitted
+        calls = self.counting(monkeypatch, "head_forward_batch")
+        kept = predict(state, "obj", conf_threshold=threshold)
+        assert len(calls) == len(kept)
+        assert all(np.ndim(args[1]) == 1 for args in calls)
+
+    def test_train_epoch_runs_one_cached_forward_per_step(self, monkeypatch):
+        dataset = {"a": [line_path(0.0)], "b": [line_path(0.2), line_path(0.6)], "c": []}
+        state = init_state(dataset, tiny_config(epochs=1))
+        calls = self.counting(monkeypatch, "_forward_with_cache")
+        train_epoch(state, dataset)
+        assert len(calls) == len(state.loss_history) == len(dataset)
+
+
 class TestCheckpoint:
     def test_document_round_trip(self, fitted):
         _, _, state = fitted
@@ -455,3 +490,53 @@ def test_end_to_end_multi_object_fit_reaches_low_loss():
     assert state.loss_history[-1][2] < 0.3 * state.loss_history[0][2]
     for object_id in dataset:
         assert len(predict(state, object_id, 32)) == len(dataset[object_id])
+
+
+# sha256 of (checkpoint bytes, predicted poses and confidences) of a 20-epoch
+# fit of two objects (2 and 4 paths, 4 slots, width 16), recorded before the
+# head's forward-only decode and one-pass activation were introduced. Head
+# changes that claim bit-identical outputs must keep these. The digests were
+# recorded on this machine's numpy/BLAS; another BLAS may round the matmuls
+# differently and change them without any change in the code.
+PINNED_DIGESTS = {
+    ("relu", "modulation"): (
+        "5a7203f9a561a15b45f3a8da48d595d998619c06a8883d390acaef220ac0895c",
+        "7583a769fbb2a81fcac218cd2b1c9483a4d2a97a4b29e18e793ac9b88679ab28",
+    ),
+    ("relu", "concat"): (
+        "129dbca19eea211b6592769a4641d3a0395b1b5426f2604e03244db1fa271a9d",
+        "4b1bd8b6ea60d4dc2541310d13578df5310214276bd6d40606b9ed27716ae3a3",
+    ),
+    ("siren", "modulation"): (
+        "51772927ba2e5c9108cd4b2af5941d04126aceaeaeea395d7ca742c0eb3364ac",
+        "f16656f8e0ffa7fc304dd952213faab6c94f76d3d32cde8903fa1cae60e6e42f",
+    ),
+    ("siren", "concat"): (
+        "27369f10aa2847a701698a7198c687d349eb8d6810a99f86feb2569fb147cebb",
+        "9501d055d8056889590ac969b22b958d3fbe0bdb571d5818a9b7a502eda2572e",
+    ),
+    ("finer", "modulation"): (
+        "a0baf85c0cb77cc376a74349dc60aa6d723f163f4a8f2a45e1df56f2295b7fe0",
+        "f771ca5fda4023d8c294bbd045641cbad91fab4ceedcc502ea1079e645c68b8e",
+    ),
+    ("finer", "concat"): (
+        "01f176dab529b2ddfd2bdd860ce9af2d74366a696965fa1442277a066234dea6",
+        "8b3125d2f2b5968e555c30e71bfa7a8d125d33567bb23b4bab4cfb32efdfa24d",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, conditioning", sorted(PINNED_DIGESTS))
+def test_output_bytes_match_pinned_digests(kind, conditioning, tmp_path):
+    dataset = {"a": [line_path(0.0), line_path(0.5)], "b": [line_path(y) for y in (-0.6, -0.2, 0.2, 0.6)]}
+    head = tiny_head(activation=kind, conditioning=conditioning)
+    state = fit(dataset, tiny_config(epochs=20, head=head))
+    target = tmp_path / "ckpt.json"
+    save_checkpoint(state, target)
+    predictions = hashlib.sha256()
+    for object_id in ("a", "b"):
+        for pred in predict(state, object_id, conf_threshold=0.0):
+            predictions.update(pred.path.poses.astype("<f8").tobytes())
+            predictions.update(np.float64(pred.confidence).astype("<f8").tobytes())
+    checkpoint = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert (checkpoint, predictions.hexdigest()) == PINNED_DIGESTS[(kind, conditioning)]
