@@ -26,6 +26,8 @@ from .trainer import TrainConfig, fit, load_checkpoint, predict, save_checkpoint
 
 
 def _cmd_evaluate(args) -> int:
+    if args.resample_t < 0:
+        raise ValidationError(f"--resample-t {args.resample_t} is negative (0 scores the paths as given)")
     gt_records = load_dataset(args.gt)
     pred_records = load_dataset(args.pred)
     gt_map = {r.object_id: r for r in gt_records}

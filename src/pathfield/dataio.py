@@ -55,20 +55,23 @@ class ObjectRecord:
     predictions: list[PredictedPath] = field(default_factory=list)
 
 
+# The face every synthetic object is drawn on, before normalization: its
+# width and height, and the unit normal that is every pose's orientation.
+_FACE_EXTENT = (2.0, 1.2)
+_FACE_NORMAL = np.array([0.0, 0.0, 1.0])
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Raster-pattern generator settings.
 
-    stroke_spacing None spreads the strokes evenly over the face height.
-    curvature arches each stroke out of the face plane (0 keeps them
-    straight); jitter_sigma adds Gaussian positional noise.
+    The strokes are spread evenly over the face height. curvature arches
+    each stroke out of the face plane (0 keeps them straight);
+    jitter_sigma adds Gaussian positional noise.
     """
 
     strokes: int = 4
     waypoints_per_stroke: int = 20
-    face_extent: tuple[float, float] = (2.0, 1.2)
-    stroke_spacing: float | None = None
-    face_normal: tuple[float, float, float] = (0.0, 0.0, 1.0)
     jitter_sigma: float = 0.0
     curvature: float = 0.0
     cloud_points: int = 256
@@ -79,8 +82,6 @@ class SyntheticConfig:
             raise ValueError("strokes must be >= 1")
         if self.waypoints_per_stroke < 2:
             raise ValueError("waypoints_per_stroke must be >= 2")
-        if min(self.face_extent) <= 0:
-            raise ValueError("face extents must be positive")
         if self.jitter_sigma < 0:
             raise ValueError("jitter_sigma must be >= 0")
         if self.cloud_points < 1:
@@ -90,16 +91,8 @@ class SyntheticConfig:
 def gen_raster_object(config: SyntheticConfig, object_id: str = "object-000") -> ObjectRecord:
     """Deterministic serpentine-coverage object in normalized space."""
     rng = np.random.default_rng(config.seed)
-    extent_x, extent_y = config.face_extent
-    spacing = config.stroke_spacing
-    if spacing is None:
-        spacing = extent_y / (config.strokes - 1) if config.strokes > 1 else 0.0
-    normal = np.asarray(config.face_normal, dtype=float)
-    norm = float(np.linalg.norm(normal))
-    if norm < 1e-12:
-        raise ValueError("face_normal must be nonzero")
-    normal = normal / norm
-
+    extent_x, extent_y = _FACE_EXTENT
+    spacing = extent_y / (config.strokes - 1) if config.strokes > 1 else 0.0
     span = spacing * (config.strokes - 1)
     along = np.linspace(0.0, 1.0, config.waypoints_per_stroke)
     paths = []
@@ -112,7 +105,7 @@ def gen_raster_object(config: SyntheticConfig, object_id: str = "object-000") ->
         positions = np.column_stack([xs, np.full_like(xs, y), zs])
         if config.jitter_sigma > 0:
             positions = positions + rng.normal(0.0, config.jitter_sigma, positions.shape)
-        orientations = np.tile(normal, (config.waypoints_per_stroke, 1))
+        orientations = np.tile(_FACE_NORMAL, (config.waypoints_per_stroke, 1))
         paths.append(Path(np.concatenate([positions, orientations], axis=1)))
 
     face = rng.uniform(-0.5, 0.5, (config.cloud_points, 2)) * np.array([extent_x, extent_y])

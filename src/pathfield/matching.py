@@ -1,11 +1,12 @@
-"""Set-to-set training objective over padded path slots.
+"""Set-to-set training objective of N prediction slots against R <= N real paths.
 
-Ground-truth paths are resampled at the drawn scalar parameters and
-zero-padded up to the number of prediction slots. A bipartite matching on
-mean 3D position distance assigns each prediction a target slot; matched
-real slots contribute a position+orientation points loss and every slot
-contributes a focal confidence loss. `objective` is the one definition of
-that loss and of its gradient.
+Ground-truth paths are resampled at the drawn scalar parameters. A
+bipartite matching on mean 3D position distance assigns each prediction a
+target slot: one of the R real paths, or one of the N - R padded slots,
+which exist only as the numbers R..N-1. Predictions matched to a real path
+contribute a position+orientation points loss and every slot contributes
+a focal confidence loss, with target 1 for a real path and 0 for padding.
+`objective` is the one definition of that loss and of its gradient.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ CONF_CLAMP = 1e-7
 __all__ = [
     "CONF_CLAMP",
     "MatchResult",
-    "PaddedTargets",
     "LossBreakdown",
     "pad_targets",
     "position_cost_matrix",
@@ -42,34 +42,24 @@ class MatchResult:
 
 
 @dataclass(frozen=True)
-class PaddedTargets:
-    """(N, T, 6) target array, real paths first, all-zero padding after."""
-
-    paths: np.ndarray
-    conf_targets: np.ndarray  # (N,) 1.0 for real slots, 0.0 for padding
-
-
-@dataclass(frozen=True)
 class LossBreakdown:
     points_loss: float
     conf_loss: float
     total: float
 
 
-def pad_targets(gt: Sequence[Path], n_slots: int, params: Sequence[float]) -> PaddedTargets:
-    """Resample every ground-truth path at params, zero-pad up to n_slots."""
+def pad_targets(gt: Sequence[Path], n_slots: int, params: Sequence[float]) -> np.ndarray:
+    """Every ground-truth path resampled at params, as one (R, T, 6) array; R may not exceed n_slots."""
     gt = list(gt)
     if n_slots < len(gt):
         raise ValueError(f"{len(gt)} ground-truth paths exceed the {n_slots} available slots")
     vals = np.asarray(params, dtype=float)
     if vals.ndim != 1 or vals.size == 0:
         raise ValueError("params must be a nonempty 1-D sequence")
-    arrays = np.zeros((n_slots, vals.size, 6))
+    arrays = np.empty((len(gt), vals.size, 6))
     for i, path in enumerate(gt):
         arrays[i] = resample(path, vals).poses
-    conf = np.zeros(n_slots)
-    conf[: len(gt)] = 1.0
-    return PaddedTargets(arrays, conf)
+    return arrays
 
 
 def hungarian(cost) -> MatchResult:
@@ -281,30 +271,32 @@ def position_cost_matrix(target_paths: np.ndarray, pred_paths: np.ndarray) -> np
     return np.sqrt((diff ** 2).sum(axis=3)).mean(axis=2)
 
 
-def objective(targets: PaddedTargets, permutation, raw, confs, gamma: float = 2.0):
+def objective(targets, permutation, raw, confs, gamma: float = 2.0):
     """Set loss of one object under a fixed assignment, and its gradient.
 
-    `raw` is the (N, T, 6) head output with unnormalised orientations,
-    `confs` the (N,) confidences, and prediction i is assigned target slot
-    permutation[i]. The points loss is the mean over real slots and samples
-    of ||p - p_hat|| + (1 - cos angle(v, v_hat)); the focal confidence loss
-    sums over every slot. Returns (LossBreakdown, real, d_raw, d_confs):
-    `real` holds the prediction rows assigned a real path, d_raw is
-    d(loss)/d(raw[real]) and d_confs is d(loss)/d(confs). A zero predicted
-    orientation in a real slot raises ValueError.
+    `targets` is the (R, T, 6) real ground truth, `raw` the (N, T, 6) head
+    output with unnormalised orientations (R <= N), `confs` the (N,)
+    confidences, and prediction i is assigned target slot permutation[i];
+    slots R..N-1 are padding. The points loss is the mean over real slots
+    and samples of ||p - p_hat|| + (1 - cos angle(v, v_hat)); the focal
+    confidence loss sums over every slot. Returns (LossBreakdown, real,
+    d_raw, d_confs): `real` holds the prediction rows assigned a real path,
+    d_raw is d(loss)/d(raw[real]) and d_confs is d(loss)/d(confs). A zero
+    predicted orientation in a real slot raises ValueError.
     """
+    targets = np.asarray(targets, dtype=float)
     raw = np.asarray(raw, dtype=float)
     confs = np.asarray(confs, dtype=float)
-    if raw.shape != targets.paths.shape or confs.shape != targets.conf_targets.shape:
+    if raw.shape[1:] != targets.shape[1:] or len(targets) > len(raw) or confs.shape != raw.shape[:1]:
         raise ValueError(
-            f"predictions of shape {raw.shape} and {confs.shape} do not match the padded "
-            f"targets {targets.paths.shape}"
+            f"predictions of shape {raw.shape} and {confs.shape} do not match the "
+            f"targets {targets.shape}"
         )
     perm = np.asarray(permutation)
-    conf_targets = targets.conf_targets[perm]
-    real = np.nonzero(conf_targets > 0.5)[0]
+    conf_targets = (perm < len(targets)).astype(float)
+    real = np.nonzero(conf_targets)[0]
 
-    tgt = targets.paths[perm[real]]
+    tgt = targets[perm[real]]
     delta_p = raw[real, :, :3] - tgt[:, :, :3]
     dist = np.linalg.norm(delta_p, axis=2)
     tgt_unit = tgt[:, :, 3:] / np.linalg.norm(tgt[:, :, 3:], axis=2, keepdims=True)

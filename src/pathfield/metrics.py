@@ -191,16 +191,12 @@ def dtw_align(a, b) -> AlignmentResult:
 _PosePair = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _pose_pair(gt, pred, delta: float, theta_deg: float) -> _PosePair:
+def _pose_pair(gt, pred) -> _PosePair:
     """The checked arrays of one (ground truth, prediction) pair, the prediction as given."""
     gt_arr = _pose_array(gt)
     pred_arr = _pose_array(pred)
     if gt_arr.shape[0] == 0 or pred_arr.shape[0] == 0:
         raise ValueError("pose lists must be nonempty")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if not 0.0 < theta_deg < 180.0:
-        raise ValueError("theta must lie in (0, 180) degrees")
     return gt_arr, _unit_rows(gt_arr[:, 3:]), pred_arr, _unit_rows(pred_arr[:, 3:])
 
 
@@ -213,8 +209,13 @@ def _pose_fscores(pairs: Sequence[_PosePair], delta: float, theta_deg: float) ->
     """(precision, recall, F-score) of each pair, as an (n, 3) array.
 
     Pairs of equal shape are aligned together by dtw_align, in batches
-    of at most DTW_BATCH_CELLS cells.
+    of at most DTW_BATCH_CELLS cells. The thresholds are checked even
+    when there is no pair to score.
     """
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    if not 0.0 < theta_deg < 180.0:
+        raise ValueError("theta must lie in (0, 180) degrees")
     by_shape: dict[tuple[int, int], list[int]] = {}
     for index, (gt_arr, _, pred_arr, _) in enumerate(pairs):
         by_shape.setdefault((len(gt_arr), len(pred_arr)), []).append(index)
@@ -251,7 +252,7 @@ def pose_fscore(gt, pred, delta: float = DEFAULT_DELTA, theta_deg: float = DEFAU
     for precision. Orientations are normalized defensively before the
     angle test.
     """
-    precision, recall, fscore = _pose_fscores([_pose_pair(gt, pred, delta, theta_deg)], delta, theta_deg)[0]
+    precision, recall, fscore = _pose_fscores([_pose_pair(gt, pred)], delta, theta_deg)[0]
     return FScoreResult(float(precision), float(recall), float(fscore), False)
 
 
@@ -263,7 +264,7 @@ def fscore_bidirectional(
     Path execution has no preferred direction, so the higher of the two
     scores wins; the `reversed` flag records which one did.
     """
-    pair = _pose_pair(gt, pred, delta, theta_deg)
+    pair = _pose_pair(gt, pred)
     forward, backward = _pose_fscores([pair, _reversed(pair)], delta, theta_deg).tolist()
     if backward[2] > forward[2]:
         return FScoreResult(*backward, True)
@@ -290,7 +291,7 @@ def _score_dataset(dataset: DatasetMap, delta: float, theta_deg: float) -> tuple
         objects.append((object_id, preds, len(gt_paths)))
         for p in preds:
             for g in gt_paths:
-                pair = _pose_pair(g, p.path, delta, theta_deg)
+                pair = _pose_pair(g, p.path)
                 pairs += [pair, _reversed(pair)]
     # the better direction of each pair
     fscores = _pose_fscores(pairs, delta, theta_deg)[:, 2].reshape(-1, 2).max(axis=1)

@@ -126,39 +126,12 @@ def sample_params(config: ParamSamplingConfig) -> np.ndarray:
     return vals
 
 
-def _fractional_indices(path: Path, vals: np.ndarray, mode: str) -> np.ndarray:
-    """Map scalars in [-1, 1] to fractional waypoint indices.
-
-    "index" spreads parameters evenly over waypoint indices (the
-    default); "arclength" spreads them evenly over the traversed
-    position arc length instead.
-    """
-    k = len(path)
-    if mode == "index":
-        return 0.5 * (vals + 1.0) * (k - 1)
-    if mode != "arclength":
-        raise ValueError(f"unknown interpolation mode {mode!r}")
-    segments = np.linalg.norm(np.diff(path.positions, axis=0), axis=1)
-    cumulative = np.concatenate([[0.0], np.cumsum(segments)])
-    total = cumulative[-1]
-    if total <= 0.0:
-        raise ValueError("arc-length parameterization needs a path of nonzero length")
-    target = 0.5 * (vals + 1.0) * total
-    i0 = np.clip(np.searchsorted(cumulative, target, side="right") - 1, 0, k - 2)
-    span = segments[i0]
-    frac = np.where(span > 0, (target - cumulative[i0]) / np.where(span > 0, span, 1.0), 0.0)
-    # pin s = 1 to the last waypoint exactly; cumulative-sum rounding could
-    # otherwise leave the endpoint a few ulp short
-    return np.where(vals == 1.0, float(k - 1), i0 + np.minimum(frac, 1.0))
-
-
-def resample(path: Path, params: Sequence[float], mode: str = "index") -> Path:
+def resample(path: Path, params: Sequence[float]) -> Path:
     """New path whose t-th pose is the path at scalar params[t] in [-1, 1].
 
-    Each scalar maps linearly to a fractional index u: over waypoint
-    indices for mode "index" (-1 is waypoint 0, +1 waypoint K-1), over
-    position arc length for "arclength". The pose at u is linear in u
-    between waypoints floor(u) and floor(u) + 1: positions componentwise,
+    Each scalar maps linearly to a fractional waypoint index u (-1 is
+    waypoint 0, +1 waypoint K-1). The pose at u is linear in u between
+    waypoints floor(u) and floor(u) + 1: positions componentwise,
     orientations likewise and then renormalised to unit length. A scalar
     that lands exactly on a waypoint returns that waypoint unchanged.
     """
@@ -168,7 +141,7 @@ def resample(path: Path, params: Sequence[float], mode: str = "index") -> Path:
     if not np.all((vals >= -1.0) & (vals <= 1.0)):
         raise ValueError("params must lie in [-1, 1]")
     k = len(path)
-    u = _fractional_indices(path, vals, mode)
+    u = 0.5 * (vals + 1.0) * (k - 1)
     i0 = np.minimum(np.floor(u).astype(int), k - 2)
     frac = u - i0
     row0 = path.poses[i0]

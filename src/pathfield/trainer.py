@@ -164,17 +164,16 @@ def _parameter_registry(state: TrainState) -> dict[str, np.ndarray]:
 
 
 def adam_step(
-    state: TrainState,
-    gradients: Mapping[str, np.ndarray],
-    config: TrainConfig | None = None,
-    step_size: float | None = None,
+    state: TrainState, gradients: Mapping[str, np.ndarray], step_size: float | None = None
 ) -> TrainState:
     """Bias-corrected adaptive-moment update, in place and in float64.
 
-    Each parameter tensor keeps its own step counter, so codewords that
-    are only touched on their object's steps stay correctly corrected.
+    Hyperparameters come from state.config; step_size overrides its
+    step_size. Each parameter tensor keeps its own step counter, so
+    codewords that are only touched on their object's steps stay
+    correctly corrected.
     """
-    cfg = config or state.config
+    cfg = state.config
     lr = cfg.step_size if step_size is None else step_size
     registry = _parameter_registry(state)
     for name in sorted(gradients):
@@ -207,21 +206,17 @@ def _epoch_step_size(config: TrainConfig, epoch: int) -> float:
 
 
 def _object_gradients(
-    state: TrainState,
-    object_id: str,
-    gt_paths: Sequence[Path],
-    svals: np.ndarray,
-    config: TrainConfig,
+    state: TrainState, object_id: str, gt_paths: Sequence[Path], svals: np.ndarray
 ) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
     head = state.head
     codes = state.codewords[object_id]
-    targets = pad_targets(gt_paths, config.slots, svals)
+    targets = pad_targets(gt_paths, state.config.slots, svals)
     cache = _forward_with_cache(head, codes, svals)
     conf_cache = _confidence_with_cache(head, codes)
-    match = hungarian(position_cost_matrix(targets.paths[: len(gt_paths)], cache.raw))
+    match = hungarian(position_cost_matrix(targets, cache.raw))
     try:
         breakdown, real, d_raw, d_prob = objective(
-            targets, match.permutation, cache.raw, conf_cache.prob, config.gamma
+            targets, match.permutation, cache.raw, conf_cache.prob, state.config.gamma
         )
     except ValueError as exc:
         raise TrainingError(f"{exc} for object {object_id!r}") from exc
@@ -233,17 +228,13 @@ def _object_gradients(
     return breakdown, grads
 
 
-def train_epoch(
-    state: TrainState,
-    dataset: Mapping[str, Sequence[Path]],
-    config: TrainConfig | None = None,
-) -> float:
+def train_epoch(state: TrainState, dataset: Mapping[str, Sequence[Path]]) -> float:
     """One pass over the dataset (shuffled by seed), one Adam step per object.
 
-    Returns the mean object loss; per-step breakdowns are appended to the
-    state's loss history.
+    Hyperparameters come from state.config. Returns the mean object loss;
+    per-step breakdowns are appended to the state's loss history.
     """
-    cfg = config or state.config
+    cfg = state.config
     ids = sorted(dataset)
     for object_id in ids:
         if object_id not in state.codewords:
@@ -257,8 +248,8 @@ def train_epoch(
         svals = sample_params(
             ParamSamplingConfig(cfg.sampling, cfg.train_samples, cfg.sampling_noise, sub_seed)
         )
-        breakdown, grads = _object_gradients(state, object_id, list(dataset[object_id]), svals, cfg)
-        adam_step(state, grads, cfg, lr)
+        breakdown, grads = _object_gradients(state, object_id, list(dataset[object_id]), svals)
+        adam_step(state, grads, lr)
         state.loss_history.append((breakdown.points_loss, breakdown.conf_loss, breakdown.total))
         losses.append(breakdown.total)
     state.epoch += 1
@@ -271,11 +262,20 @@ def fit(
     state: TrainState | None = None,
     progress: Callable[[int, float], None] | None = None,
 ) -> TrainState:
-    """Train until config.epochs, resuming from `state` when given."""
+    """Train until config.epochs, resuming from `state` when given.
+
+    A given state adopts `config`, so a resumed run can extend epochs or
+    change the schedule; slots and head fix the state's array shapes and
+    must match its own.
+    """
     if state is None:
         state = init_state(dataset, config)
+    for name in ("slots", "head"):
+        if getattr(config, name) != getattr(state.config, name):
+            raise ValueError(f"config {name} differs from the state's: a resumed fit cannot change it")
+    state.config = config
     while state.epoch < config.epochs:
-        loss = train_epoch(state, dataset, config)
+        loss = train_epoch(state, dataset)
         if progress is not None:
             progress(state.epoch, loss)
     return state

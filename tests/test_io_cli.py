@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -61,6 +62,18 @@ class TestGenerator:
         curved = gen_raster_object(SyntheticConfig(curvature=0.3, seed=0))
         assert np.ptp(flat.gt_paths[0].positions[:, 2]) == 0.0
         assert np.ptp(curved.gt_paths[0].positions[:, 2]) > 0.0
+
+    # sha256 of the documents `pathfield gen` writes, recorded with this
+    # project's numpy; a change to the generator's geometry or draws shows here
+    @pytest.mark.parametrize("flags,digest", [
+        ([], "3c5f8fe011afa676286a5e6ef4c1de029ecd8e3689f8ca48ae4e1cdfb65b6479"),
+        (["--curvature", 0.3, "--jitter", 0.01, "--objects", 2],
+         "108b58c1d3870b1f9f49e868c976fd5e2f27f6a08efa95a06a1917fd2bee0280"),
+    ], ids=["default", "curved-jittered"])
+    def test_gen_bytes_match_pinned_digests(self, tmp_path, flags, digest):
+        out = tmp_path / "data.json"
+        assert run_cli("gen", *flags, "--out", out) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestDatasetDocuments:
@@ -361,6 +374,22 @@ class TestCli:
         capsys.readouterr()
         assert run_cli(*argv, "--out", out) == 1
         assert "sample count 1 is below 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--delta", -3, "--theta", 999, "--resample-t", -7], "--resample-t -7 is negative"),
+        (["--delta", -3], "delta must be positive"),
+        (["--theta", 999], "theta must lie"),
+        (["--resample-t", -7], "--resample-t -7 is negative"),
+    ], ids=["all", "delta", "theta", "resample-t"])
+    def test_evaluate_rejects_bad_arguments_without_predictions(self, tmp_path, capsys, flags, message):
+        # the dataset has no predictions, so no pair is scored
+        data = tmp_path / "data.json"
+        run_cli("gen", "--strokes", 2, "--waypoints", 6, "--seed", 0, "--out", data)
+        capsys.readouterr()
+        out = tmp_path / "report.json"
+        assert run_cli("evaluate", "--gt", data, "--pred", data, *flags, "--out", out) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_object_requested(self, tmp_path):

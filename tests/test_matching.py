@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from pathfield.matching import (
     MatchResult,
-    PaddedTargets,
     focal_conf_loss,
+    focal_prob_gradient,
     hungarian,
     objective,
     pad_targets,
@@ -122,21 +122,22 @@ def reference_square_hungarian(cost):
 
 class TestPadTargets:
     def test_two_real_two_padded(self):
+        # the two padded slots get no rows: only the real paths, in order
         gts = [make_path([[0, 0, 0], [1, 0, 0]]), make_path([[0, 1, 0], [1, 1, 0]])]
         out = pad_targets(gts, 4, [-1.0, 0.0, 1.0])
-        assert out.paths.shape == (4, 3, 6)
-        assert out.conf_targets.tolist() == [1.0, 1.0, 0.0, 0.0]
-        assert np.array_equal(out.paths[2], np.zeros((3, 6)))
+        assert out.shape == (2, 3, 6)
+        for row, gt in zip(out, gts):
+            assert np.array_equal(row, resample(gt, [-1.0, 0.0, 1.0]).poses)
 
     def test_no_ground_truth(self):
         out = pad_targets([], 3, [-1.0, 1.0])
-        assert np.array_equal(out.paths, np.zeros((3, 2, 6)))
-        assert out.conf_targets.tolist() == [0.0, 0.0, 0.0]
+        assert out.shape == (0, 2, 6)
 
     def test_full_capacity_no_padding(self):
         gts = [make_path([[0, 0, 0], [1, 0, 0]])]
         out = pad_targets(gts, 1, [-1.0, 1.0])
-        assert out.conf_targets.tolist() == [1.0]
+        assert out.shape == (1, 2, 6)
+        assert np.array_equal(out[0], gts[0].poses)
 
     def test_capacity_exceeded(self):
         gts = [make_path([[0, 0, 0], [1, 0, 0]])] * 3
@@ -154,7 +155,7 @@ class TestMatchCost:
         # prediction hungarian leaves over takes the padded slot at no cost
         rng = np.random.default_rng(1)
         targets = pad_targets([make_path([[0, 0, 0], [1, 0, 0]])], 2, [-1.0, 0.0, 1.0])
-        cost = position_cost_matrix(targets.paths[:1], rng.normal(0, 1, (2, 3, 6)))
+        cost = position_cost_matrix(targets, rng.normal(0, 1, (2, 3, 6)))
         assert cost.shape == (2, 1) and np.all(cost > 0.0)
         res = hungarian(cost)
         winner = int(np.argmin(cost[:, 0]))
@@ -342,7 +343,7 @@ class TestTrainingTrace:
 
 def one_slot_points_loss(target, pred) -> float:
     """Points loss of one real slot predicted as `pred` (raw orientations)."""
-    targets = PaddedTargets(np.asarray(target)[None], np.ones(1))
+    targets = np.asarray(target)[None]
     return objective(targets, np.zeros(1, dtype=int), np.asarray(pred)[None], np.full(1, 0.5))[0].points_loss
 
 
@@ -429,7 +430,7 @@ class TestTotalLoss:
         """Pad, match on position, then score: the trainer's path to `objective`."""
         targets = pad_targets(gts, n_slots, self.params)
         raw = np.stack([p.path.poses for p in preds])
-        match = hungarian(position_cost_matrix(targets.paths[: len(gts)], raw))
+        match = hungarian(position_cost_matrix(targets, raw))
         confs = np.array([p.confidence for p in preds])
         return objective(targets, match.permutation, raw, confs)[0]
 
@@ -468,18 +469,24 @@ class TestTotalLoss:
         assert wide.conf_loss == pytest.approx(base.conf_loss, abs=1e-6)
 
     def test_wrong_prediction_count(self):
+        targets = pad_targets(self.gts, 3, self.params)
         raw = np.stack([p.path.poses for p in self.preds_from(self.gts, [0.5, 0.5], 2)])
-        with pytest.raises(ValueError):
-            objective(pad_targets(self.gts, 3, self.params), np.arange(2), raw, np.full(2, 0.5))
+        # fewer predictions than real paths
+        with pytest.raises(ValueError, match="do not match"):
+            objective(targets, np.arange(1), raw[:1], np.full(1, 0.5))
+        # one confidence per prediction
+        with pytest.raises(ValueError, match="do not match"):
+            objective(targets, np.arange(2), raw, np.full(3, 0.5))
+        # predictions sampled at other parameters than the targets
+        with pytest.raises(ValueError, match="do not match"):
+            objective(targets, np.arange(2), raw[:, :-1], np.full(2, 0.5))
 
 
 class TestObjective:
     @pytest.mark.parametrize("n_real", [0, 2, 3])
     def test_gradients_match_finite_differences(self, n_real):
         rng = np.random.default_rng(n_real)
-        paths = np.zeros((3, 5, 6))
-        paths[:n_real] = rng.normal(0, 1, (n_real, 5, 6))
-        targets = PaddedTargets(paths, (np.arange(3) < n_real).astype(float))
+        targets = rng.normal(0, 1, (n_real, 5, 6))
         perm = np.array([2, 0, 1])
         raw = rng.normal(0, 1, (3, 5, 6))
         confs = rng.uniform(0.1, 0.9, 3)
@@ -501,3 +508,17 @@ class TestObjective:
                 minus = total()
                 arr[idx] = saved
                 assert grad[idx] == pytest.approx((plus - minus) / (2 * step), rel=1e-5, abs=1e-8)
+
+    @pytest.mark.parametrize("n_real", [0, 2, 4])
+    def test_confidence_targets_follow_the_permutation(self, n_real):
+        # prediction i has confidence target 1 exactly when permutation[i] < R
+        rng = np.random.default_rng(10 + n_real)
+        targets = rng.normal(0, 1, (n_real, 5, 6))
+        perm = np.array([3, 0, 2, 1])
+        raw = rng.normal(0, 1, (4, 5, 6))
+        confs = rng.uniform(0.1, 0.9, 4)
+        breakdown, real, _, d_confs = objective(targets, perm, raw, confs, 2.0)
+        expected = (perm < n_real).astype(float)
+        assert real.tolist() == np.nonzero(expected)[0].tolist()
+        assert breakdown.conf_loss == focal_conf_loss(expected, confs, 2.0)
+        assert np.array_equal(d_confs, focal_prob_gradient(expected, confs, 2.0))

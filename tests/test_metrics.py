@@ -611,6 +611,15 @@ class TestScoringValidation:
         with pytest.raises(ValueError, match=r"theta must lie in \(0, 180\) degrees"):
             evaluate_dataset(ds, theta_deg=theta)
 
+    @pytest.mark.parametrize("delta,theta,message", [
+        (0.0, 10.0, "delta must be positive"),
+        (0.05, 999.0, "theta must lie"),
+    ], ids=["delta", "theta"])
+    def test_thresholds_checked_with_no_pair_to_score(self, delta, theta, message):
+        ds = one_object_dataset([self.gt], [])
+        with pytest.raises(ValueError, match=message):
+            evaluate_dataset(ds, delta=delta, theta_deg=theta)
+
     def test_zero_orientation_in_one_prediction_rejected(self):
         bad = self.gt.poses.copy()
         bad[4, 3:] = 0.0

@@ -41,23 +41,16 @@ def path_arrays(draw, min_len=2, max_len=9):
     return np.concatenate([pos, ori], axis=1)
 
 
-def at(path, s, mode="index"):
+def at(path, s):
     """The pose resample returns for the scalar s (passed twice: a Path needs two poses)."""
-    return resample(path, [s, s], mode).poses[0]
+    return resample(path, [s, s]).poses[0]
 
 
-def reference_pose(path, s, mode="index"):
+def reference_pose(path, s):
     """Per-point statement of the path-parameter rule, one scalar at a time."""
     rows = path.poses
     k = len(rows)
-    if mode == "index":
-        u = 0.5 * (s + 1.0) * (k - 1)
-    else:
-        lengths = [float(np.linalg.norm(rows[i + 1, :3] - rows[i, :3])) for i in range(k - 1)]
-        starts = np.concatenate([[0.0], np.cumsum(lengths)])
-        target = 0.5 * (s + 1.0) * starts[-1]
-        i = max(j for j in range(k - 1) if starts[j] <= target)
-        u = float(k - 1) if s == 1.0 else i + min((target - starts[i]) / lengths[i], 1.0)
+    u = 0.5 * (s + 1.0) * (k - 1)
     i0 = min(int(np.floor(u)), k - 2)
     frac = u - i0
     if frac == 0.0:
@@ -291,41 +284,6 @@ class TestNormalizeScene:
         assert np.array_equal(norm_paths[0].orientations, p.orientations)
         assert np.allclose(norm_paths[0].positions * radius + centroid, p.positions, atol=1e-9)
         assert np.allclose(norm_cloud * radius + centroid, cloud, atol=1e-9)
-
-
-class TestArclengthMode:
-    def unequal_path(self):
-        # waypoints bunched at the start: index midpoint != geometric midpoint
-        pos = np.array([[0.0, 0, 0], [0.1, 0, 0], [0.2, 0, 0], [1.0, 0, 0]])
-        return Path(np.concatenate([pos, np.tile(Z, (4, 1))], axis=1))
-
-    def test_geometric_midpoint(self):
-        p = self.unequal_path()
-        assert at(p, 0.0, mode="index")[0] == pytest.approx(0.15)
-        assert at(p, 0.0, mode="arclength")[0] == pytest.approx(0.5)
-
-    def test_endpoints_exact(self):
-        p = self.unequal_path()
-        out = resample(p, [-1.0, 0.0, 1.0], mode="arclength")
-        assert np.array_equal(out.poses[0], p.poses[0])
-        assert np.array_equal(out.poses[-1], p.poses[-1])
-
-    def test_matches_scalar_variant(self):
-        p = self.unequal_path()
-        params = [-1.0, -0.3, 0.2, 0.9, 1.0]
-        out = resample(p, params, mode="arclength")
-        for t, s in enumerate(params):
-            assert np.array_equal(out.poses[t], reference_pose(p, s, mode="arclength"))
-
-    def test_zero_length_path_rejected(self):
-        rows = np.zeros((3, 6))
-        rows[:, 5] = 1.0
-        with pytest.raises(ValueError, match="nonzero length"):
-            at(Path(rows), 0.5, mode="arclength")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            at(straight_path(), 0.0, mode="chordal")
 
 
 def test_max_second_difference_flags_corners():

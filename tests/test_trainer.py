@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -84,7 +85,7 @@ class TestAdamStep:
         config = tiny_config(epochs=0, step_size=0.1)
         state = init_state(dataset, config)
         state.head.out_b[...] = 0.0
-        adam_step(state, {"head.out_b": np.ones(6)}, config)
+        adam_step(state, {"head.out_b": np.ones(6)})
         assert np.allclose(state.head.out_b, -0.1, atol=1e-8)
 
     def test_nonfinite_gradient_rejected(self):
@@ -149,7 +150,7 @@ class TestTrainEpoch:
         tail = [entry[2] for entry in state.loss_history[-10:]]
         reference = float(np.median(tail))
         before = {k: v.copy() for k, v in named_parameters(state.head).items()}
-        more = train_epoch(state, dataset, config)
+        more = train_epoch(state, dataset)
         assert more <= max(5 * reference, 1e-3)
         drift = max(
             float(np.max(np.abs(arr - before[name])))
@@ -169,7 +170,7 @@ class TestTrainEpoch:
 
 
 def object_gradient_case(activation: str, conditioning: str, n_paths: int = 2):
-    """Fresh state of a small head plus the object's train-time samples."""
+    """The object's paths, a fresh state of a small head, and train-time samples."""
     dataset = {"obj": [line_path(0.5 * i, 6) for i in range(n_paths)]}
     config = tiny_config(
         slots=4,
@@ -179,16 +180,16 @@ def object_gradient_case(activation: str, conditioning: str, n_paths: int = 2):
     )
     state = init_state(dataset, config)
     svals = sample_params(ParamSamplingConfig("uniform", config.train_samples, None, 7))
-    return dataset["obj"], config, state, svals
+    return dataset["obj"], state, svals
 
 
-def assert_gradients_match_finite_differences(gt, config, state, svals) -> dict[str, np.ndarray]:
+def assert_gradients_match_finite_differences(gt, state, svals) -> dict[str, np.ndarray]:
     """Central differences of _object_gradients' own loss over every parameter."""
 
     def loss() -> float:
-        return _object_gradients(state, "obj", gt, svals, config)[0].total
+        return _object_gradients(state, "obj", gt, svals)[0].total
 
-    _, grads = _object_gradients(state, "obj", gt, svals, config)
+    _, grads = _object_gradients(state, "obj", gt, svals)
     params = {f"head.{k}": v for k, v in named_parameters(state.head).items()}
     params["codewords.obj"] = state.codewords["obj"]
     assert grads.keys() == params.keys()
@@ -211,19 +212,21 @@ def assert_gradients_match_finite_differences(gt, config, state, svals) -> dict[
 def reference_set_loss(gt, preds, svals, gamma) -> tuple[float, float]:
     """(points, conf) scored pair by pair on normalised paths, apart from `objective`."""
     targets = pad_targets(gt, len(preds), svals)
+    assert targets.shape == (len(gt), len(svals), 6)
     arrays = np.stack([p.path.poses for p in preds])
-    perm = hungarian(position_cost_matrix(targets.paths[: len(gt)], arrays)).permutation
+    perm = hungarian(position_cost_matrix(targets, arrays)).permutation
+    real = perm < len(gt)  # slots len(gt).. are padding
     total, count = 0.0, 0
     for i, slot in enumerate(perm):
-        if targets.conf_targets[slot] < 0.5:
+        if not real[i]:
             continue
-        tgt, prd = targets.paths[slot], arrays[i]
+        tgt, prd = targets[slot], arrays[i]
         dist = np.linalg.norm(tgt[:, :3] - prd[:, :3], axis=1)
         unit = [v / np.linalg.norm(v, axis=1)[:, None] for v in (tgt[:, 3:], prd[:, 3:])]
         gap = unit[0] - unit[1]
         total += float((dist + 0.5 * (gap * gap).sum(axis=1)).sum())
         count += tgt.shape[0]
-    conf = focal_conf_loss(targets.conf_targets[perm], [p.confidence for p in preds], gamma)
+    conf = focal_conf_loss(real.astype(float), [p.confidence for p in preds], gamma)
     return (total / count if count else 0.0), conf
 
 
@@ -234,23 +237,23 @@ class TestObjectGradients:
         assert_gradients_match_finite_differences(*object_gradient_case(activation, conditioning))
 
     def test_object_without_paths_has_only_confidence_gradients(self):
-        gt, config, state, svals = object_gradient_case("finer", "modulation", n_paths=0)
-        breakdown, _ = _object_gradients(state, "obj", gt, svals, config)
+        gt, state, svals = object_gradient_case("finer", "modulation", n_paths=0)
+        breakdown, _ = _object_gradients(state, "obj", gt, svals)
         assert breakdown.points_loss == 0.0 and breakdown.conf_loss > 0
-        grads = assert_gradients_match_finite_differences(gt, config, state, svals)
+        grads = assert_gradients_match_finite_differences(gt, state, svals)
         for name, grad in grads.items():
             assert np.any(grad != 0) == (name.startswith("head.conf_") or name == "codewords.obj"), name
 
     @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
     def test_object_filling_every_slot(self, conditioning):
-        gt, config, state, svals = object_gradient_case("finer", conditioning, n_paths=4)
-        assert len(gt) == config.slots
-        assert_gradients_match_finite_differences(gt, config, state, svals)
+        gt, state, svals = object_gradient_case("finer", conditioning, n_paths=4)
+        assert len(gt) == state.config.slots
+        assert_gradients_match_finite_differences(gt, state, svals)
 
     @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
     def test_loss_equals_per_pair_reference(self, conditioning):
-        gt, config, state, svals = object_gradient_case("finer", conditioning)
-        breakdown, _ = _object_gradients(state, "obj", gt, svals, config)
+        gt, state, svals = object_gradient_case("finer", conditioning)
+        breakdown, _ = _object_gradients(state, "obj", gt, svals)
 
         codes = state.codewords["obj"]
         raw = head_forward_batch(state.head, codes, svals)
@@ -259,7 +262,7 @@ class TestObjectGradients:
             PredictedPath(Path(np.concatenate([raw[i, :, :3], unit[i]], axis=1)), conf)
             for i, conf in enumerate(confidence_forward(state.head, codes))
         ]
-        points, conf = reference_set_loss(gt, preds, svals, config.gamma)
+        points, conf = reference_set_loss(gt, preds, svals, state.config.gamma)
         assert breakdown.points_loss > 0 and breakdown.conf_loss > 0
         assert breakdown.points_loss == pytest.approx(points, rel=1e-12)
         assert breakdown.conf_loss == pytest.approx(conf, rel=1e-12)
@@ -289,8 +292,7 @@ class TestAllTiePaddedMatching:
         state = init_state({"obj": gt}, config)
         svals = sample_params(ParamSamplingConfig("uniform", config.train_samples, seed=3))
         raw = head_forward_batch(state.head, state.codewords["obj"], svals)
-        targets = pad_targets(gt, slots, svals)
-        cost = position_cost_matrix(targets.paths[:3], raw)
+        cost = position_cost_matrix(pad_targets(gt, slots, svals), raw)
         assert cost.shape == (slots, 3)
         assert np.all(cost == cost[0]) and np.all(cost > 0.0)
         assert hungarian(cost).permutation.tolist() == list(range(slots))
@@ -380,6 +382,29 @@ class TestCheckpoint:
         for name, arr in named_parameters(straight.head).items():
             assert np.array_equal(arr, named_parameters(resumed.head)[name]), name
         assert np.array_equal(resumed.codewords["obj"], straight.codewords["obj"])
+
+    def test_extended_resume_saves_the_extended_config(self, tmp_path):
+        # a resumed fit adopts the config it is given, so the checkpoint it
+        # saves is the straight run's, config included
+        dataset = {"obj": [line_path(0.0), line_path(0.3)]}
+        config = tiny_config(epochs=30)
+        straight_path, resumed_path = tmp_path / "straight.json", tmp_path / "resumed.json"
+        save_checkpoint(fit(dataset, config), straight_path)
+
+        save_checkpoint(fit(dataset, dataclasses.replace(config, epochs=15)), resumed_path)
+        resumed = fit(dataset, config, state=load_checkpoint(resumed_path))
+        save_checkpoint(resumed, resumed_path)
+        assert load_checkpoint(resumed_path).config.epochs == 30
+        assert resumed_path.read_bytes() == straight_path.read_bytes()
+
+    @pytest.mark.parametrize("field,value", [("slots", 5), ("head", tiny_head(width=12))],
+                             ids=["slots", "head"])
+    def test_resume_rejects_a_config_of_other_shapes(self, field, value):
+        dataset = {"obj": [line_path(0.0)]}
+        state = init_state(dataset, tiny_config(epochs=1))
+        with pytest.raises(ValueError, match=f"config {field} differs"):
+            fit(dataset, tiny_config(epochs=1, **{field: value}), state=state)
+        assert state.epoch == 0 and state.config == tiny_config(epochs=1)
 
     def test_checkpoint_bytes_deterministic(self, tmp_path):
         dataset = {"obj": [line_path(0.0)]}
