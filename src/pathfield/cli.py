@@ -12,10 +12,12 @@ from .dataio import (
     ObjectRecord,
     SyntheticConfig,
     ValidationError,
+    dataset_from_document,
     gen_dataset,
     load_dataset,
     load_json,
     load_path_document,
+    path_from_document,
     save_dataset,
     save_path_document,
     save_report,
@@ -50,12 +52,9 @@ def _cmd_evaluate(args) -> int:
 def _cmd_fit(args) -> int:
     records = load_dataset(args.dataset)
     dataset = {r.object_id: r.gt_paths for r in records}
-    state = None
-    if args.resume:
-        state = load_checkpoint(args.checkpoint)
-        config = state.config
-    else:
-        config = TrainConfig.from_document(load_json(args.config))
+    state = load_checkpoint(args.checkpoint) if args.resume else None
+    # a resumed fit adopts a given config (e.g. more epochs); fit refuses other slots or head
+    config = TrainConfig.from_document(load_json(args.config)) if args.config else state.config
     every = max(config.epochs // 10, 1)
 
     def progress(epoch: int, loss: float) -> None:
@@ -113,14 +112,12 @@ def _cmd_resample(args) -> int:
     doc = load_json(args.infile)
     params = sample_params(ParamSamplingConfig(args.strategy, args.t, args.noise_sigma, args.seed))
     if isinstance(doc, dict) and "poses" in doc:
-        path = load_path_document(args.infile)
-        save_path_document(resample(path, params), args.out)
+        save_path_document(resample(path_from_document(doc, args.infile), params), args.out)
         print(f"wrote {args.t} poses to {args.out}")
         return 0
     if isinstance(doc, dict) and "objects" in doc:
-        records = load_dataset(args.infile)
         out = []
-        for record in records:
+        for record in dataset_from_document(doc):
             out.append(
                 ObjectRecord(
                     record.object_id,
@@ -151,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="train the auto-decoder on a dataset")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--config", help="train config document (ignored with --resume)")
+    p.add_argument("--config", help="train config document (with --resume: replaces the checkpoint's)")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--resume", action="store_true")
     p.set_defaults(func=_cmd_fit)

@@ -34,6 +34,7 @@ __all__ = [
     "dataset_to_document",
     "dataset_from_document",
     "load_path_document",
+    "path_from_document",
     "save_path_document",
     "save_report",
     "load_json",
@@ -240,11 +241,15 @@ def save_dataset(records: Sequence[ObjectRecord], path) -> None:
     save_json(dataset_to_document(records), path)
 
 
-def load_path_document(path) -> Path:
-    doc = load_json(path)
+def path_from_document(doc, source) -> Path:
+    """The path of a parsed {"poses": [...]} document read from `source`."""
     if not isinstance(doc, dict) or "poses" not in doc:
-        raise ValidationError(f"{path}: expected a path document with a 'poses' list")
+        raise ValidationError(f"{source}: expected a path document with a 'poses' list")
     return _path_from_rows(doc["poses"], "<path document>", "poses")
+
+
+def load_path_document(path) -> Path:
+    return path_from_document(load_json(path), path)
 
 
 def save_path_document(path_obj: Path, path) -> None:

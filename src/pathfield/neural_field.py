@@ -14,6 +14,9 @@ samples inside one matmul. Gradients are name -> array dicts keyed like
 named_parameters. Inference (head_forward_batch) computes activation
 values only; the training forward also keeps each block's activation
 derivative and output, and nothing the backward can rebuild from them.
+The ReLU branches keep only their outputs, which are positive exactly
+where their pre-activations are and so are also the backward's masks.
+The initialisation rule lives in init_head's one walk over the tensors.
 
 Everything is plain float64 numpy. Backward passes are exact
 reverse-mode differentiation of the forward graph; the test suite checks
@@ -70,15 +73,15 @@ class HeadConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.depth < 1 or self.width < 1:
-            raise ValueError("depth and width must be >= 1")
+        if min(self.depth, self.width, self.conf_width) < 1:
+            raise ValueError("depth, width and conf_hidden must be >= 1")
         if self.code_dim < 0:
             raise ValueError("code_dim must be >= 0")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.conditioning not in CONDITIONING:
             raise ValueError(f"unknown conditioning {self.conditioning!r}")
-        if self.omega0 <= 0:
+        if not self.omega0 > 0:
             raise ValueError("omega0 must be positive")
 
     @property
@@ -136,55 +139,38 @@ def _allocate(config: HeadConfig) -> HeadParams:
     )
 
 
+def _is_bias(name: str) -> bool:
+    return "_b" in name
+
+
 def init_head(config: HeadConfig) -> HeadParams:
     """Draw fresh parameters, deterministic given the config seed.
 
-    ReLU heads use uniform fan-in scaling; sine-family heads use the
-    usual sinusoidal-network scheme (first layer 1/fan_in, later layers
-    sqrt(6/fan_in)/omega0). Finer additionally widens the first-layer
-    bias range. The modulation and confidence branches are always ReLU
-    and always use fan-in scaling.
+    The whole rule is one walk over named_parameters, which lists each
+    weight right before its bias. A weight and its bias are drawn from
+    +-1/sqrt(fan_in), fan_in being the weight's last axis (at least 1).
+    Sine-family heads draw block_w0 from +-1/fan_in and the later block
+    weights and out_w from +-sqrt(6/fan_in)/omega0; finer draws block_b0
+    from +-finer_bias_scale. A bias-free head draws no bias.
     """
     params = _allocate(config)
     rng = np.random.default_rng(config.seed)
     sinusoidal = config.activation in ("siren", "finer")
-
-    def draw(arr: np.ndarray, bound: float) -> np.ndarray:
-        return rng.uniform(-bound, bound, size=arr.shape)
-
-    for layer in range(config.depth):
-        fan_in = params.block_w[layer].shape[1]
-        if sinusoidal:
-            w_bound = 1.0 / fan_in if layer == 0 else np.sqrt(6.0 / fan_in) / config.omega0
+    for name, arr in named_parameters(params).items():
+        if _is_bias(name):
+            if not config.use_bias:
+                continue
+            wide = config.activation == "finer" and name == "block_b0"
+            bound = config.finer_bias_scale if wide else 1.0 / np.sqrt(fan_in)
         else:
-            w_bound = 1.0 / np.sqrt(fan_in)
-        params.block_w[layer][...] = draw(params.block_w[layer], w_bound)
-        if config.use_bias:
-            if config.activation == "finer" and layer == 0:
-                b_bound = config.finer_bias_scale
+            fan_in = max(arr.shape[-1], 1)
+            if sinusoidal and name == "block_w0":
+                bound = 1.0 / fan_in
+            elif sinusoidal and name.startswith(("block_w", "out_w")):
+                bound = np.sqrt(6.0 / fan_in) / config.omega0
             else:
-                b_bound = 1.0 / np.sqrt(fan_in)
-            params.block_b[layer][...] = draw(params.block_b[layer], b_bound)
-
-    out_bound = np.sqrt(6.0 / config.width) / config.omega0 if sinusoidal else 1.0 / np.sqrt(config.width)
-    params.out_w[...] = draw(params.out_w, out_bound)
-    if config.use_bias:
-        params.out_b[...] = draw(params.out_b, 1.0 / np.sqrt(config.width))
-
-    for layer in range(len(params.mod_w)):
-        fan_in = max(params.mod_w[layer].shape[1], 1)
-        params.mod_w[layer][...] = draw(params.mod_w[layer], 1.0 / np.sqrt(fan_in))
-        if config.use_bias:
-            params.mod_b[layer][...] = draw(params.mod_b[layer], 1.0 / np.sqrt(fan_in))
-
-    conf_fan = max(config.code_dim, 1)
-    params.conf_w1[...] = draw(params.conf_w1, 1.0 / np.sqrt(conf_fan))
-    hc = config.conf_width
-    if config.use_bias:
-        params.conf_b1[...] = draw(params.conf_b1, 1.0 / np.sqrt(conf_fan))
-    params.conf_w2[...] = draw(params.conf_w2, 1.0 / np.sqrt(hc))
-    if config.use_bias:
-        params.conf_b2[...] = draw(params.conf_b2, 1.0 / np.sqrt(hc))
+                bound = 1.0 / np.sqrt(fan_in)
+        arr[...] = rng.uniform(-bound, bound, size=arr.shape)
     return params
 
 
@@ -249,28 +235,26 @@ def _flat(arr: np.ndarray) -> np.ndarray:
     return arr.reshape(arr.shape[0], -1)
 
 
-def _modulator_with_cache(params: HeadParams, codes: np.ndarray):
-    pres: list[np.ndarray] = []
+def _modulator(params: HeadParams, codes: np.ndarray) -> list[np.ndarray]:
+    """The (N, width) modulation vector of every block, the ReLU branch's outputs."""
     hs: list[np.ndarray] = []
     for layer in range(params.config.depth):
         inp = codes if layer == 0 else np.concatenate([hs[-1], codes], axis=1)
-        pre = inp @ params.mod_w[layer].T + params.mod_b[layer]
-        pres.append(pre)
-        hs.append(np.maximum(pre, 0.0))
-    return hs, pres
+        hs.append(np.maximum(inp @ params.mod_w[layer].T + params.mod_b[layer], 0.0))
+    return hs
 
 
 @dataclass
 class _ForwardCache:
     """What the training backward reads. In modulation mode every block input after
     layer 0, and the readout input, is mod_hs[l].T[:, :, None] * acts[l] of the
-    block before; the backward rebuilds those with one multiply instead."""
+    block before; the backward rebuilds those with one multiply instead. The
+    modulator's ReLU mask is mod_hs[l] > 0, so its pre-activations are not kept."""
 
     codes: np.ndarray  # (N, code_dim)
     inputs: list[np.ndarray] = field(default_factory=list)  # fed to each block (modulation: layer 0 only), (in_dim, N, T)
     derivs: list[np.ndarray] = field(default_factory=list)  # activation derivative at each block's pre-activation, (width, N, T)
     acts: list[np.ndarray] = field(default_factory=list)  # block activation outputs, (width, N, T)
-    mod_pres: list[np.ndarray] = field(default_factory=list)  # (N, width)
     mod_hs: list[np.ndarray] = field(default_factory=list)  # (N, width)
     raw: np.ndarray | None = None  # (N, T, 6)
 
@@ -289,9 +273,9 @@ def _head_pass(params: HeadParams, codes: np.ndarray, xs, cache: _ForwardCache |
     modulated = cfg.conditioning == "modulation"
 
     if modulated:
-        mod_hs, mod_pres = _modulator_with_cache(params, codes)
+        mod_hs = _modulator(params, codes)
         if cache is not None:
-            cache.mod_hs, cache.mod_pres = mod_hs, mod_pres
+            cache.mod_hs = mod_hs
     else:
         code_tile = np.broadcast_to(codes.T[:, :, None], (cfg.code_dim, *shape))
 
@@ -328,20 +312,18 @@ def head_forward_batch(params: HeadParams, codewords, xs) -> np.ndarray:
 @dataclass
 class _ConfCache:
     codes: np.ndarray  # (N, code_dim)
-    pre1: np.ndarray  # (N, conf_width)
     hidden: np.ndarray  # (N, conf_width)
     prob: np.ndarray  # (N,)
 
 
 def _confidence_with_cache(params: HeadParams, codewords) -> _ConfCache:
     codes = _as_codewords(params, codewords)
-    pre1 = codes @ params.conf_w1.T + params.conf_b1
-    hidden = np.maximum(pre1, 0.0)
+    hidden = np.maximum(codes @ params.conf_w1.T + params.conf_b1, 0.0)
     logit = hidden @ params.conf_w2 + params.conf_b2
     # logistic sigmoid with exp only ever seeing -|logit|, so it cannot overflow
     e = np.exp(-np.abs(logit))
     prob = np.where(logit >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return _ConfCache(codes, pre1, hidden, prob)
+    return _ConfCache(codes, hidden, prob)
 
 
 def confidence_forward(params: HeadParams, codewords):
@@ -357,7 +339,7 @@ def _without_bias(config: HeadConfig, grads: dict[str, np.ndarray]) -> dict[str,
     # a bias-free head keeps its biases at zero, so their gradients are zeroed
     if not config.use_bias:
         for name, arr in grads.items():
-            if "_b" in name:
+            if _is_bias(name):
                 arr[...] = 0.0
     return grads
 
@@ -420,17 +402,15 @@ def _backward_from_cache(
     if modulated:
         carry = d_mod_h[cfg.depth - 1]
         for layer in reversed(range(cfg.depth)):
-            d_pre = carry * (cache.mod_pres[layer][rows] > 0)
+            d_pre = carry * (cache.mod_hs[layer][rows] > 0)
             grads[f"mod_b{layer}"] = d_pre.sum(axis=0)
-            if layer == 0:
-                grads["mod_w0"] = d_pre.T @ codes
-                d_codes += d_pre @ params.mod_w[0]
-            else:
-                cat = np.concatenate([cache.mod_hs[layer - 1][rows], codes], axis=1)
-                grads[f"mod_w{layer}"] = d_pre.T @ cat
-                d_cat = d_pre @ params.mod_w[layer]
-                carry = d_mod_h[layer - 1] + d_cat[:, : cfg.width]
-                d_codes += d_cat[:, cfg.width :]
+            inp = codes if layer == 0 else np.concatenate([cache.mod_hs[layer - 1][rows], codes], axis=1)
+            grads[f"mod_w{layer}"] = d_pre.T @ inp
+            d_inp = d_pre @ params.mod_w[layer]
+            split = d_inp.shape[1] - cfg.code_dim
+            if layer > 0:
+                carry = d_mod_h[layer - 1] + d_inp[:, :split]
+            d_codes += d_inp[:, split:]
 
     code_grads = np.zeros_like(cache.codes)
     code_grads[rows] = d_codes
@@ -457,7 +437,7 @@ def _conf_backward_from_cache(
     if d_prob.shape != cache.prob.shape:
         raise ValueError(f"confidence gradient shape {d_prob.shape} != output shape {cache.prob.shape}")
     d_logit = d_prob * cache.prob * (1.0 - cache.prob)
-    d_pre = np.outer(d_logit, params.conf_w2) * (cache.pre1 > 0)
+    d_pre = np.outer(d_logit, params.conf_w2) * (cache.hidden > 0)
     grads = {
         "conf_w1": d_pre.T @ cache.codes,
         "conf_b1": d_pre.sum(axis=0),

@@ -88,7 +88,7 @@ class TrainConfig:
             raise ValueError("train_samples and test_samples must be >= 2: a path needs at least two poses")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.step_size <= 0:
+        if not self.step_size > 0:
             raise ValueError("step_size must be positive")
         if self.sampling not in SAMPLING_STRATEGIES:
             raise ValueError(f"unknown sampling strategy {self.sampling!r}")
@@ -96,8 +96,20 @@ class TrainConfig:
             raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError("gamma must be >= 0")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in [0, 1)")
+        if not self.adam_eps > 0:
+            raise ValueError("adam_eps must be positive")
+        for name in ("lr_min", "codeword_sigma"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
+        if not 0 <= self.conf_threshold <= 1:
+            raise ValueError("conf_threshold must lie in [0, 1]")
+        if self.sampling_noise is not None and not self.sampling_noise >= 0:
+            raise ValueError("sampling_noise must be >= 0")
 
     def to_document(self) -> dict:
         return asdict(self)

@@ -245,6 +245,19 @@ class TestCli:
         for record in load_dataset(out):
             assert all(len(p) == 21 for p in record.gt_paths)
 
+    @pytest.mark.parametrize("document", ["path", "dataset"])
+    def test_resample_parses_its_input_once(self, tmp_path, monkeypatch, document):
+        source = tmp_path / "in.json"
+        if document == "path":
+            source.write_text(json.dumps({"poses": [[0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 1]]}))
+        else:
+            run_cli("gen", "--strokes", 2, "--waypoints", 6, "--seed", 0, "--out", source)
+        parsed = []
+        real_load = json.load
+        monkeypatch.setattr(json, "load", lambda fh, **kw: parsed.append(fh.name) or real_load(fh, **kw))
+        assert run_cli("resample", "--in", source, "--t", 5, "--out", tmp_path / "out.json") == 0
+        assert parsed == [str(source)]
+
     def test_exit_code_validation_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -391,6 +404,58 @@ class TestCli:
         assert run_cli("evaluate", "--gt", data, "--pred", data, *flags, "--out", out) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @staticmethod
+    def small_fit_files(tmp_path, **overrides):
+        """A dataset and a small train config document, written to files."""
+        data, config = tmp_path / "data.json", tmp_path / "cfg.json"
+        run_cli("gen", "--strokes", 2, "--waypoints", 6, "--seed", 0, "--out", data)
+        doc = {"slots": 2, "epochs": 30, "train_samples": 4, "head": {"depth": 1, "width": 4, "code_dim": 2}}
+        config.write_text(json.dumps(doc | overrides))
+        return data, config, doc
+
+    def test_resume_with_config_extends_epochs(self, tmp_path):
+        data, config, doc = self.small_fit_files(tmp_path)
+        straight, resumed = tmp_path / "straight.json", tmp_path / "resumed.json"
+        assert run_cli("fit", "--dataset", data, "--config", config, "--checkpoint", straight) == 0
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps(doc | {"epochs": 15}))
+        assert run_cli("fit", "--dataset", data, "--config", short, "--checkpoint", resumed) == 0
+        assert run_cli("fit", "--dataset", data, "--config", config, "--checkpoint", resumed, "--resume") == 0
+        assert resumed.read_bytes() == straight.read_bytes()
+
+    @pytest.mark.parametrize("change", [{"slots": 3}, {"head": {"depth": 1, "width": 5, "code_dim": 2}}],
+                             ids=["slots", "head"])
+    def test_resume_with_config_of_other_shapes_keeps_checkpoint(self, tmp_path, capsys, change):
+        data, config, doc = self.small_fit_files(tmp_path, epochs=2)
+        ckpt = tmp_path / "ckpt.json"
+        assert run_cli("fit", "--dataset", data, "--config", config, "--checkpoint", ckpt) == 0
+        before = ckpt.read_bytes()
+        config.write_text(json.dumps(doc | change))
+        capsys.readouterr()
+        assert run_cli("fit", "--dataset", data, "--config", config, "--checkpoint", ckpt, "--resume") == 1
+        assert f"config {next(iter(change))} differs" in capsys.readouterr().err
+        assert ckpt.read_bytes() == before
+
+    def test_resume_without_config_keeps_the_checkpoint_config(self, tmp_path):
+        data, config, _ = self.small_fit_files(tmp_path, epochs=2)
+        ckpt = tmp_path / "ckpt.json"
+        assert run_cli("fit", "--dataset", data, "--config", config, "--checkpoint", ckpt) == 0
+        before = ckpt.read_bytes()
+        assert run_cli("fit", "--dataset", data, "--checkpoint", ckpt, "--resume") == 0
+        assert ckpt.read_bytes() == before
+
+    @pytest.mark.parametrize("field,value", [
+        ("adam_beta1", 1.0), ("adam_beta2", 1.0), ("adam_eps", 0), ("lr_min", -1),
+        ("codeword_sigma", -0.01), ("conf_threshold", 2), ("sampling_noise", -0.1),
+    ])
+    def test_out_of_range_config_field_is_validation_error(self, tmp_path, capsys, field, value):
+        data, config, _ = self.small_fit_files(tmp_path, **{field: value})
+        ckpt = tmp_path / "ckpt.json"
+        capsys.readouterr()
+        assert run_cli("fit", "--dataset", data, "--config", config, "--checkpoint", ckpt) == 1
+        assert field in capsys.readouterr().err
+        assert not ckpt.exists()
 
     def test_unknown_object_requested(self, tmp_path):
         data = tmp_path / "data.json"

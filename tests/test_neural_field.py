@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -129,6 +132,30 @@ class TestInit:
         params = init_head(cfg)
         assert not params.block_b[0].any()
         assert not params.out_b.any()
+
+    @pytest.mark.parametrize("field,value", [("conf_hidden", 0), ("conf_hidden", -1), ("omega0", float("nan"))])
+    def test_out_of_range_field_is_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            HeadConfig(**{field: value})
+
+    def test_arrays_match_pinned_digest(self):
+        # sha256 of every array init_head draws over 192 option combinations,
+        # recorded with this project's numpy; a change to any draw's bound,
+        # order or shape shows here
+        digest = hashlib.sha256()
+        grid = itertools.product(
+            ("relu", "siren", "finer"), ("modulation", "concat"), (True, False),
+            (1, 3), (0, 5), (None, 7), (1.0, 2.5),
+        )
+        for kind, conditioning, use_bias, depth, code_dim, conf_hidden, bias_scale in grid:
+            cfg = HeadConfig(
+                depth=depth, width=6, code_dim=code_dim, activation=kind, conditioning=conditioning,
+                omega0=20.0, use_bias=use_bias, finer_bias_scale=bias_scale, conf_hidden=conf_hidden, seed=3,
+            )
+            for name, arr in named_parameters(init_head(cfg)).items():
+                digest.update(name.encode())
+                digest.update(arr.astype("<f8").tobytes())
+        assert digest.hexdigest() == "b562947e33493a3eb079767d31b6797a2a4002007ca1f752d11b8f2ab85a19d2"
 
 
 class TestActivation:
@@ -407,7 +434,6 @@ def copied_cache(cache: _ForwardCache, rows) -> _ForwardCache:
         [arr[:, rows] for arr in cache.inputs],
         [arr[:, rows] for arr in cache.derivs],
         [arr[:, rows] for arr in cache.acts],
-        [arr[rows] for arr in cache.mod_pres],
         [arr[rows] for arr in cache.mod_hs],
         cache.raw[rows],
     )

@@ -492,6 +492,23 @@ class TestTrainConfigDocument:
         with pytest.raises(ValueError, match="head"):
             TrainConfig.from_document({"head": {"widht": 8}})
 
+    @pytest.mark.parametrize("field,value", [
+        ("adam_beta1", 1.0), ("adam_beta1", -0.1), ("adam_beta1", float("nan")), ("adam_beta2", 1.0),
+        ("adam_eps", 0.0), ("adam_eps", -1e-8), ("lr_min", -1.0), ("lr_min", float("nan")),
+        ("codeword_sigma", -0.01), ("conf_threshold", 1.5), ("conf_threshold", -0.1),
+        ("sampling_noise", -0.1), ("step_size", float("nan")), ("gamma", float("nan")),
+    ])
+    def test_out_of_range_field_is_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            tiny_config(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("adam_beta1", 0.0), ("adam_beta2", 0.0), ("adam_eps", 5e-324), ("lr_min", 0.0),
+        ("codeword_sigma", 0.0), ("conf_threshold", 0.0), ("conf_threshold", 1.0), ("sampling_noise", 0.0),
+    ])
+    def test_boundary_value_is_accepted(self, field, value):
+        assert getattr(tiny_config(**{field: value}), field) == value
+
 
 class TestSmoothPredictions:
     def test_predicted_paths_pass_continuity_probe(self, fitted):
