@@ -49,17 +49,18 @@ class LossBreakdown:
 
 
 def pad_targets(gt: Sequence[Path], n_slots: int, params: Sequence[float]) -> np.ndarray:
-    """Every ground-truth path resampled at params, as one (R, T, 6) array; R may not exceed n_slots."""
+    """The R <= n_slots paths resampled at params as one (R, T, 6) array, one stack per waypoint count."""
     gt = list(gt)
     if n_slots < len(gt):
         raise ValueError(f"{len(gt)} ground-truth paths exceed the {n_slots} available slots")
     vals = np.asarray(params, dtype=float)
     if vals.ndim != 1 or vals.size == 0:
         raise ValueError("params must be a nonempty 1-D sequence")
-    arrays = np.empty((len(gt), vals.size, 6))
-    for i, path in enumerate(gt):
-        arrays[i] = resample(path, vals).poses
-    return arrays
+    targets = np.empty((len(gt), vals.size, 6))
+    for count in {len(path) for path in gt}:
+        rows = [row for row, path in enumerate(gt) if len(path) == count]
+        targets[rows] = resample(np.stack([gt[row].poses for row in rows]), vals)
+    return targets
 
 
 def hungarian(cost) -> MatchResult:

@@ -11,9 +11,11 @@ codeword to a confidence score.
 The N codewords of an object run as one batch: block activations are
 (width, N, T) arrays, and each weight gradient sums over slots and
 samples inside one matmul. Gradients are name -> array dicts keyed like
-named_parameters. Inference (head_forward_batch) computes activation
-values only; the training forward also keeps each block's activation
-derivative and output, and nothing the backward can rebuild from them.
+named_parameters, whose arrays are views into one vector in their order,
+so the optimizer can update the whole head at once. Inference
+(head_forward_batch) computes activation values only; the training
+forward also keeps each block's activation derivative and output, and
+nothing the backward can rebuild from them.
 The ReLU branches keep only their outputs, which are positive exactly
 where their pre-activations are and so are also the backward's masks.
 The initialisation rule lives in init_head's one walk over the tensors.
@@ -24,6 +26,7 @@ them against central finite differences.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +60,7 @@ class HeadConfig:
     code_dim: codeword length (0 collapses concat mode to a plain MLP).
     omega0: frequency scale of the sinusoidal activations.
     use_bias: disable to evaluate the bias-free strict form.
-    finer_bias_scale: range of the first-layer bias draw under finer.
+    finer_bias_scale: range of the first-layer bias draw under finer, finite and >= 0.
     conf_hidden: hidden width of the confidence branch; None means code_dim.
     """
 
@@ -83,6 +86,8 @@ class HeadConfig:
             raise ValueError(f"unknown conditioning {self.conditioning!r}")
         if not self.omega0 > 0:
             raise ValueError("omega0 must be positive")
+        if not 0 <= self.finer_bias_scale < np.inf:
+            raise ValueError("finer_bias_scale must be finite and >= 0")
 
     @property
     def conf_width(self) -> int:
@@ -93,7 +98,7 @@ class HeadConfig:
 
 @dataclass
 class HeadParams:
-    """All learnable arrays of one head, shapes fixed by the config."""
+    """All learnable arrays of one head, shapes fixed by the config, views into one vector."""
 
     config: HeadConfig
     block_w: list[np.ndarray]
@@ -108,35 +113,26 @@ class HeadParams:
     conf_b2: np.ndarray
 
 
-def _block_in_dim(config: HeadConfig, layer: int) -> int:
-    if config.conditioning == "modulation":
-        return 1 if layer == 0 else config.width
-    return (1 if layer == 0 else config.width) + config.code_dim
-
-
 def _allocate(config: HeadConfig) -> HeadParams:
-    width, code = config.width, config.code_dim
-    block_w = [np.zeros((width, _block_in_dim(config, l))) for l in range(config.depth)]
-    block_b = [np.zeros(width) for _ in range(config.depth)]
-    mod_w: list[np.ndarray] = []
-    mod_b: list[np.ndarray] = []
-    if config.conditioning == "modulation":
-        mod_w = [np.zeros((width, code if l == 0 else width + code)) for l in range(config.depth)]
-        mod_b = [np.zeros(width) for _ in range(config.depth)]
-    hc = config.conf_width
-    return HeadParams(
-        config=config,
-        block_w=block_w,
-        block_b=block_b,
-        out_w=np.zeros((6, width)),
-        out_b=np.zeros(6),
-        mod_w=mod_w,
-        mod_b=mod_b,
-        conf_w1=np.zeros((hc, code)),
-        conf_b1=np.zeros(hc),
-        conf_w2=np.zeros(hc),
-        conf_b2=np.zeros(()),
-    )
+    """Zero parameters, views into one float64 vector laid out in named_parameters order."""
+    width, code, depth, hc = config.width, config.code_dim, config.depth, config.conf_width
+    modulated = config.conditioning == "modulation"
+    weights = [(width, (1 if l == 0 else width) + (0 if modulated else code)) for l in range(depth)] + [(6, width)]
+    weights += [(width, code if l == 0 else width + code) for l in range(depth)] if modulated else []
+    shapes = [shape for rows, cols in weights for shape in ((rows, cols), (rows,))] + [(hc, code), (hc,), (hc,), ()]
+    sizes = [math.prod(shape) for shape in shapes]
+    vector = np.zeros(sum(sizes))
+    arrays = [vector[end - size : end].reshape(shape) for end, size, shape in zip(np.cumsum(sizes), sizes, shapes)]
+    block, mod = arrays[: 2 * depth], arrays[2 * depth + 2 : -4]
+    out_w, out_b = arrays[2 * depth : 2 * depth + 2]
+    return HeadParams(config, block[::2], block[1::2], out_w, out_b, mod[::2], mod[1::2], *arrays[-4:])
+
+
+def _layout_vector(arrays: list[np.ndarray]) -> np.ndarray | None:
+    """The vector _allocate laid these arrays out in; None unless they are all its views (a deep copy is not)."""
+    vector = arrays[0].base if arrays else None
+    whole = vector is not None and vector.size == sum(arr.size for arr in arrays)
+    return vector if whole and all(arr.base is vector for arr in arrays) else None
 
 
 def _is_bias(name: str) -> bool:

@@ -126,37 +126,40 @@ def sample_params(config: ParamSamplingConfig) -> np.ndarray:
     return vals
 
 
-def resample(path: Path, params: Sequence[float]) -> Path:
-    """New path whose t-th pose is the path at scalar params[t] in [-1, 1].
+def resample(path, params: Sequence[float]):
+    """The path at each scalar params[t] in [-1, 1]: a Path of a Path, (..., T, 6) of a (..., K, 6) stack.
 
     Each scalar maps linearly to a fractional waypoint index u (-1 is
     waypoint 0, +1 waypoint K-1). The pose at u is linear in u between
     waypoints floor(u) and floor(u) + 1: positions componentwise,
     orientations likewise and then renormalised to unit length. A scalar
-    that lands exactly on a waypoint returns that waypoint unchanged.
+    that lands exactly on a waypoint returns that waypoint unchanged, and
+    a path in a stack gets the bits it gets alone.
     """
+    poses = path.poses if isinstance(path, Path) else np.asarray(path, dtype=float)
+    if poses.ndim < 2 or poses.shape[-1] != 6 or poses.shape[-2] < 2:
+        raise ValueError("poses must be a (..., K, 6) array with K >= 2")
     vals = np.asarray(params, dtype=float)
     if vals.ndim != 1 or vals.size == 0:
         raise ValueError("params must be a nonempty 1-D sequence")
     if not np.all((vals >= -1.0) & (vals <= 1.0)):
         raise ValueError("params must lie in [-1, 1]")
-    k = len(path)
+    k = poses.shape[-2]
     u = 0.5 * (vals + 1.0) * (k - 1)
     i0 = np.minimum(np.floor(u).astype(int), k - 2)
     frac = u - i0
-    row0 = path.poses[i0]
-    row1 = path.poses[i0 + 1]
-    pos = (1.0 - frac)[:, None] * row0[:, :3] + frac[:, None] * row1[:, :3]
-    ori = (1.0 - frac)[:, None] * row0[:, 3:] + frac[:, None] * row1[:, 3:]
-    norms = np.sqrt((ori * ori).sum(axis=-1))
+    row0 = poses[..., i0, :]
+    row1 = poses[..., i0 + 1, :]
+    out = (1.0 - frac)[:, None] * row0 + frac[:, None] * row1
+    norms = np.sqrt((out[..., 3:] * out[..., 3:]).sum(axis=-1))
     if np.any(norms < 1e-12):
         raise ValueError("interpolated orientation degenerates to zero")
-    out = np.concatenate([pos, ori / norms[:, None]], axis=1)
+    out[..., 3:] /= norms[..., None]
     exact0 = frac == 0.0
     exact1 = frac == 1.0
-    out[exact0] = row0[exact0]
-    out[exact1] = row1[exact1]
-    return Path(out)
+    out[..., exact0, :] = row0[..., exact0, :]
+    out[..., exact1, :] = row1[..., exact1, :]
+    return Path(out) if isinstance(path, Path) else out
 
 
 def reverse(path: Path) -> Path:

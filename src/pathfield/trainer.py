@@ -24,6 +24,7 @@ from .neural_field import (
     _conf_backward_from_cache,
     _confidence_with_cache,
     _forward_with_cache,
+    _layout_vector,
     confidence_forward,
     head_forward_batch,
     init_head,
@@ -170,9 +171,30 @@ def init_state(dataset: Mapping[str, Sequence[Path]], config: TrainConfig) -> Tr
 
 def _parameter_registry(state: TrainState) -> dict[str, np.ndarray]:
     registry = {f"head.{name}": arr for name, arr in named_parameters(state.head).items()}
-    for object_id, arr in state.codewords.items():
-        registry[f"codewords.{object_id}"] = arr
-    return registry
+    return registry | {f"codewords.{object_id}": arr for object_id, arr in state.codewords.items()}
+
+
+def _zero_moments(state: TrainState) -> dict[str, dict]:
+    """Zero Adam moments of every parameter; the head's are views into one m and one v vector."""
+    m, v = (named_parameters(_allocate(state.config.head)) for _ in "mv")
+    moments = {f"head.{name}": {"m": m[name], "v": v[name], "step": 0} for name in m}
+    zeros = {f"codewords.{object_id}": np.zeros_like(arr) for object_id, arr in state.codewords.items()}
+    return moments | {name: {"m": arr, "v": arr.copy(), "step": 0} for name, arr in zeros.items()}
+
+
+def _adam_update(param, m, v, grad, step: int, lr: float, config: TrainConfig) -> None:
+    """Adam on one array and its moments, in place, grad overwritten; terms keep their left-to-right order."""
+    m *= config.adam_beta1
+    m += (1.0 - config.adam_beta1) * grad
+    v *= config.adam_beta2
+    v += (1.0 - config.adam_beta2) * grad * grad
+    np.divide(m, 1.0 - config.adam_beta1**step, out=grad)
+    grad *= lr
+    work = np.divide(v, 1.0 - config.adam_beta2**step, out=np.empty_like(grad))
+    np.sqrt(work, out=work)
+    work += config.adam_eps
+    grad /= work
+    param -= grad
 
 
 def adam_step(
@@ -183,30 +205,40 @@ def adam_step(
     Hyperparameters come from state.config; step_size overrides its
     step_size. Each parameter tensor keeps its own step counter, so
     codewords that are only touched on their object's steps stay
-    correctly corrected.
+    correctly corrected. When `gradients` covers every head tensor at one
+    counter, as each trainer step's does, the head updates as one vector;
+    otherwise, or once a deep copy has split its arrays, tensor by tensor,
+    to the same bits. Nothing moves unless every gradient fits and is finite.
     """
     cfg = state.config
     lr = cfg.step_size if step_size is None else step_size
     registry = _parameter_registry(state)
     for name in sorted(gradients):
-        grad = np.asarray(gradients[name], dtype=float)
         if name not in registry:
             raise TrainingError(f"gradient for unknown parameter {name!r}")
-        param = registry[name]
-        if grad.shape != param.shape:
-            raise TrainingError(f"gradient shape {grad.shape} != parameter shape {param.shape} for {name!r}")
-        if not np.all(np.isfinite(grad)):
-            raise TrainingError(f"non-finite gradient for {name!r}")
-        slot = state.moments.get(name)
-        if slot is None:
-            slot = {"m": np.zeros_like(param), "v": np.zeros_like(param), "step": 0}
-            state.moments[name] = slot
-        slot["step"] += 1
-        slot["m"] = cfg.adam_beta1 * slot["m"] + (1.0 - cfg.adam_beta1) * grad
-        slot["v"] = cfg.adam_beta2 * slot["v"] + (1.0 - cfg.adam_beta2) * grad * grad
-        m_hat = slot["m"] / (1.0 - cfg.adam_beta1 ** slot["step"])
-        v_hat = slot["v"] / (1.0 - cfg.adam_beta2 ** slot["step"])
-        param -= lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        if (shape := np.asarray(gradients[name]).shape) != registry[name].shape:
+            raise TrainingError(f"gradient shape {shape} != parameter shape {registry[name].shape} for {name!r}")
+    names = [name for name in registry if name in gradients]  # the head's layout order, then codewords
+    flat = np.concatenate([gradients[name] for name in names] or [[]], axis=None, dtype=float)  # [[]] when empty
+    if not np.isfinite(flat).all():
+        bad = next(name for name in sorted(gradients) if not np.isfinite(gradients[name]).all())
+        raise TrainingError(f"non-finite gradient for {bad!r}")
+
+    zeros = _zero_moments(state) if any(name not in state.moments for name in names) else {}
+    state.moments.update((name, zeros[name]) for name in names if name not in state.moments)
+    moments = [state.moments[name] for name in names]
+    updates = [(registry[name], slot["m"], slot["v"], [slot]) for name, slot in zip(names, moments)]
+    head = [name for name in registry if name.startswith("head.")]
+    slots = moments[: len(head)]  # the head's own if the layout check below passes
+    vectors = [_layout_vector([registry[n] for n in head])] + [_layout_vector([s[k] for s in slots]) for k in "mv"]
+    if len({slot["step"] for slot in slots}) == 1 and all(vector is not None for vector in vectors):
+        updates[: len(head)] = [(*vectors, slots)]
+    start = 0
+    for param, m, v, group in updates:
+        for slot in group:
+            slot["step"] += 1
+        _adam_update(param, m, v, flat[start : start + param.size].reshape(param.shape), group[0]["step"], lr, cfg)
+        start += param.size
     return state
 
 
@@ -380,15 +412,13 @@ def checkpoint_from_document(doc: dict) -> TrainState:
             if name not in arrays:
                 raise ValueError(f"checkpoint is missing array {name!r}")
             arr[...] = _decode(arrays[name], arr.shape, name)
+        zeros = _zero_moments(state)
         for name, slot in doc["moments"].items():
             if name not in registry:
                 raise ValueError(f"checkpoint has moments for unknown parameter {name!r}")
-            shape = registry[name].shape
-            state.moments[name] = {
-                "m": _decode(slot["m"], shape, f"{name}.m"),
-                "v": _decode(slot["v"], shape, f"{name}.v"),
-                "step": int(slot["step"]),
-            }
+            state.moments[name] = zeros[name] | {"step": int(slot["step"])}
+            for key in ("m", "v"):
+                state.moments[name][key][...] = _decode(slot[key], registry[name].shape, f"{name}.{key}")
     except KeyError as exc:
         raise ValueError(f"checkpoint document is missing key {exc}") from exc
     except (AttributeError, TypeError) as exc:

@@ -457,6 +457,16 @@ class TestCli:
         assert field in capsys.readouterr().err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+    def test_bad_finer_bias_scale_is_validation_error(self, tmp_path, capsys, value):
+        head = {"depth": 1, "width": 4, "code_dim": 2, "activation": "finer", "finer_bias_scale": value}
+        data, config, _ = self.small_fit_files(tmp_path, head=head)
+        ckpt = tmp_path / "ckpt.json"
+        capsys.readouterr()
+        assert run_cli("fit", "--dataset", data, "--config", config, "--checkpoint", ckpt) == 1
+        assert "finer_bias_scale" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_unknown_object_requested(self, tmp_path):
         data = tmp_path / "data.json"
         ckpt = tmp_path / "ckpt.json"

@@ -144,6 +144,27 @@ class TestPadTargets:
         with pytest.raises(ValueError):
             pad_targets(gts, 2, [-1.0, 1.0])
 
+    def test_mixed_waypoint_counts_keep_path_order(self):
+        # a loaded dataset may mix waypoint counts: each count is resampled as one stack
+        rng = np.random.default_rng(4)
+        gts = []
+        for k in (2, 7, 20, 7, 2, 20, 20):
+            ori = rng.normal(size=(k, 3))
+            ori /= np.linalg.norm(ori, axis=1)[:, None]
+            gts.append(Path(np.concatenate([rng.normal(size=(k, 3)), ori], axis=1)))
+        params = np.concatenate([[-1.0, 1.0, 0.0, -1.0 + 2.0 / 6], np.sort(rng.uniform(-1, 1, 12))])
+        out = pad_targets(gts, 8, params)
+        assert out.shape == (7, 16, 6)
+        for row, gt in zip(out, gts):
+            assert row.tobytes() == resample(gt, params).poses.tobytes()
+
+    def test_degenerate_orientation_keeps_its_message(self):
+        flipped = make_path([[0, 0, 0], [1, 0, 0]]).poses.copy()
+        flipped[1, 5] = -1.0
+        gts = [make_path([[0, 0, 0], [1, 0, 0]]), Path(flipped)]
+        with pytest.raises(ValueError, match="^interpolated orientation degenerates to zero$"):
+            pad_targets(gts, 2, [0.0, 0.5])
+
 
 class TestMatchCost:
     def test_identical_is_zero(self):

@@ -8,6 +8,7 @@ from pathfield.neural_field import (
     _backward_from_cache,
     _ForwardCache,
     _forward_with_cache,
+    _layout_vector,
     HeadConfig,
     HeadParams,
     activation,
@@ -133,10 +134,37 @@ class TestInit:
         assert not params.block_b[0].any()
         assert not params.out_b.any()
 
-    @pytest.mark.parametrize("field,value", [("conf_hidden", 0), ("conf_hidden", -1), ("omega0", float("nan"))])
+    @pytest.mark.parametrize("field,value", [
+        ("conf_hidden", 0), ("conf_hidden", -1), ("omega0", float("nan")),
+        ("finer_bias_scale", float("nan")), ("finer_bias_scale", float("inf")),
+        ("finer_bias_scale", float("-inf")), ("finer_bias_scale", -0.5),
+    ])
     def test_out_of_range_field_is_named(self, field, value):
         with pytest.raises(ValueError, match=field):
             HeadConfig(**{field: value})
+
+    def test_zero_finer_bias_scale_draws_zero_first_bias(self):
+        params = init_head(HeadConfig(depth=2, width=8, code_dim=4, activation="finer", finer_bias_scale=0.0))
+        assert not params.block_b[0].any()
+        assert params.block_b[1].any()
+
+    @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
+    def test_arrays_are_views_of_one_vector_in_named_order(self, conditioning):
+        params = init_head(HeadConfig(depth=3, width=5, code_dim=4, conditioning=conditioning, conf_hidden=3))
+        named = named_parameters(params)
+        vector = _layout_vector(list(named.values()))
+        assert vector is not None and vector.size == parameter_count(params)
+        assert np.array_equal(vector, np.concatenate([arr.ravel() for arr in named.values()]))
+        vector[...] = np.arange(vector.size)
+        start = 0
+        for name, arr in named.items():
+            assert arr.ravel().tolist() == list(range(start, start + arr.size)), name
+            start += arr.size
+
+    def test_copies_are_not_a_layout(self):
+        named = list(named_parameters(init_head(HeadConfig(depth=1, width=4, code_dim=2))).values())
+        assert _layout_vector([arr.copy() for arr in named]) is None
+        assert _layout_vector(named[:-1]) is None
 
     def test_arrays_match_pinned_digest(self):
         # sha256 of every array init_head draws over 192 option combinations,

@@ -190,6 +190,50 @@ class TestResample:
             assert np.array_equal(out.poses[t], reference_pose(p, s))
 
 
+@st.composite
+def stacks_and_params(draw):
+    """R paths of one waypoint count K, and scalars mixing ±1, waypoint hits and free draws."""
+    k = draw(st.integers(2, 9))
+    stack = np.stack(draw(st.lists(path_arrays(min_len=k, max_len=k), min_size=1, max_size=4)))
+    on_waypoint = st.integers(0, k - 1).map(lambda i: -1.0 + 2.0 * i / (k - 1))
+    scalar = st.one_of(st.sampled_from([-1.0, 1.0]), on_waypoint, st.floats(-1, 1, allow_nan=False))
+    return stack, draw(st.lists(scalar, min_size=2, max_size=12))
+
+
+class TestResampleStack:
+    """The array form on (..., K, 6) stacks, against the Path form one path at a time."""
+
+    @given(stacks_and_params())
+    @settings(max_examples=60)
+    def test_stack_matches_each_path(self, case):
+        stack, params = case
+        out = resample(stack, params)
+        assert out.shape == (len(stack), len(params), 6)
+        for rows, got in zip(stack, out):
+            assert got.tobytes() == resample(Path(rows), params).poses.tobytes()
+
+    def test_leading_axes_are_kept(self):
+        rows = straight_path(5, end=(2.0, 1.0, 0.0)).poses
+        stack = np.stack([rows, rows[::-1].copy(), rows + [1.0, 0, 0, 0, 0, 0]]).reshape(3, 1, 5, 6)
+        params = [-1.0, -0.3, 0.5, 1.0]
+        out = resample(stack, params)
+        assert out.shape == (3, 1, 4, 6)
+        for i in range(3):
+            assert np.array_equal(out[i, 0], resample(Path(stack[i, 0]), params).poses)
+
+    def test_degenerate_orientation_keeps_its_message(self):
+        rows = np.zeros((2, 6))
+        rows[0, 5], rows[1, 5] = 1.0, -1.0
+        stack = np.stack([straight_path(2).poses, rows])
+        with pytest.raises(ValueError, match="^interpolated orientation degenerates to zero$"):
+            resample(stack, [0.0, 0.5])
+
+    @pytest.mark.parametrize("shape", [(6,), (1, 6), (3, 5), (2, 1, 6)])
+    def test_malformed_stack_rejected(self, shape):
+        with pytest.raises(ValueError, match="K >= 2"):
+            resample(np.zeros(shape), [0.0, 0.5])
+
+
 class TestSampleParams:
     def test_equispaced_t4(self):
         assert sample_params(ParamSamplingConfig("equispaced", 4)).tolist() == [-0.5, 0.0, 0.5, 1.0]

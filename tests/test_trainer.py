@@ -113,6 +113,149 @@ class TestAdamStep:
         assert np.array_equal(a.head.out_b, b.head.out_b)
 
 
+def reference_adam(param, m, v, grad, step, lr, config):
+    """Adam on one tensor, written out as separate arrays."""
+    m = config.adam_beta1 * m + (1.0 - config.adam_beta1) * grad
+    v = config.adam_beta2 * v + (1.0 - config.adam_beta2) * grad * grad
+    m_hat = m / (1.0 - config.adam_beta1 ** step)
+    v_hat = v / (1.0 - config.adam_beta2 ** step)
+    return param - lr * m_hat / (np.sqrt(v_hat) + config.adam_eps), m, v
+
+
+class ReferenceOptimizer:
+    """Per-tensor Adam on copies of a state's registry, the oracle of adam_step."""
+
+    def __init__(self, state):
+        self.config = state.config
+        self.params = {name: arr.copy() for name, arr in _parameter_registry(state).items()}
+        self.moments = {name: {"m": slot["m"].copy(), "v": slot["v"].copy(), "step": slot["step"]}
+                        for name, slot in state.moments.items()}
+
+    def step(self, gradients, lr):
+        for name, grad in gradients.items():
+            slot = self.moments.setdefault(name, {"m": 0.0, "v": 0.0, "step": 0})
+            slot["step"] += 1
+            self.params[name], slot["m"], slot["v"] = reference_adam(
+                self.params[name], slot["m"], slot["v"], grad, slot["step"], lr, self.config
+            )
+
+    def assert_matches(self, state):
+        registry = _parameter_registry(state)
+        assert registry.keys() == self.params.keys()
+        for name, arr in registry.items():
+            assert arr.tobytes() == self.params[name].tobytes(), name
+        assert state.moments.keys() >= self.moments.keys()
+        for name, slot in self.moments.items():
+            assert state.moments[name]["step"] == slot["step"], name
+            for key in ("m", "v"):
+                assert state.moments[name][key].tobytes() == np.asarray(slot[key], float).tobytes(), name
+
+
+def random_gradients(state, names, seed):
+    rng = np.random.default_rng(seed)
+    registry = _parameter_registry(state)
+    return {name: rng.normal(0.0, 0.1, registry[name].shape) for name in names}
+
+
+@pytest.fixture
+def counted_updates(monkeypatch):
+    """How many arrays each adam_step call ran its update on."""
+    calls = []
+    update = trainer_module._adam_update
+
+    def counting(param, *args):
+        calls.append(param.size)
+        return update(param, *args)
+
+    monkeypatch.setattr(trainer_module, "_adam_update", counting)
+    return calls
+
+
+class TestFusedAdam:
+    """adam_step against ReferenceOptimizer, bit for bit."""
+
+    @staticmethod
+    def two_object_state(conditioning):
+        dataset = {"a": [line_path(0.0)], "b": [line_path(0.3), line_path(0.6)]}
+        return init_state(dataset, tiny_config(epochs=0, head=tiny_head(conditioning=conditioning)))
+
+    @staticmethod
+    def head_names(state):
+        return [f"head.{name}" for name in named_parameters(state.head)]
+
+    @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
+    def test_full_steps_run_one_head_update(self, conditioning, counted_updates):
+        state = self.two_object_state(conditioning)
+        reference = ReferenceOptimizer(state)
+        head_size = sum(arr.size for arr in named_parameters(state.head).values())
+        for step in range(6):
+            # the two objects' codewords step on alternate steps
+            names = self.head_names(state) + [f"codewords.{'ab'[step % 2]}"]
+            grads = random_gradients(state, names, step)
+            lr = 1e-3 * (step + 1)
+            adam_step(state, grads, lr)
+            reference.step(grads, lr)
+            reference.assert_matches(state)
+        assert counted_updates == [head_size, 4 * 8] * 6
+
+    @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
+    def test_mixed_counters_run_per_tensor(self, conditioning, counted_updates):
+        state = self.two_object_state(conditioning)
+        reference = ReferenceOptimizer(state)
+        names = self.head_names(state) + ["codewords.a"]
+        for step, step_names in enumerate([["head.out_b"]] + [names] * 5):
+            grads = random_gradients(state, step_names, step)
+            adam_step(state, grads, 2e-3)
+            reference.step(grads, 2e-3)
+            reference.assert_matches(state)
+        assert state.moments["head.out_b"]["step"] == 6 and state.moments["head.out_w"]["step"] == 5
+        assert len(counted_updates) == 1 + 5 * len(names)
+
+    def test_mixed_counters_resume_like_an_uninterrupted_run(self):
+        names = self.head_names(self.two_object_state("modulation"))
+        schedule = [["head.out_b", "codewords.b"]] + [names + [f"codewords.{'ab'[i % 2]}"] for i in range(5)]
+        straight = self.two_object_state("modulation")
+        for step, step_names in enumerate(schedule):
+            adam_step(straight, random_gradients(straight, step_names, step), 1e-3)
+
+        resumed = self.two_object_state("modulation")
+        for step, step_names in enumerate(schedule[:3]):
+            adam_step(resumed, random_gradients(resumed, step_names, step), 1e-3)
+        resumed = checkpoint_from_document(json.loads(json.dumps(checkpoint_to_document(resumed))))
+        for step, step_names in enumerate(schedule[3:], start=3):
+            adam_step(resumed, random_gradients(resumed, step_names, step), 1e-3)
+        assert checkpoint_to_document(resumed) == checkpoint_to_document(straight)
+
+    def test_loaded_checkpoint_keeps_the_one_vector_update(self, fitted, counted_updates):
+        loaded = checkpoint_from_document(checkpoint_to_document(fitted[2]))
+        reference = ReferenceOptimizer(loaded)
+        grads = random_gradients(loaded, self.head_names(loaded) + ["codewords.obj"], 0)
+        adam_step(loaded, grads, 1e-3)
+        reference.step(grads, 1e-3)
+        reference.assert_matches(loaded)
+        assert len(counted_updates) == 2
+
+    @pytest.mark.parametrize("bad", ["head.block_w1", "codewords.b"])
+    def test_nonfinite_tensor_of_a_full_step_is_named(self, bad):
+        state = self.two_object_state("modulation")
+        adam_step(state, random_gradients(state, self.head_names(state) + ["codewords.b"], 0), 1e-3)
+        before = checkpoint_to_document(state)
+        grads = random_gradients(state, self.head_names(state) + ["codewords.b"], 1)
+        grads[bad][1, 2] = np.nan
+        grads["head.out_w"][0, 0] = np.inf  # sorts after block_w1 and codewords
+        with pytest.raises(TrainingError, match=f"non-finite gradient for '{bad}'"):
+            adam_step(state, grads, 1e-3)
+        assert checkpoint_to_document(state) == before
+
+    def test_wrong_shape_of_the_right_size_rejected(self):
+        state = self.two_object_state("modulation")
+        grads = random_gradients(state, self.head_names(state) + ["codewords.a"], 0)
+        grads["head.out_w"] = grads["head.out_w"].T.copy()
+        with pytest.raises(TrainingError, match="shape .* for 'head.out_w'"):
+            adam_step(state, grads, 1e-3)
+        assert state.moments == {}
+
+
 class TestFocalProbGradient:
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0, 3.0])
     @pytest.mark.parametrize("target", [0.0, 1.0])
