@@ -10,13 +10,14 @@ The generator lays serpentine strokes over a planar face: parallel
 straight (or gently arched) strokes with alternating direction, constant
 face-normal orientation, and a uniformly sampled face point cloud. The
 whole scene is normalized to centroid zero and unit max radius.
+Every document, checkpoints too, is written by one atomic writer.
 """
 from __future__ import annotations
 
 import json
 import os
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -138,12 +139,13 @@ def load_json(path) -> dict:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def save_json(doc, path, indent: int | None = 1, separators: tuple[str, str] | None = None) -> None:
-    """Write `doc` (keys sorted) to a temp file beside `path`, fsync it, then os.replace it over `path`."""
+def _write_atomic(path, chunks: Iterable[str]) -> None:
+    """Write the text chunks and a newline to a temp file beside `path`, fsync it, os.replace it over `path`."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=indent, separators=separators)
+            for chunk in chunks:
+                fh.write(chunk)
             fh.write("\n")
             fh.flush()
             os.fsync(fh.fileno())
@@ -152,6 +154,11 @@ def save_json(doc, path, indent: int | None = 1, separators: tuple[str, str] | N
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def save_json(doc, path, indent: int | None = 1, separators: tuple[str, str] | None = None) -> None:
+    """Write `doc` (keys sorted, ASCII, one closing newline) through the atomic writer."""
+    _write_atomic(path, json.JSONEncoder(sort_keys=True, indent=indent, separators=separators).iterencode(doc))
 
 
 def _path_from_rows(rows, object_id: str, where: str) -> Path:

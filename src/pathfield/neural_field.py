@@ -14,8 +14,9 @@ samples inside one matmul. Gradients are name -> array dicts keyed like
 named_parameters, whose arrays are views into one vector in their order,
 so the optimizer can update the whole head at once. Inference
 (head_forward_batch) computes activation values only; the training
-forward also keeps each block's activation derivative and output, and
-nothing the backward can rebuild from them.
+forward also keeps each block's output and its activation derivative, or
+in a lazy cache its pre-activation, whose derivative the backward takes
+for the slots it reads only. Nothing the backward can rebuild is kept.
 The ReLU branches keep only their outputs, which are positive exactly
 where their pre-activations are and so are also the backward's masks.
 The initialisation rule lives in init_head's one walk over the tensors.
@@ -113,15 +114,15 @@ class HeadParams:
     conf_b2: np.ndarray
 
 
-def _allocate(config: HeadConfig) -> HeadParams:
-    """Zero parameters, views into one float64 vector laid out in named_parameters order."""
+def _allocate(config: HeadConfig, vector: np.ndarray | None = None) -> HeadParams:
+    """Parameters as views into one vector in named_parameters order: `vector` if it fits, else a new zero one."""
     width, code, depth, hc = config.width, config.code_dim, config.depth, config.conf_width
     modulated = config.conditioning == "modulation"
     weights = [(width, (1 if l == 0 else width) + (0 if modulated else code)) for l in range(depth)] + [(6, width)]
     weights += [(width, code if l == 0 else width + code) for l in range(depth)] if modulated else []
     shapes = [shape for rows, cols in weights for shape in ((rows, cols), (rows,))] + [(hc, code), (hc,), (hc,), ()]
     sizes = [math.prod(shape) for shape in shapes]
-    vector = np.zeros(sum(sizes))
+    vector = vector if vector is not None and vector.shape == (sum(sizes),) else np.zeros(sum(sizes))
     arrays = [vector[end - size : end].reshape(shape) for end, size, shape in zip(np.cumsum(sizes), sizes, shapes)]
     block, mod = arrays[: 2 * depth], arrays[2 * depth + 2 : -4]
     out_w, out_b = arrays[2 * depth : 2 * depth + 2]
@@ -170,36 +171,36 @@ def init_head(config: HeadConfig) -> HeadParams:
     return params
 
 
-def _activate(z: np.ndarray, kind: str, omega0: float, with_deriv: bool):
-    """Activation value of an array, and its derivative (else None) when asked.
-
-    Shared subexpressions are computed once and updated in place, in the
-    written-out formulas' operation order, so the bits are the formulas'.
-    """
+def _activation_value(z: np.ndarray, kind: str, omega0: float, wave=np.sin) -> np.ndarray:
+    """The activation of an array as a new array with the written-out bits (wave=np.cos: its argument's cosine)."""
     if kind == "relu":
-        return np.maximum(z, 0.0), (z > 0).astype(float) if with_deriv else None
+        return np.maximum(z, 0.0)
     if kind == "siren":
         scaled = omega0 * z
     elif kind == "finer":
-        magnitude = np.abs(z)
-        scaled = magnitude + 1.0
+        scaled = np.abs(z)
+        scaled += 1.0
         scaled *= z
         scaled *= omega0
     else:
         raise ValueError(f"unknown activation {kind!r}")
-    if not with_deriv:
-        return np.sin(scaled, out=scaled), None
-    value = np.sin(scaled)
-    deriv = np.cos(scaled, out=scaled)
+    return wave(scaled, out=scaled)
+
+
+def _activation_derivative(z: np.ndarray, kind: str, omega0: float) -> np.ndarray:
+    """The activation's derivative at an array, with the written-out formula's bits; z may be overwritten."""
+    if kind == "relu":
+        return np.greater(z, 0.0, out=z)
+    deriv = _activation_value(z, kind, omega0, np.cos)
     if kind == "siren":
         deriv *= omega0
-    else:
-        magnitude *= 2.0
-        magnitude += 1.0
-        magnitude *= omega0
-        magnitude *= deriv
-        deriv = magnitude
-    return value, deriv
+        return deriv
+    factor = np.abs(z, out=z)
+    factor *= 2.0
+    factor += 1.0
+    factor *= omega0
+    factor *= deriv
+    return factor
 
 
 def activation(z, kind: str, omega0: float = DEFAULT_OMEGA0):
@@ -211,7 +212,8 @@ def activation(z, kind: str, omega0: float = DEFAULT_OMEGA0):
     array two arrays of its shape.
     """
     arr = np.asarray(z, dtype=float)
-    value, deriv = _activate(np.atleast_1d(arr), kind, omega0, True)
+    z1 = np.atleast_1d(arr)
+    value, deriv = _activation_value(z1, kind, omega0), _activation_derivative(z1.copy(), kind, omega0)
     return (float(value[0]), float(deriv[0])) if arr.ndim == 0 else (value, deriv)
 
 
@@ -253,12 +255,13 @@ class _ForwardCache:
     acts: list[np.ndarray] = field(default_factory=list)  # block activation outputs, (width, N, T)
     mod_hs: list[np.ndarray] = field(default_factory=list)  # (N, width)
     raw: np.ndarray | None = None  # (N, T, 6)
+    lazy: bool = False  # derivs holds the pre-activations; the backward differentiates the rows it reads
 
 
 def _head_pass(params: HeadParams, codes: np.ndarray, xs, cache: _ForwardCache | None) -> np.ndarray:
     """Raw outputs (N, T, 6) of the bank `codes` at the sample parameters xs.
 
-    Activation derivatives are computed, and arrays kept, only into a given cache."""
+    Arrays are kept only into a given cache, and activation derivatives only into one not lazy."""
     cfg = params.config
     x_arr = np.asarray(xs, dtype=float).reshape(-1)
     if x_arr.size == 0:
@@ -279,18 +282,19 @@ def _head_pass(params: HeadParams, codes: np.ndarray, xs, cache: _ForwardCache |
     for layer in range(cfg.depth):
         inp = x if modulated else np.concatenate([x, code_tile])
         z = (params.block_w[layer] @ _flat(inp) + params.block_b[layer][:, None]).reshape(cfg.width, *shape)
-        act, deriv = _activate(z, cfg.activation, cfg.omega0, cache is not None)
+        act = _activation_value(z, cfg.activation, cfg.omega0)
         if cache is not None:
             if layer == 0 or not modulated:
                 cache.inputs.append(inp)
-            cache.derivs.append(deriv)
+            cache.derivs.append(z if cache.lazy else _activation_derivative(z, cfg.activation, cfg.omega0))
             cache.acts.append(act)
         x = mod_hs[layer].T[:, :, None] * act if modulated else act
     return (params.out_w @ _flat(x) + params.out_b[:, None]).reshape(6, *shape).transpose(1, 2, 0)
 
 
-def _forward_with_cache(params: HeadParams, codewords, xs) -> _ForwardCache:
-    cache = _ForwardCache(_as_codewords(params, codewords))
+def _forward_with_cache(params: HeadParams, codewords, xs, lazy: bool = False) -> _ForwardCache:
+    """Raw outputs and what the backward reads; a lazy cache leaves the derivatives to the backward."""
+    cache = _ForwardCache(_as_codewords(params, codewords), lazy=lazy)
     cache.raw = _head_pass(params, cache.codes, xs, cache)
     return cache
 
@@ -378,7 +382,10 @@ def _backward_from_cache(
 
     d_mod_h = [np.zeros((len(rows), cfg.width)) for _ in range(cfg.depth)]
     for layer in reversed(range(cfg.depth)):
-        act_deriv = take(cache.derivs[layer])
+        if cache.lazy:  # taken in the row copy, which fancy indexing makes even of every row
+            act_deriv = _activation_derivative(cache.derivs[layer][:, rows], cfg.activation, cfg.omega0)
+        else:
+            act_deriv = take(cache.derivs[layer])
         if modulated:
             d_mod_h[layer] = (take(cache.acts[layer]) * d_x).sum(axis=2).T
             d_z = _flat(cache.mod_hs[layer][rows].T[:, :, None] * d_x * act_deriv)

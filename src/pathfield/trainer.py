@@ -3,18 +3,22 @@
 Instead of an encoder, every object owns a bank of free codewords that
 are optimized jointly with the shared head parameters against the
 matching objective. One optimizer step per object per epoch; everything
-is float64 and fully deterministic given the config seed.
+is float64 and fully deterministic given the config seed. Only an object
+that fills every slot has its activation derivatives computed in the
+forward. A checkpoint is one JSON document with every array as base64.
 """
 from __future__ import annotations
 
 import base64
+import json
 import math
+import re
 from dataclasses import dataclass, field, fields, asdict
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dataio import load_json, save_json
+from .dataio import _write_atomic, load_json
 from .matching import LossBreakdown, hungarian, objective, pad_targets, position_cost_matrix
 from .neural_field import (
     HeadConfig,
@@ -33,6 +37,7 @@ from .neural_field import (
 from .paths import ParamSamplingConfig, Path, PredictedPath, SAMPLING_STRATEGIES, sample_params
 
 CHECKPOINT_FORMAT = "pathfield.checkpoint.v2"
+_ADAM_BLOCK = 1 << 15  # floats per Adam update call: its five arrays (1.25 MB) stay in cache
 
 __all__ = [
     "TrainingError",
@@ -175,8 +180,10 @@ def _parameter_registry(state: TrainState) -> dict[str, np.ndarray]:
 
 
 def _zero_moments(state: TrainState) -> dict[str, dict]:
-    """Zero Adam moments of every parameter; the head's are views into one m and one v vector."""
-    m, v = (named_parameters(_allocate(state.config.head)) for _ in "mv")
+    """Zero Adam moments of every parameter; the head's are views into one m and one v vector,
+    those the state's head moments live in if any do (zero outside their views)."""
+    first = next((slot for name, slot in state.moments.items() if name.startswith("head.")), None)
+    m, v = (named_parameters(_allocate(state.config.head, first and first[key].base)) for key in "mv")
     moments = {f"head.{name}": {"m": m[name], "v": v[name], "step": 0} for name in m}
     zeros = {f"codewords.{object_id}": np.zeros_like(arr) for object_id, arr in state.codewords.items()}
     return moments | {name: {"m": arr, "v": arr.copy(), "step": 0} for name, arr in zeros.items()}
@@ -208,7 +215,7 @@ def adam_step(
     correctly corrected. When `gradients` covers every head tensor at one
     counter, as each trainer step's does, the head updates as one vector;
     otherwise, or once a deep copy has split its arrays, tensor by tensor,
-    to the same bits. Nothing moves unless every gradient fits and is finite.
+    to the same bits, in cache-sized blocks. Nothing moves unless every gradient fits and is finite.
     """
     cfg = state.config
     lr = cfg.step_size if step_size is None else step_size
@@ -237,7 +244,9 @@ def adam_step(
     for param, m, v, group in updates:
         for slot in group:
             slot["step"] += 1
-        _adam_update(param, m, v, flat[start : start + param.size].reshape(param.shape), group[0]["step"], lr, cfg)
+        arrays = [arr.reshape(-1) for arr in (param, m, v)] + [flat[start : start + param.size]]
+        for low in range(0, param.size, _ADAM_BLOCK):
+            _adam_update(*(arr[low : low + _ADAM_BLOCK] for arr in arrays), group[0]["step"], lr, cfg)
         start += param.size
     return state
 
@@ -255,7 +264,8 @@ def _object_gradients(
     head = state.head
     codes = state.codewords[object_id]
     targets = pad_targets(gt_paths, state.config.slots, svals)
-    cache = _forward_with_cache(head, codes, svals)
+    # the backward reads only the slots matched to paths; unless that is all, it differentiates them itself
+    cache = _forward_with_cache(head, codes, svals, lazy=len(gt_paths) < state.config.slots)
     conf_cache = _confidence_with_cache(head, codes)
     match = hungarian(position_cost_matrix(targets, cache.raw))
     try:
@@ -361,7 +371,7 @@ def predict(
 
 
 def _encode(arr: np.ndarray) -> str:
-    return base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")
+    return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8")).decode("ascii")
 
 
 def _decode(text, shape: tuple, name: str) -> np.ndarray:
@@ -371,19 +381,19 @@ def _decode(text, shape: tuple, name: str) -> np.ndarray:
         raise ValueError(f"checkpoint array {name!r} is not base64 text: {exc}") from exc
     if len(raw) != 8 * math.prod(shape):
         raise ValueError(f"checkpoint array {name!r} holds {len(raw)} bytes, expected shape {shape}")
-    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
-def checkpoint_to_document(state: TrainState) -> dict:
-    """The config once, then every registry array as base64 of its little-endian float64 bytes."""
+def checkpoint_to_document(state: TrainState, encode: Callable[[np.ndarray], str] = _encode) -> dict:
+    """The config once, then every registry array as `encode` gives it, by default base64 text."""
     return {
         "format": CHECKPOINT_FORMAT,
         "config": state.config.to_document(),
         "epoch": state.epoch,
         "loss_history": [list(entry) for entry in state.loss_history],
-        "parameters": {name: _encode(arr) for name, arr in _parameter_registry(state).items()},
+        "parameters": {name: encode(arr) for name, arr in _parameter_registry(state).items()},
         "moments": {
-            name: {"m": _encode(slot["m"]), "v": _encode(slot["v"]), "step": slot["step"]}
+            name: {"m": encode(slot["m"]), "v": encode(slot["v"]), "step": slot["step"]}
             for name, slot in state.moments.items()
         },
     }
@@ -426,8 +436,23 @@ def checkpoint_from_document(doc: dict) -> TrainState:
     return state
 
 
+# An array's placeholder "\0<index>" as json.dumps renders it. Only a string value follows `:"`
+# (a key holds `"` only escaped), and object ids are keys, so no other text matches.
+_PLACEHOLDER = re.compile(r'(?<=:")\\u0000(\d+)(?=")')
+
+
 def save_checkpoint(state: TrainState, path) -> None:
-    save_json(checkpoint_to_document(state), path, indent=None, separators=(",", ":"))
+    """The bytes of save_json(checkpoint_to_document(state), path, indent=None, separators=(",", ":")),
+    with each array's base64 written in place of its placeholder, so json never scans it."""
+    arrays: list[np.ndarray] = []
+
+    def placeholder(arr: np.ndarray) -> str:
+        arrays.append(arr)
+        return f"\0{len(arrays) - 1}"
+
+    text = json.dumps(checkpoint_to_document(state, placeholder), sort_keys=True, separators=(",", ":"))
+    pieces = _PLACEHOLDER.split(text)  # text, index, text, ..., text
+    _write_atomic(path, (_encode(arrays[int(p)]) if k % 2 else p for k, p in enumerate(pieces)))
 
 
 def load_checkpoint(path) -> TrainState:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -147,21 +148,34 @@ class TestDatasetDocuments:
         with pytest.raises(ValidationError, match="line 2"):
             load_dataset(target)
 
+    @staticmethod
+    def fail_fsync(monkeypatch):
+        # the atomic writer has written every byte to its temp file when fsync fails
+        def failing_fsync(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+
     def test_failed_report_save_keeps_previous_report(self, tmp_path, monkeypatch):
         target = tmp_path / "report.json"
         report = EvalReport(1.5, 1.0, 0.75, 1.0, 0.025, 10.0, 384, {"obj": {"fscores": [1.0]}})
         save_report(report, target)
         before = target.read_bytes()
-
-        def failing_dump(obj, fh, **kwargs):
-            fh.write('{"ap": 0.')
-            raise OSError("disk full")
-
-        monkeypatch.setattr(json, "dump", failing_dump)
+        self.fail_fsync(monkeypatch)
         with pytest.raises(OSError, match="disk full"):
             save_report(report, target)
         assert target.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_failed_dataset_save_keeps_previous_dataset(self, tmp_path, monkeypatch):
+        target = tmp_path / "data.json"
+        save_dataset(gen_dataset(SyntheticConfig(strokes=2, waypoints_per_stroke=5, seed=4)), target)
+        before = target.read_bytes()
+        self.fail_fsync(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(gen_dataset(SyntheticConfig(strokes=3, waypoints_per_stroke=5, seed=5)), target)
+        assert target.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["data.json"]
 
 
 class TestCli:

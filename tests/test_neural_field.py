@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pathfield.neural_field import (
+    _activation_derivative,
     _backward_from_cache,
     _ForwardCache,
     _forward_with_cache,
@@ -509,3 +510,42 @@ class TestBackwardRows:
             assert_same_bits(direct[name], copied[name])
         assert_same_bits(direct_codes[rows], copied_codes)
         assert not np.delete(direct_codes, rows, axis=0).any()
+
+
+class TestLazyCache:
+    """A lazy cache keeps the pre-activations and leaves the derivatives to the
+    backward, which takes them for its rows only; the bits must be the eager cache's."""
+
+    @staticmethod
+    def case(kind, conditioning):
+        cfg = HeadConfig(depth=3, width=12, code_dim=5, activation=kind, conditioning=conditioning, seed=6)
+        rng = np.random.default_rng(2)
+        return init_head(cfg), rng.normal(0.0, 0.5, (4, 5)), np.sort(rng.uniform(-1.0, 1.0, 9))
+
+    @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
+    @pytest.mark.parametrize("kind", ["relu", "siren", "finer"])
+    def test_forward_is_the_eager_forward(self, kind, conditioning):
+        params, codes, xs = self.case(kind, conditioning)
+        eager, lazy = _forward_with_cache(params, codes, xs), _forward_with_cache(params, codes, xs, lazy=True)
+        assert_same_bits(lazy.raw, eager.raw)
+        for pre_act, deriv in zip(lazy.derivs, eager.derivs):
+            assert_same_bits(_activation_derivative(pre_act.copy(), kind, params.config.omega0), deriv)
+
+    @pytest.mark.parametrize("rows", [[0, 1, 2, 3], [0, 2, 3], [3, 0, 2], [1, 0, 3, 2], [2]])
+    @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
+    @pytest.mark.parametrize("kind", ["relu", "siren", "finer"])
+    def test_gradients_equal_the_eager_cache(self, kind, conditioning, rows):
+        params, codes, xs = self.case(kind, conditioning)
+        eager, lazy = _forward_with_cache(params, codes, xs), _forward_with_cache(params, codes, xs, lazy=True)
+        kept = [arr.copy() for arr in lazy.derivs]
+        rows = np.array(rows)
+        upstream = np.random.default_rng(3).normal(0.0, 1.0, (len(rows), *eager.raw.shape[1:]))
+        want, want_codes = _backward_from_cache(params, eager, upstream, rows)
+        for _ in range(2):  # the backward leaves the lazy cache as it found it
+            got, got_codes = _backward_from_cache(params, lazy, upstream, rows)
+            assert got.keys() == want.keys()
+            for name in want:
+                assert_same_bits(got[name], want[name])
+            assert_same_bits(got_codes, want_codes)
+        for arr, before in zip(lazy.derivs, kept):
+            assert_same_bits(arr, before)

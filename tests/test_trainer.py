@@ -1,13 +1,14 @@
 import dataclasses
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
 import pathfield.trainer as trainer_module
 from pathfield.cli import main
-from pathfield.dataio import ObjectRecord, SyntheticConfig, gen_dataset, save_dataset
+from pathfield.dataio import ObjectRecord, SyntheticConfig, gen_dataset, save_dataset, save_json
 from pathfield.matching import (
     focal_conf_loss,
     focal_prob_gradient,
@@ -211,6 +212,37 @@ class TestFusedAdam:
         assert state.moments["head.out_b"]["step"] == 6 and state.moments["head.out_w"]["step"] == 5
         assert len(counted_updates) == 1 + 5 * len(names)
 
+    @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
+    def test_partial_first_update_keeps_one_moment_vector(self, conditioning, counted_updates):
+        # the moments the second step creates live in the vector the first step's do,
+        # so once the counters meet, a full step is one head update
+        state = self.two_object_state(conditioning)
+        reference = ReferenceOptimizer(state)
+        names = self.head_names(state)
+        schedule = [["head.out_b"], [n for n in names if n != "head.out_b"] + ["codewords.a"], names + ["codewords.b"]]
+        for step, step_names in enumerate(schedule):
+            grads = random_gradients(state, step_names, step)
+            adam_step(state, grads, 1e-3)
+            reference.step(grads, 1e-3)
+            reference.assert_matches(state)
+        head_size = sum(arr.size for arr in named_parameters(state.head).values())
+        assert counted_updates[-2:] == [head_size, 4 * 8]
+        assert len(counted_updates) == 1 + len(names) + 2
+
+    def test_updates_in_blocks_give_the_per_tensor_bits(self, monkeypatch, counted_updates):
+        # blocks of 7 floats leave a short last block in nearly every tensor and in the head vector
+        monkeypatch.setattr(trainer_module, "_ADAM_BLOCK", 7)
+        state = self.two_object_state("modulation")
+        reference = ReferenceOptimizer(state)
+        names = self.head_names(state)
+        for step, step_names in enumerate([names + ["codewords.a"], ["head.out_w", "codewords.b"], names]):
+            grads = random_gradients(state, step_names, step)
+            adam_step(state, grads, 1e-3)
+            reference.step(grads, 1e-3)
+            reference.assert_matches(state)
+            assert max(counted_updates) <= 7 and sum(counted_updates) == sum(g.size for g in grads.values())
+            counted_updates.clear()
+
     def test_mixed_counters_resume_like_an_uninterrupted_run(self):
         names = self.head_names(self.two_object_state("modulation"))
         schedule = [["head.out_b", "codewords.b"]] + [names + [f"codewords.{'ab'[i % 2]}"] for i in range(5)]
@@ -392,6 +424,20 @@ class TestObjectGradients:
         gt, state, svals = object_gradient_case("finer", conditioning, n_paths=4)
         assert len(gt) == state.config.slots
         assert_gradients_match_finite_differences(gt, state, svals)
+
+    def test_forward_is_lazy_unless_the_object_fills_every_slot(self, monkeypatch):
+        dataset = {"a": [line_path(0.0), line_path(0.5)], "b": [line_path(y) for y in (-0.6, -0.2, 0.2, 0.6)], "c": []}
+        state = init_state(dataset, tiny_config(epochs=1))
+        forward, lazy = trainer_module._forward_with_cache, {}
+
+        def recording(params, codes, xs, **kwargs):
+            cache = forward(params, codes, xs, **kwargs)
+            lazy[next(oid for oid, bank in state.codewords.items() if bank is codes)] = cache.lazy
+            return cache
+
+        monkeypatch.setattr(trainer_module, "_forward_with_cache", recording)
+        train_epoch(state, dataset)
+        assert lazy == {"a": True, "b": False, "c": True}
 
     @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
     def test_loss_equals_per_pair_reference(self, conditioning):
@@ -607,19 +653,83 @@ class TestCheckpoint:
             checkpoint_from_document(doc)
 
     def test_failed_save_keeps_previous_checkpoint(self, fitted, tmp_path, monkeypatch):
+        # every byte reaches the temp file, then the atomic writer's fsync fails
         target = tmp_path / "ckpt.json"
         save_checkpoint(fitted[2], target)
         before = target.read_bytes()
 
-        def failing_dump(obj, fh, **kwargs):
-            fh.write('{"format": "half-written')
+        def failing_fsync(fd):
             raise OSError("disk full")
 
-        monkeypatch.setattr(json, "dump", failing_dump)
+        monkeypatch.setattr(os, "fsync", failing_fsync)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(fitted[2], target)
         assert target.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+
+    def test_save_failing_midway_keeps_previous_checkpoint(self, fitted, tmp_path, monkeypatch):
+        # encoding the last array fails after the writer has put everything before it on disk
+        target = tmp_path / "ckpt.json"
+        save_checkpoint(fitted[2], target)
+        before = target.read_bytes()
+        encode, calls = trainer_module._encode, []
+        arrays = len(_parameter_registry(fitted[2])) + 2 * len(fitted[2].moments)
+
+        def failing_encode(arr):
+            calls.append(arr)
+            if len(calls) == arrays:
+                assert (tmp_path / "ckpt.json.tmp").stat().st_size > len(before) // 2
+                raise OSError("disk full")
+            return encode(arr)
+
+        monkeypatch.setattr(trainer_module, "_encode", failing_encode)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(fitted[2], target)
+        assert target.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+
+
+def mixed_counter_state():
+    """Two objects, a partial first head update and steps that leave the counters apart."""
+    dataset = {"a": [line_path(0.0)], "b": [line_path(0.3), line_path(0.6)]}
+    state = init_state(dataset, tiny_config(epochs=0))
+    names = [f"head.{name}" for name in named_parameters(state.head)]
+    for step, step_names in enumerate([["head.out_b", "codewords.b"], names + ["codewords.a"], names]):
+        adam_step(state, random_gradients(state, step_names, step), 1e-3)
+    return state
+
+
+def odd_id_state():
+    """Object ids that JSON must escape, and ids that read like the splice's placeholders."""
+    ids = ['quo"te', "back\\slash", "n\u00efve \u6f22", "nul\x00id", "\x000", ':"\x001"', "\\u00002", ':"\\u00003"', "colon:"]
+    dataset = {object_id: [line_path(0.1 * k)] for k, object_id in enumerate(ids)}
+    state = init_state(dataset, tiny_config(epochs=0, slots=2))
+    train_epoch(state, dataset)
+    return state
+
+
+class TestSplicedSave:
+    """save_checkpoint writes exactly the bytes save_json writes for the checkpoint document."""
+
+    STATES = {
+        "zero_epochs": lambda: init_state({"obj": [line_path(0.0)]}, tiny_config(epochs=0)),
+        "desk_fit": lambda: fit({"obj": [line_path(0.0), line_path(0.5)]}, tiny_config(epochs=3)),
+        "mixed_counters": mixed_counter_state,
+        "bias_free": lambda: fit({"obj": [line_path(0.0)]}, tiny_config(epochs=2, head=tiny_head(use_bias=False))),
+        "concat": lambda: fit({"obj": [line_path(0.0)]}, tiny_config(epochs=2, head=tiny_head(conditioning="concat"))),
+        "odd_ids": odd_id_state,
+    }
+
+    @pytest.mark.parametrize("kind", sorted(STATES))
+    def test_bytes_equal_save_json(self, kind, tmp_path):
+        state = self.STATES[kind]()
+        spliced, reference = tmp_path / "spliced.json", tmp_path / "reference.json"
+        save_checkpoint(state, spliced)
+        doc = checkpoint_to_document(state)
+        save_json(doc, reference, indent=None, separators=(",", ":"))
+        assert spliced.read_bytes() == reference.read_bytes()
+        assert reference.read_bytes() == (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+        assert checkpoint_to_document(load_checkpoint(spliced)) == checkpoint_to_document(state)
 
 
 class TestTrainConfigDocument:
