@@ -84,8 +84,10 @@ class SyntheticConfig:
             raise ValueError("strokes must be >= 1")
         if self.waypoints_per_stroke < 2:
             raise ValueError("waypoints_per_stroke must be >= 2")
-        if self.jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be >= 0")
+        if not 0 <= self.jitter_sigma < np.inf:
+            raise ValueError("jitter_sigma must be finite and >= 0")
+        if not np.isfinite(self.curvature):
+            raise ValueError("curvature must be finite")
         if self.cloud_points < 1:
             raise ValueError("cloud_points must be >= 1")
 

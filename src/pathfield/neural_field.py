@@ -10,7 +10,10 @@ codeword to a confidence score.
 
 The N codewords of an object run as one batch: block activations are
 (width, N, T) arrays, and each weight gradient sums over slots and
-samples inside one matmul. Gradients are name -> array dicts keyed like
+samples inside one matmul. In modulation mode block 0 sees x alone, so
+it runs once per sample grid, over (width, 1, T): the training cache
+keeps it broadcast over the slots, and a decode of the slots one at a
+time shares it. Gradients are name -> array dicts keyed like
 named_parameters, whose arrays are views into one vector in their order,
 so the optimizer can update the whole head at once. Inference
 (head_forward_batch) computes activation values only; the training
@@ -247,7 +250,8 @@ class _ForwardCache:
     """What the training backward reads. In modulation mode every block input after
     layer 0, and the readout input, is mod_hs[l].T[:, :, None] * acts[l] of the
     block before; the backward rebuilds those with one multiply instead. The
-    modulator's ReLU mask is mod_hs[l] > 0, so its pre-activations are not kept."""
+    modulator's ReLU mask is mod_hs[l] > 0, so its pre-activations are not kept.
+    Block 0's arrays in modulation mode are one slot's worth broadcast over the slots."""
 
     codes: np.ndarray  # (N, code_dim)
     inputs: list[np.ndarray] = field(default_factory=list)  # fed to each block (modulation: layer 0 only), (in_dim, N, T)
@@ -258,10 +262,12 @@ class _ForwardCache:
     lazy: bool = False  # derivs holds the pre-activations; the backward differentiates the rows it reads
 
 
-def _head_pass(params: HeadParams, codes: np.ndarray, xs, cache: _ForwardCache | None) -> np.ndarray:
+def _head_pass(params: HeadParams, codes: np.ndarray, xs, cache: _ForwardCache | None, block0=None) -> np.ndarray:
     """Raw outputs (N, T, 6) of the bank `codes` at the sample parameters xs.
 
-    Arrays are kept only into a given cache, and activation derivatives only into one not lazy."""
+    Arrays are kept only into a given cache, and activation derivatives only into one not lazy.
+    In modulation mode block 0 runs over one slot's worth of samples, once for all passes at xs
+    given one list `block0`: the first leaves its activation there, and the rest reuse it."""
     cfg = params.config
     x_arr = np.asarray(xs, dtype=float).reshape(-1)
     if x_arr.size == 0:
@@ -281,14 +287,24 @@ def _head_pass(params: HeadParams, codes: np.ndarray, xs, cache: _ForwardCache |
     x = np.broadcast_to(x_arr, (1, *shape))
     for layer in range(cfg.depth):
         inp = x if modulated else np.concatenate([x, code_tile])
-        z = (params.block_w[layer] @ _flat(inp) + params.block_b[layer][:, None]).reshape(cfg.width, *shape)
-        act = _activation_value(z, cfg.activation, cfg.omega0)
+        first = modulated and layer == 0
+        if first and block0:
+            act = block0[0]
+        else:
+            z = params.block_w[layer] @ (x_arr[None] if first else _flat(inp))
+            z += params.block_b[layer][:, None]
+            z = z.reshape(cfg.width, -1, x_arr.size)  # one slot's worth at block 0 when modulated
+            act = _activation_value(z, cfg.activation, cfg.omega0)
+            if first and block0 is not None:
+                block0.append(act)
         if cache is not None:
             if layer == 0 or not modulated:
                 cache.inputs.append(inp)
-            cache.derivs.append(z if cache.lazy else _activation_derivative(z, cfg.activation, cfg.omega0))
-            cache.acts.append(act)
-        x = mod_hs[layer].T[:, :, None] * act if modulated else act
+            deriv = z if cache.lazy else _activation_derivative(z, cfg.activation, cfg.omega0)
+            cache.derivs.append(np.broadcast_to(deriv, (cfg.width, *shape)))
+            cache.acts.append(np.broadcast_to(act, (cfg.width, *shape)))
+        out = None if first or cache is not None else act  # modulate in place, unless act is one slot's or kept
+        x = np.multiply(mod_hs[layer].T[:, :, None], act, out=out) if modulated else act
     return (params.out_w @ _flat(x) + params.out_b[:, None]).reshape(6, *shape).transpose(1, 2, 0)
 
 
@@ -299,13 +315,14 @@ def _forward_with_cache(params: HeadParams, codewords, xs, lazy: bool = False) -
     return cache
 
 
-def head_forward_batch(params: HeadParams, codewords, xs) -> np.ndarray:
+def head_forward_batch(params: HeadParams, codewords, xs, _block0: list | None = None) -> np.ndarray:
     """Raw outputs at the sample parameters xs, all slots in one pass.
 
     One codeword (code_dim,) gives (T, 6); a bank (N, code_dim) gives
     (N, T, 6). Nothing a backward pass would need is computed or kept.
+    Decodes at one xs that share a list _block0 evaluate block 0 once.
     """
-    raw = _head_pass(params, _as_codewords(params, codewords), xs, None)
+    raw = _head_pass(params, _as_codewords(params, codewords), xs, None, _block0)
     return raw[0] if np.ndim(codewords) == 1 else raw
 
 
@@ -368,8 +385,9 @@ def _backward_from_cache(
     every_slot = len(rows) == len(cache.codes) and np.array_equal(rows, np.arange(len(rows)))
 
     def take(arr: np.ndarray) -> np.ndarray:
-        # the slots `rows` of a (dim, N, T) cache array, copied only when some are left out
-        return arr if every_slot else arr[:, rows]
+        # the slots `rows` of a (dim, N, T) cache array, copied only when some are left out;
+        # any R slots of one broadcast over them (block 0's, in modulation mode) are its first R
+        return arr if every_slot else arr[:, : len(rows)] if arr.strides[1] == 0 else arr[:, rows]
 
     def block_output(layer: int) -> np.ndarray:
         act = take(cache.acts[layer])
@@ -382,8 +400,10 @@ def _backward_from_cache(
 
     d_mod_h = [np.zeros((len(rows), cfg.width)) for _ in range(cfg.depth)]
     for layer in reversed(range(cfg.depth)):
-        if cache.lazy:  # taken in the row copy, which fancy indexing makes even of every row
-            act_deriv = _activation_derivative(cache.derivs[layer][:, rows], cfg.activation, cfg.omega0)
+        if cache.lazy:  # in a copy of the rows (fancy indexing copies even all), or of one slot if broadcast
+            pre = cache.derivs[layer]
+            pre = pre[:, :1].copy() if pre.strides[1] == 0 else pre[:, rows]
+            act_deriv = _activation_derivative(pre, cfg.activation, cfg.omega0)
         else:
             act_deriv = take(cache.derivs[layer])
         if modulated:
@@ -394,6 +414,8 @@ def _backward_from_cache(
         inp = block_output(layer - 1) if modulated and layer > 0 else take(cache.inputs[layer])
         grads[f"block_w{layer}"] = d_z @ _flat(inp).T
         grads[f"block_b{layer}"] = d_z.sum(axis=1)
+        if modulated and layer == 0:
+            break  # block 0's input is x alone, which takes no gradient
         d_inp = (params.block_w[layer].T @ d_z).reshape(inp.shape)
         if modulated:
             d_x = d_inp

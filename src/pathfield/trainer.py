@@ -351,16 +351,19 @@ def predict(
     cfg = state.config
     count = cfg.test_samples if t_test is None else int(t_test)
     threshold = cfg.conf_threshold if conf_threshold is None else float(conf_threshold)
+    if math.isnan(threshold):
+        raise ValueError("conf_threshold must not be NaN")
     grid = sample_params(ParamSamplingConfig("equispaced", count))
     codes = state.codewords[object_id]
     confidences = confidence_forward(state.head, codes)
+    block0: list[np.ndarray] = []  # block 0 sees x alone when modulated, so it runs once per grid
     kept: list[PredictedPath] = []
     for slot, confidence in enumerate(confidences.tolist()):
         if confidence < threshold:
             continue
         # one slot at a time: BLAS rounds a multi-slot matmul differently, so
         # a batched decode would not give these prediction bytes
-        raw = head_forward_batch(state.head, codes[slot], grid)
+        raw = head_forward_batch(state.head, codes[slot], grid, _block0=block0)
         norms = np.linalg.norm(raw[:, 3:], axis=1)
         if np.any(norms < 1e-12):
             raise TrainingError(f"degenerate predicted orientation for object {object_id!r}")

@@ -64,6 +64,22 @@ class TestGenerator:
         assert np.ptp(flat.gt_paths[0].positions[:, 2]) == 0.0
         assert np.ptp(curved.gt_paths[0].positions[:, 2]) > 0.0
 
+    @pytest.mark.parametrize("field, value", [
+        ("jitter_sigma", float("nan")), ("jitter_sigma", float("inf")), ("jitter_sigma", -0.1),
+        ("curvature", float("nan")), ("curvature", float("inf")), ("curvature", float("-inf")),
+    ])
+    def test_non_finite_or_negative_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SyntheticConfig(**{field: value})
+
+    @pytest.mark.parametrize("flag", ["--jitter", "--curvature"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_gen_rejects_non_finite_flags(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "data.json"
+        assert run_cli("gen", flag, value, "--out", out) == 1
+        assert {"--jitter": "jitter_sigma", "--curvature": "curvature"}[flag] in capsys.readouterr().err
+        assert not out.exists()
+
     # sha256 of the documents `pathfield gen` writes, recorded with this
     # project's numpy; a change to the generator's geometry or draws shows here
     @pytest.mark.parametrize("flags,digest", [

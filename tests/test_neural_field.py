@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+import pathfield.neural_field as neural_field_module
 from pathfield.neural_field import (
     _activation_derivative,
     _backward_from_cache,
@@ -549,3 +550,69 @@ class TestLazyCache:
             assert_same_bits(got_codes, want_codes)
         for arr, before in zip(lazy.derivs, kept):
             assert_same_bits(arr, before)
+
+
+def spy_activation_values(monkeypatch) -> list[tuple[tuple, object]]:
+    """Record (shape of the argument, wave) of every _activation_value call."""
+    calls = []
+    original = neural_field_module._activation_value
+
+    def spy(z, kind, omega0, wave=np.sin):
+        calls.append((z.shape, wave))
+        return original(z, kind, omega0, wave)
+
+    monkeypatch.setattr(neural_field_module, "_activation_value", spy)
+    return calls
+
+
+class TestSharedBlock0:
+    """In modulation mode block 0 sees x alone, so a training forward evaluates
+    it once, over one slot's worth of samples, and a lazy backward
+    differentiates it once; in concat mode it sees the codeword, so every
+    slot evaluates it."""
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
+    @pytest.mark.parametrize("kind", ["relu", "siren", "finer"])
+    def test_block0_runs_once_per_forward(self, monkeypatch, kind, conditioning, lazy):
+        cfg = HeadConfig(depth=3, width=12, code_dim=5, activation=kind, conditioning=conditioning, seed=6)
+        params = init_head(cfg)
+        rng = np.random.default_rng(2)
+        codes, xs = rng.normal(0.0, 0.5, (4, 5)), np.linspace(-1.0, 1.0, 9)
+        calls = spy_activation_values(monkeypatch)
+        cache = _forward_with_cache(params, codes, xs, lazy=lazy)
+        block0 = (12, 1 if conditioning == "modulation" else 4, 9)
+        values = [shape for shape, wave in calls if wave is np.sin]
+        assert values == [block0, (12, 4, 9), (12, 4, 9)]
+        differentiated = not lazy and kind != "relu"
+        assert [shape for shape, wave in calls if wave is np.cos] == (values if differentiated else [])
+
+        calls.clear()
+        rows = np.array([2, 0])
+        _backward_from_cache(params, cache, rng.normal(0.0, 1.0, (2, 9, 6)), rows)
+        block0 = (12, 1 if conditioning == "modulation" else 2, 9)
+        differentiated = lazy and kind != "relu"
+        assert [shape for shape, _ in calls] == ([(12, 2, 9), (12, 2, 9), block0] if differentiated else [])
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_cache_keeps_one_slot_of_block0(self, lazy):
+        cfg = HeadConfig(depth=2, width=8, code_dim=3, activation="finer", seed=1)
+        cache = _forward_with_cache(init_head(cfg), np.ones((5, 3)), np.linspace(-1.0, 1.0, 7), lazy=lazy)
+        for arr in (cache.acts[0], cache.derivs[0]):
+            assert arr.shape == (8, 5, 7) and arr.strides[1] == 0 and arr.base.size == 8 * 7
+        assert cache.acts[1].strides[1] != 0
+
+    @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
+    @pytest.mark.parametrize("kind", ["relu", "siren", "finer"])
+    def test_shared_list_reuses_block0_bits(self, monkeypatch, kind, conditioning):
+        cfg = HeadConfig(depth=3, width=16, code_dim=5, activation=kind, conditioning=conditioning, seed=4)
+        params = init_head(cfg)
+        codes = np.random.default_rng(8).normal(0.0, 0.5, (3, 5))
+        xs = np.linspace(-1.0, 1.0, 33)
+        want = [head_forward_batch(params, code, xs) for code in codes]
+        calls = spy_activation_values(monkeypatch)
+        shared: list = []
+        for code, raw in zip(codes, want):
+            assert_same_bits(head_forward_batch(params, code, xs, _block0=shared), raw)
+        assert len(calls) == (1 + 2 * 3 if conditioning == "modulation" else 3 * 3)
+        assert len(shared) == (conditioning == "modulation")

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import pathfield.neural_field as neural_field_module
 import pathfield.trainer as trainer_module
 from pathfield.cli import main
 from pathfield.dataio import ObjectRecord, SyntheticConfig, gen_dataset, save_dataset, save_json
@@ -507,6 +508,53 @@ class TestPredict:
         _, _, state = fitted
         with pytest.raises(ValueError):
             predict(state, "missing")
+
+    def test_nan_threshold_rejected(self, fitted, tmp_path, capsys):
+        _, _, state = fitted
+        with pytest.raises(ValueError, match="conf_threshold"):
+            predict(state, "obj", conf_threshold=float("nan"))
+        ckpt, out = tmp_path / "ckpt.json", tmp_path / "pred.json"
+        save_checkpoint(state, ckpt)
+        assert main(["predict", "--checkpoint", str(ckpt), "--object", "obj", "--threshold", "nan",
+                     "--out", str(out)]) == 1
+        assert "conf_threshold" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("use_bias", [True, False])
+    @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
+    @pytest.mark.parametrize("kind", ["relu", "siren", "finer"])
+    def test_equals_an_unshared_decode_of_each_slot(self, kind, conditioning, use_bias):
+        head = tiny_head(activation=kind, conditioning=conditioning, use_bias=use_bias)
+        state = fit({"obj": [line_path(0.0), line_path(0.5)]}, tiny_config(epochs=3, head=head))
+        codes = state.codewords["obj"]
+        confidences = confidence_forward(state.head, codes)
+        # an odd count keeps x = 0, where a bias-free relu head decodes a zero orientation, off the grid
+        grid = sample_params(ParamSamplingConfig("equispaced", 25))
+        preds = predict(state, "obj", 25, conf_threshold=0.0)
+        assert len(preds) == len(codes)
+        for pred, slot in zip(preds, np.argsort(-confidences, kind="stable")):
+            raw = head_forward_batch(state.head, codes[slot], grid)
+            poses = np.concatenate([raw[:, :3], raw[:, 3:] / np.linalg.norm(raw[:, 3:], axis=1)[:, None]], axis=1)
+            assert pred.path.poses.tobytes() == Path(poses).poses.tobytes()
+            assert np.float64(pred.confidence).tobytes() == confidences[slot].tobytes()
+
+    @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
+    def test_block0_runs_once_per_call(self, monkeypatch, conditioning):
+        state = init_state({"obj": [line_path(0.0)]}, tiny_config(head=tiny_head(conditioning=conditioning)))
+        calls = []
+        original = neural_field_module._activation_value
+
+        def spy(z, *args):
+            calls.append(z.shape)
+            return original(z, *args)
+
+        monkeypatch.setattr(neural_field_module, "_activation_value", spy)
+        for _ in range(2):
+            calls.clear()
+            kept = predict(state, "obj", 20, conf_threshold=0.0)
+            # depth 2, width 16: block 0 once per call when modulated, else once per slot
+            blocks = 1 + len(kept) if conditioning == "modulation" else 2 * len(kept)
+            assert len(kept) == 4 and calls == [(16, 1, 20)] * blocks
 
 
 class TestTraceBindings:
