@@ -131,12 +131,14 @@ def gen_dataset(config: SyntheticConfig, objects: int = 1) -> list[ObjectRecord]
 
 def load_json(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8: {exc}") from exc
     except OSError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
@@ -213,7 +215,8 @@ def dataset_from_document(doc) -> list[ObjectRecord]:
             if not isinstance(pred, dict):
                 raise ValidationError(f"object {object_id!r}: predictions[{i}] is not an object")
             confidence = pred.get("confidence")
-            if not isinstance(confidence, (int, float)) or not 0.0 <= float(confidence) <= 1.0:
+            if (isinstance(confidence, bool) or not isinstance(confidence, (int, float))
+                    or not 0.0 <= float(confidence) <= 1.0):
                 raise ValidationError(
                     f"object {object_id!r}: predictions[{i}].confidence must lie in [0, 1]"
                 )

@@ -99,8 +99,8 @@ _ADVANCE_FIRST, _ADVANCE_SECOND, _START = 1, 2, 3
 # Cells of one batched DP, so its move codes take at most 32 MiB.
 DTW_BATCH_CELLS = 1 << 25
 
-# Prediction rows per block of pcd's distance table.
-PCD_BLOCK_ROWS = 256
+# Cells per block of pcd's distance table, so each float64 temporary (256 KiB) stays in L2.
+PCD_BLOCK_CELLS = 1 << 15
 
 
 def dtw_align(a, b) -> AlignmentResult:
@@ -395,19 +395,21 @@ def pcd(pred_poses, gt_poses) -> float:
     gt = _position_array(gt_poses)
     if pred.shape[0] == 0 or gt.shape[0] == 0:
         raise ValueError("pcd needs nonempty pose sets")
-    # Squared distances PCD_BLOCK_ROWS predictions at a time, the squares
-    # summed in coordinate order; a minimum of minima is exact.
+    # Squared distances of at most PCD_BLOCK_CELLS cells at a time (one
+    # prediction row at least), the squares summed in coordinate order; a
+    # minimum of minima is exact.
+    rows = max(1, PCD_BLOCK_CELLS // gt.shape[0])
     pred_min = np.empty(pred.shape[0])
     gt_min = np.full(gt.shape[0], np.inf)
-    for lo in range(0, pred.shape[0], PCD_BLOCK_ROWS):
-        block = pred[lo : lo + PCD_BLOCK_ROWS]
+    for lo in range(0, pred.shape[0], rows):
+        block = pred[lo : lo + rows]
         step = block[:, :1] - gt[:, 0]
         d2 = step * step
         for c in (1, 2):
             np.subtract(block[:, c : c + 1], gt[:, c], out=step)
             step *= step
             d2 += step
-        pred_min[lo : lo + PCD_BLOCK_ROWS] = d2.min(axis=1)
+        pred_min[lo : lo + rows] = d2.min(axis=1)
         np.minimum(gt_min, d2.min(axis=0), out=gt_min)
     return float((pred_min.mean() + gt_min.mean()) * 1e4)
 

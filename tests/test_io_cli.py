@@ -142,6 +142,41 @@ class TestDatasetDocuments:
         with pytest.raises(ValidationError, match="confidence"):
             load_dataset(target)
 
+    @pytest.mark.parametrize("confidence", [True, False])
+    def test_boolean_confidence_rejected(self, tmp_path, capsys, confidence):
+        pose_rows = [[0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 1]]
+        pred = {"object_id": "obj", "gt_paths": [pose_rows],
+                "predictions": [{"confidence": confidence, "poses": pose_rows}]}
+        with pytest.raises(ValidationError, match=r"'obj': predictions\[0\]\.confidence must lie in"):
+            dataset_from_document({"objects": [pred]})
+        gt, target = tmp_path / "gt.json", tmp_path / "pred.json"
+        gt.write_text(json.dumps({"objects": [{"object_id": "obj", "gt_paths": [pose_rows]}]}))
+        target.write_text(json.dumps({"objects": [pred]}))
+        assert run_cli("evaluate", "--gt", gt, "--pred", target, "--out", tmp_path / "r.json") == 1
+        assert "predictions[0].confidence" in capsys.readouterr().err
+
+    def test_utf8_document_loads_in_an_ascii_locale(self, tmp_path):
+        pose_rows = [[0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 1]]
+        source = tmp_path / "u.json"
+        source.write_bytes(json.dumps({"objects": [{"object_id": "café", "gt_paths": [pose_rows]}]},
+                                      ensure_ascii=False).encode("utf-8"))
+        out = tmp_path / "o.json"
+        env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pathfield", "resample", "--in", str(source), "--t", "4", "--out", str(out)],
+            capture_output=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert [r.object_id for r in load_dataset(out)] == ["café"]
+
+    def test_non_utf8_document_is_validation_error(self, tmp_path, capsys):
+        target = tmp_path / "latin1.json"
+        target.write_bytes('{"objects": [{"object_id": "café", "gt_paths": []}]}'.encode("latin-1"))
+        with pytest.raises(ValidationError, match="latin1.json: not UTF-8"):
+            load_dataset(target)
+        assert run_cli("resample", "--in", target, "--t", 4, "--out", tmp_path / "o.json") == 1
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_duplicate_ids_rejected(self, tmp_path):
         entry = {"object_id": "dup", "gt_paths": []}
         target = tmp_path / "dup.json"

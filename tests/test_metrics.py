@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -514,6 +516,30 @@ class TestPcd:
         gt = rng.uniform(-1, 1, (n_gt, 3))
         d2 = ((pred[:, None, :] - gt[None, :, :]) ** 2).sum(axis=2)
         assert pcd(pred, gt) == float((d2.min(axis=1).mean() + d2.min(axis=0).mean()) * 1e4)
+
+    # Under a bound of 64 cells: 1 row per block at 40 and at 100 > 64 ground-truth poses,
+    # and 64 // 8 - 1, 64 // 8, 64 // 8 + 1 and a few blocks of 8 rows at 8.
+    @pytest.mark.parametrize("n_pred,n_gt", [(5, 40), (4, 100), (7, 8), (8, 8), (9, 8), (33, 8)])
+    def test_block_edges_match_whole_table(self, monkeypatch, n_pred, n_gt):
+        monkeypatch.setattr(metrics, "PCD_BLOCK_CELLS", 64)
+        rng = np.random.default_rng(n_pred * n_gt)
+        pred = rng.uniform(-1, 1, (n_pred, 3))
+        gt = rng.uniform(-1, 1, (n_gt, 3))
+        d2 = ((pred[:, None, :] - gt[None, :, :]) ** 2).sum(axis=2)
+        assert pcd(pred, gt) == float((d2.min(axis=1).mean() + d2.min(axis=0).mean()) * 1e4)
+
+    def test_paper_scale_blocks_stay_small(self):
+        # 40 paths x 384 poses on each side; one whole table would take 1.9 GB
+        rng = np.random.default_rng(0)
+        pred = rng.uniform(-1, 1, (15360, 3))
+        gt = rng.uniform(-1, 1, (15360, 3))
+        tracemalloc.start()
+        try:
+            pcd(pred, gt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 def mixed_dataset(seed):
