@@ -11,15 +11,14 @@ codeword to a confidence score.
 The N codewords of an object run as one batch: block activations are
 (width, N, T) arrays, and each weight gradient sums over slots and
 samples inside one matmul. In modulation mode block 0 sees x alone, so
-it runs once per sample grid, over (width, 1, T): the training cache
-keeps it broadcast over the slots, and a decode of the slots one at a
-time shares it. Gradients are name -> array dicts keyed like
-named_parameters, whose arrays are views into one vector in their order,
-so the optimizer can update the whole head at once. Inference
+it runs once per sample grid, over (width, 1, T), for the slots of a
+training cache and a decode of the slots one at a time alike. Every
+head array is a view into one vector, which a deep copy copies as one,
+so the optimizer updates the whole head at once; gradients are
+name -> array dicts keyed like named_parameters. Inference
 (head_forward_batch) computes activation values only; the training
-forward also keeps each block's output and its activation derivative, or
-in a lazy cache its pre-activation, whose derivative the backward takes
-for the slots it reads only. Nothing the backward can rebuild is kept.
+forward also keeps each block's output and pre-activation, which the
+backward differentiates for the slots it reads, reading the cache once.
 The ReLU branches keep only their outputs, which are positive exactly
 where their pre-activations are and so are also the backward's masks.
 The initialisation rule lives in init_head's one walk over the tensors.
@@ -34,6 +33,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .paths import _check_integer
 
 ACTIVATIONS = ("relu", "siren", "finer")
 CONDITIONING = ("modulation", "concat")
@@ -80,10 +81,9 @@ class HeadConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.depth, self.width, self.conf_width) < 1:
-            raise ValueError("depth, width and conf_hidden must be >= 1")
-        if self.code_dim < 0:
-            raise ValueError("code_dim must be >= 0")
+        for name, minimum in (("depth", 1), ("width", 1), ("code_dim", 0), ("seed", 0)):
+            _check_integer(name, getattr(self, name), minimum)
+        _check_integer("conf_hidden", self.conf_width, 1)  # conf_width is conf_hidden unless that is None
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.conditioning not in CONDITIONING:
@@ -102,9 +102,10 @@ class HeadConfig:
 
 @dataclass
 class HeadParams:
-    """All learnable arrays of one head, shapes fixed by the config, views into one vector."""
+    """All learnable arrays of one head, shapes fixed by the config, views into `vector`."""
 
     config: HeadConfig
+    vector: np.ndarray  # every array below, in named_parameters order
     block_w: list[np.ndarray]
     block_b: list[np.ndarray]
     out_w: np.ndarray
@@ -116,27 +117,23 @@ class HeadParams:
     conf_w2: np.ndarray
     conf_b2: np.ndarray
 
+    def __deepcopy__(self, memo) -> "HeadParams":
+        return _allocate(self.config, self.vector.copy())
+
 
 def _allocate(config: HeadConfig, vector: np.ndarray | None = None) -> HeadParams:
-    """Parameters as views into one vector in named_parameters order: `vector` if it fits, else a new zero one."""
+    """Parameters as views into one vector in named_parameters order: `vector`, or a new zero one."""
     width, code, depth, hc = config.width, config.code_dim, config.depth, config.conf_width
     modulated = config.conditioning == "modulation"
     weights = [(width, (1 if l == 0 else width) + (0 if modulated else code)) for l in range(depth)] + [(6, width)]
     weights += [(width, code if l == 0 else width + code) for l in range(depth)] if modulated else []
     shapes = [shape for rows, cols in weights for shape in ((rows, cols), (rows,))] + [(hc, code), (hc,), (hc,), ()]
     sizes = [math.prod(shape) for shape in shapes]
-    vector = vector if vector is not None and vector.shape == (sum(sizes),) else np.zeros(sum(sizes))
+    vector = np.zeros(sum(sizes)) if vector is None else vector
     arrays = [vector[end - size : end].reshape(shape) for end, size, shape in zip(np.cumsum(sizes), sizes, shapes)]
     block, mod = arrays[: 2 * depth], arrays[2 * depth + 2 : -4]
     out_w, out_b = arrays[2 * depth : 2 * depth + 2]
-    return HeadParams(config, block[::2], block[1::2], out_w, out_b, mod[::2], mod[1::2], *arrays[-4:])
-
-
-def _layout_vector(arrays: list[np.ndarray]) -> np.ndarray | None:
-    """The vector _allocate laid these arrays out in; None unless they are all its views (a deep copy is not)."""
-    vector = arrays[0].base if arrays else None
-    whole = vector is not None and vector.size == sum(arr.size for arr in arrays)
-    return vector if whole and all(arr.base is vector for arr in arrays) else None
+    return HeadParams(config, vector, block[::2], block[1::2], out_w, out_b, mod[::2], mod[1::2], *arrays[-4:])
 
 
 def _is_bias(name: str) -> bool:
@@ -247,27 +244,26 @@ def _modulator(params: HeadParams, codes: np.ndarray) -> list[np.ndarray]:
 
 @dataclass
 class _ForwardCache:
-    """What the training backward reads. In modulation mode every block input after
+    """What the training backward reads, once. In modulation mode every block input after
     layer 0, and the readout input, is mod_hs[l].T[:, :, None] * acts[l] of the
     block before; the backward rebuilds those with one multiply instead. The
     modulator's ReLU mask is mod_hs[l] > 0, so its pre-activations are not kept.
-    Block 0's arrays in modulation mode are one slot's worth broadcast over the slots."""
+    Block 0's arrays in modulation mode are one slot's worth (its activation broadcast over the slots)."""
 
     codes: np.ndarray  # (N, code_dim)
     inputs: list[np.ndarray] = field(default_factory=list)  # fed to each block (modulation: layer 0 only), (in_dim, N, T)
-    derivs: list[np.ndarray] = field(default_factory=list)  # activation derivative at each block's pre-activation, (width, N, T)
+    pres: list[np.ndarray] = field(default_factory=list)  # block pre-activations (width, N, T), which the backward may overwrite
     acts: list[np.ndarray] = field(default_factory=list)  # block activation outputs, (width, N, T)
     mod_hs: list[np.ndarray] = field(default_factory=list)  # (N, width)
     raw: np.ndarray | None = None  # (N, T, 6)
-    lazy: bool = False  # derivs holds the pre-activations; the backward differentiates the rows it reads
 
 
 def _head_pass(params: HeadParams, codes: np.ndarray, xs, cache: _ForwardCache | None, block0=None) -> np.ndarray:
     """Raw outputs (N, T, 6) of the bank `codes` at the sample parameters xs.
 
-    Arrays are kept only into a given cache, and activation derivatives only into one not lazy.
-    In modulation mode block 0 runs over one slot's worth of samples, once for all passes at xs
-    given one list `block0`: the first leaves its activation there, and the rest reuse it."""
+    Arrays are kept only into a given cache. In modulation mode block 0 runs over one slot's worth of
+    samples, once for all passes at xs given one list `block0`: the first leaves its activation there,
+    and the rest reuse it."""
     cfg = params.config
     x_arr = np.asarray(xs, dtype=float).reshape(-1)
     if x_arr.size == 0:
@@ -300,17 +296,16 @@ def _head_pass(params: HeadParams, codes: np.ndarray, xs, cache: _ForwardCache |
         if cache is not None:
             if layer == 0 or not modulated:
                 cache.inputs.append(inp)
-            deriv = z if cache.lazy else _activation_derivative(z, cfg.activation, cfg.omega0)
-            cache.derivs.append(np.broadcast_to(deriv, (cfg.width, *shape)))
+            cache.pres.append(z)
             cache.acts.append(np.broadcast_to(act, (cfg.width, *shape)))
         out = None if first or cache is not None else act  # modulate in place, unless act is one slot's or kept
         x = np.multiply(mod_hs[layer].T[:, :, None], act, out=out) if modulated else act
     return (params.out_w @ _flat(x) + params.out_b[:, None]).reshape(6, *shape).transpose(1, 2, 0)
 
 
-def _forward_with_cache(params: HeadParams, codewords, xs, lazy: bool = False) -> _ForwardCache:
-    """Raw outputs and what the backward reads; a lazy cache leaves the derivatives to the backward."""
-    cache = _ForwardCache(_as_codewords(params, codewords), lazy=lazy)
+def _forward_with_cache(params: HeadParams, codewords, xs) -> _ForwardCache:
+    """Raw outputs and what the backward reads; the backward takes the activation derivatives."""
+    cache = _ForwardCache(_as_codewords(params, codewords))
     cache.raw = _head_pass(params, cache.codes, xs, cache)
     return cache
 
@@ -368,7 +363,8 @@ def _backward_from_cache(
 
     `upstream` is d(loss)/d(raw output) of those slots, (len(rows), T, 6).
     Every weight gradient sums over slots and samples inside one matmul;
-    the codeword gradients are (N, code_dim), zero outside `rows`.
+    the codeword gradients are (N, code_dim), zero outside `rows`. The cache is read once:
+    pre-activations read whole (every slot, or block 0's one slot) are differentiated uncopied.
     """
     cfg = params.config
     d_raw = np.asarray(upstream, dtype=float)
@@ -400,12 +396,8 @@ def _backward_from_cache(
 
     d_mod_h = [np.zeros((len(rows), cfg.width)) for _ in range(cfg.depth)]
     for layer in reversed(range(cfg.depth)):
-        if cache.lazy:  # in a copy of the rows (fancy indexing copies even all), or of one slot if broadcast
-            pre = cache.derivs[layer]
-            pre = pre[:, :1].copy() if pre.strides[1] == 0 else pre[:, rows]
-            act_deriv = _activation_derivative(pre, cfg.activation, cfg.omega0)
-        else:
-            act_deriv = take(cache.derivs[layer])
+        pre = cache.pres[layer] if every_slot or (modulated and layer == 0) else cache.pres[layer][:, rows]
+        act_deriv = _activation_derivative(pre, cfg.activation, cfg.omega0)  # may overwrite an uncopied pre
         if modulated:
             d_mod_h[layer] = (take(cache.acts[layer]) * d_x).sum(axis=2).T
             d_z = _flat(cache.mod_hs[layer][rows].T[:, :, None] * d_x * act_deriv)
@@ -416,13 +408,12 @@ def _backward_from_cache(
         grads[f"block_b{layer}"] = d_z.sum(axis=1)
         if modulated and layer == 0:
             break  # block 0's input is x alone, which takes no gradient
-        d_inp = (params.block_w[layer].T @ d_z).reshape(inp.shape)
-        if modulated:
-            d_x = d_inp
-        else:
-            split = inp.shape[0] - cfg.code_dim
-            d_x = d_inp[:split]
-            d_codes += d_inp[split:].sum(axis=2).T
+        d_x = (params.block_w[layer].T @ d_z).reshape(inp.shape)
+        d_z = inp = None  # freed before the next layer's activation derivative
+        if not modulated:
+            split = d_x.shape[0] - cfg.code_dim
+            d_codes += d_x[split:].sum(axis=2).T
+            d_x = d_x[:split]
 
     if modulated:
         carry = d_mod_h[cfg.depth - 1]
@@ -501,5 +492,5 @@ def named_parameters(params: HeadParams) -> dict[str, np.ndarray]:
 
 
 def parameter_count(params: HeadParams) -> int:
-    return sum(arr.size for arr in named_parameters(params).values())
+    return params.vector.size
 

@@ -31,6 +31,14 @@ __all__ = [
 ]
 
 
+def _check_integer(name: str, value, minimum: int) -> None:
+    """The rule of every count: a ValueError naming it if it is a bool, a float or below minimum."""
+    if isinstance(value, (bool, float, np.floating)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+
+
 @dataclass(frozen=True)
 class Path:
     """Ordered pose sequence stored as a (K, 6) float array, K >= 2.

@@ -2,10 +2,10 @@
 
 Instead of an encoder, every object owns a bank of free codewords that
 are optimized jointly with the shared head parameters against the
-matching objective. One optimizer step per object per epoch; everything
-is float64 and fully deterministic given the config seed. Only an object
-that fills every slot has its activation derivatives computed in the
-forward. A checkpoint is one JSON document with every array as base64.
+matching objective. One optimizer step per object per epoch, which
+updates the whole head as one vector at one step counter; everything is
+float64 and fully deterministic given the config seed. A checkpoint is
+one JSON document with every array as base64.
 """
 from __future__ import annotations
 
@@ -28,13 +28,12 @@ from .neural_field import (
     _conf_backward_from_cache,
     _confidence_with_cache,
     _forward_with_cache,
-    _layout_vector,
     confidence_forward,
     head_forward_batch,
     init_head,
     named_parameters,
 )
-from .paths import ParamSamplingConfig, Path, PredictedPath, SAMPLING_STRATEGIES, sample_params
+from .paths import ParamSamplingConfig, Path, PredictedPath, SAMPLING_STRATEGIES, _check_integer, sample_params
 
 CHECKPOINT_FORMAT = "pathfield.checkpoint.v2"
 _ADAM_BLOCK = 1 << 15  # floats per Adam update call: its five arrays (1.25 MB) stay in cache
@@ -88,20 +87,14 @@ class TrainConfig:
     head: HeadConfig = field(default_factory=HeadConfig)
 
     def __post_init__(self) -> None:
-        if self.slots < 1:
-            raise ValueError("slots must be >= 1")
-        if self.train_samples < 2 or self.test_samples < 2:
-            raise ValueError("train_samples and test_samples must be >= 2: a path needs at least two poses")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        for name, minimum in (("slots", 1), ("train_samples", 2), ("test_samples", 2), ("epochs", 0), ("seed", 0)):
+            _check_integer(name, getattr(self, name), minimum)
         if not self.step_size > 0:
             raise ValueError("step_size must be positive")
         if self.sampling not in SAMPLING_STRATEGIES:
             raise ValueError(f"unknown sampling strategy {self.sampling!r}")
         if self.lr_schedule not in ("constant", "cosine"):
             raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
         if not self.gamma >= 0:
             raise ValueError("gamma must be >= 0")
         for name in ("adam_beta1", "adam_beta2"):
@@ -149,7 +142,7 @@ class TrainState:
     config: TrainConfig
     head: HeadParams
     codewords: dict[str, np.ndarray]  # object id -> (slots, code_dim)
-    moments: dict[str, dict]  # parameter name -> {"m", "v", "step"}
+    moments: dict[str, dict]  # "head" (over its vector) or a codewords registry name -> {"m", "v", "step"}
     epoch: int
     loss_history: list[tuple[float, float, float]]  # (points, conf, total) per step
 
@@ -179,14 +172,13 @@ def _parameter_registry(state: TrainState) -> dict[str, np.ndarray]:
     return registry | {f"codewords.{object_id}": arr for object_id, arr in state.codewords.items()}
 
 
-def _zero_moments(state: TrainState) -> dict[str, dict]:
-    """Zero Adam moments of every parameter; the head's are views into one m and one v vector,
-    those the state's head moments live in if any do (zero outside their views)."""
-    first = next((slot for name, slot in state.moments.items() if name.startswith("head.")), None)
-    m, v = (named_parameters(_allocate(state.config.head, first and first[key].base)) for key in "mv")
-    moments = {f"head.{name}": {"m": m[name], "v": v[name], "step": 0} for name in m}
-    zeros = {f"codewords.{object_id}": np.zeros_like(arr) for object_id, arr in state.codewords.items()}
-    return moments | {name: {"m": arr, "v": arr.copy(), "step": 0} for name, arr in zeros.items()}
+def _registry_moments(state: TrainState) -> dict[str, dict]:
+    """The moments keyed by registry name, the head's one entry as a view per tensor."""
+    moments = dict(state.moments)
+    if (head := moments.pop("head", None)) is not None:
+        m, v = (named_parameters(_allocate(state.config.head, head[key])) for key in "mv")
+        moments |= {f"head.{name}": {"m": m[name], "v": v[name], "step": head["step"]} for name in m}
+    return moments
 
 
 def _adam_update(param, m, v, grad, step: int, lr: float, config: TrainConfig) -> None:
@@ -210,43 +202,38 @@ def adam_step(
     """Bias-corrected adaptive-moment update, in place and in float64.
 
     Hyperparameters come from state.config; step_size overrides its
-    step_size. Each parameter tensor keeps its own step counter, so
-    codewords that are only touched on their object's steps stay
-    correctly corrected. When `gradients` covers every head tensor at one
-    counter, as each trainer step's does, the head updates as one vector;
-    otherwise, or once a deep copy has split its arrays, tensor by tensor,
-    to the same bits, in cache-sized blocks. Nothing moves unless every gradient fits and is finite.
+    step_size. `gradients` must cover every head tensor: the head updates
+    as one vector at one step counter. Each codeword bank keeps its own
+    counter, so banks that are only touched on their object's steps stay
+    correctly corrected. Updates run in cache-sized blocks. Nothing moves
+    unless every gradient fits and is finite.
     """
     cfg = state.config
     lr = cfg.step_size if step_size is None else step_size
     registry = _parameter_registry(state)
-    for name in sorted(gradients):
+    for name in sorted(gradients.keys() | {name for name in registry if name.startswith("head.")}):
+        if name not in gradients:
+            raise TrainingError(f"gradient for {name!r} is missing: every step updates the whole head")
         if name not in registry:
             raise TrainingError(f"gradient for unknown parameter {name!r}")
         if (shape := np.asarray(gradients[name]).shape) != registry[name].shape:
             raise TrainingError(f"gradient shape {shape} != parameter shape {registry[name].shape} for {name!r}")
     names = [name for name in registry if name in gradients]  # the head's layout order, then codewords
-    flat = np.concatenate([gradients[name] for name in names] or [[]], axis=None, dtype=float)  # [[]] when empty
+    flat = np.concatenate([gradients[name] for name in names], axis=None, dtype=float)
     if not np.isfinite(flat).all():
         bad = next(name for name in sorted(gradients) if not np.isfinite(gradients[name]).all())
         raise TrainingError(f"non-finite gradient for {bad!r}")
 
-    zeros = _zero_moments(state) if any(name not in state.moments for name in names) else {}
-    state.moments.update((name, zeros[name]) for name in names if name not in state.moments)
-    moments = [state.moments[name] for name in names]
-    updates = [(registry[name], slot["m"], slot["v"], [slot]) for name, slot in zip(names, moments)]
-    head = [name for name in registry if name.startswith("head.")]
-    slots = moments[: len(head)]  # the head's own if the layout check below passes
-    vectors = [_layout_vector([registry[n] for n in head])] + [_layout_vector([s[k] for s in slots]) for k in "mv"]
-    if len({slot["step"] for slot in slots}) == 1 and all(vector is not None for vector in vectors):
-        updates[: len(head)] = [(*vectors, slots)]
+    updates = {"head": state.head.vector} | {name: registry[name] for name in names if name.startswith("codewords.")}
     start = 0
-    for param, m, v, group in updates:
-        for slot in group:
-            slot["step"] += 1
-        arrays = [arr.reshape(-1) for arr in (param, m, v)] + [flat[start : start + param.size]]
+    for name, param in updates.items():
+        if name not in state.moments:
+            state.moments[name] = {"m": np.zeros_like(param), "v": np.zeros_like(param), "step": 0}
+        slot = state.moments[name]
+        slot["step"] += 1
+        arrays = [arr.reshape(-1) for arr in (param, slot["m"], slot["v"])] + [flat[start : start + param.size]]
         for low in range(0, param.size, _ADAM_BLOCK):
-            _adam_update(*(arr[low : low + _ADAM_BLOCK] for arr in arrays), group[0]["step"], lr, cfg)
+            _adam_update(*(arr[low : low + _ADAM_BLOCK] for arr in arrays), slot["step"], lr, cfg)
         start += param.size
     return state
 
@@ -264,8 +251,7 @@ def _object_gradients(
     head = state.head
     codes = state.codewords[object_id]
     targets = pad_targets(gt_paths, state.config.slots, svals)
-    # the backward reads only the slots matched to paths; unless that is all, it differentiates them itself
-    cache = _forward_with_cache(head, codes, svals, lazy=len(gt_paths) < state.config.slots)
+    cache = _forward_with_cache(head, codes, svals)
     conf_cache = _confidence_with_cache(head, codes)
     match = hungarian(position_cost_matrix(targets, cache.raw))
     try:
@@ -384,7 +370,10 @@ def _decode(text, shape: tuple, name: str) -> np.ndarray:
         raise ValueError(f"checkpoint array {name!r} is not base64 text: {exc}") from exc
     if len(raw) != 8 * math.prod(shape):
         raise ValueError(f"checkpoint array {name!r} holds {len(raw)} bytes, expected shape {shape}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape)
+    arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"checkpoint array {name!r} is not finite")
+    return arr
 
 
 def checkpoint_to_document(state: TrainState, encode: Callable[[np.ndarray], str] = _encode) -> dict:
@@ -397,13 +386,14 @@ def checkpoint_to_document(state: TrainState, encode: Callable[[np.ndarray], str
         "parameters": {name: encode(arr) for name, arr in _parameter_registry(state).items()},
         "moments": {
             name: {"m": encode(slot["m"]), "v": encode(slot["v"]), "step": slot["step"]}
-            for name, slot in state.moments.items()
+            for name, slot in _registry_moments(state).items()
         },
     }
 
 
 def checkpoint_from_document(doc: dict) -> TrainState:
-    """Rebuild a state; shapes come from the config, so every array must match its registry name."""
+    """Rebuild a state; shapes come from the config, so every array must match its registry name.
+    Every array must be finite, every counter an integer >= 0, and the head's moments at one step."""
     found = doc.get("format") if isinstance(doc, dict) else None
     if found != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} checkpoint document (format {found!r})")
@@ -415,8 +405,12 @@ def checkpoint_from_document(doc: dict) -> TrainState:
             for name in arrays
             if name.startswith("codewords.")
         }
-        history = [tuple(float(x) for x in entry) for entry in doc["loss_history"]]
-        state = TrainState(config, _allocate(config.head), codewords, {}, int(doc["epoch"]), history)
+        for k, row in enumerate(doc["loss_history"]):
+            if not (type(row) is list and len(row) == 3 and all(type(x) in (int, float) and math.isfinite(x) for x in row)):
+                raise ValueError(f"loss_history[{k}] must hold three finite numbers")
+        history = [tuple(float(x) for x in row) for row in doc["loss_history"]]
+        _check_integer("epoch", doc["epoch"], 0)
+        state = TrainState(config, _allocate(config.head), codewords, {}, doc["epoch"], history)
         registry = _parameter_registry(state)
         unknown = sorted(arrays.keys() - registry.keys())
         if unknown:
@@ -425,13 +419,19 @@ def checkpoint_from_document(doc: dict) -> TrainState:
             if name not in arrays:
                 raise ValueError(f"checkpoint is missing array {name!r}")
             arr[...] = _decode(arrays[name], arr.shape, name)
-        zeros = _zero_moments(state)
-        for name, slot in doc["moments"].items():
+        moments = doc["moments"]
+        for name, slot in moments.items():
             if name not in registry:
                 raise ValueError(f"checkpoint has moments for unknown parameter {name!r}")
-            state.moments[name] = zeros[name] | {"step": int(slot["step"])}
+            _check_integer(f"{name}.step", slot["step"], 0)
+            key, param = ("head", state.head.vector) if name.startswith("head.") else (name, registry[name])
+            if key not in state.moments:  # the head's step is its first tensor's
+                state.moments[key] = {"m": np.zeros_like(param), "v": np.zeros_like(param), "step": slot["step"]}
+        for name, slot in _registry_moments(state).items():
+            if moments.get(name, {}).get("step") != slot["step"]:
+                raise ValueError(f"checkpoint moments of {name!r} are missing or off the head's step {slot['step']}")
             for key in ("m", "v"):
-                state.moments[name][key][...] = _decode(slot[key], registry[name].shape, f"{name}.{key}")
+                slot[key][...] = _decode(moments[name][key], registry[name].shape, f"{name}.{key}")
     except KeyError as exc:
         raise ValueError(f"checkpoint document is missing key {exc}") from exc
     except (AttributeError, TypeError) as exc:

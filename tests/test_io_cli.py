@@ -522,6 +522,36 @@ class TestCli:
         assert field in capsys.readouterr().err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("override,field", [
+        ({"epochs": 1.5}, "epochs"), ({"slots": True}, "slots"), ({"slots": 8.5}, "slots"),
+        ({"seed": 1.5}, "seed"), ({"head": {"depth": 1, "width": 4.5, "code_dim": 2}}, "width"),
+    ], ids=["epochs-1.5", "slots-true", "slots-8.5", "seed-1.5", "head-width-4.5"])
+    def test_non_integer_count_is_validation_error(self, tmp_path, capsys, override, field):
+        data, config, _ = self.small_fit_files(tmp_path, **override)
+        ckpt = tmp_path / "ckpt.json"
+        capsys.readouterr()
+        assert run_cli("fit", "--dataset", data, "--config", config, "--checkpoint", ckpt) == 1
+        assert f"{field} must be an integer" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc.update(epoch=1.7), "epoch must be an integer"),
+        (lambda doc: doc["moments"]["codewords.object-000"].update(step=-3), "codewords.object-000.step must be >= 0"),
+        (lambda doc: doc["loss_history"][0].pop(), "loss_history[0] must hold three finite numbers"),
+        (lambda doc: doc["moments"]["head.out_b"].update(step=7), "'head.out_b' are missing or off the head's step 2"),
+    ], ids=["epoch-1.7", "step-negative", "row-of-two", "head-steps-differ"])
+    def test_edited_checkpoint_is_validation_error(self, tmp_path, capsys, edit, message):
+        data, config, _ = self.small_fit_files(tmp_path, epochs=2)
+        ckpt = tmp_path / "ckpt.json"
+        assert run_cli("fit", "--dataset", data, "--config", config, "--checkpoint", ckpt) == 0
+        doc = json.loads(ckpt.read_text())
+        edit(doc)
+        ckpt.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("predict", "--checkpoint", ckpt, "--object", "all", "--out", tmp_path / "p.json") == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "p.json").exists()
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
     def test_bad_finer_bias_scale_is_validation_error(self, tmp_path, capsys, value):
         head = {"depth": 1, "width": 4, "code_dim": 2, "activation": "finer", "finer_bias_scale": value}

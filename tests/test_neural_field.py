@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 
@@ -7,10 +8,10 @@ import pytest
 import pathfield.neural_field as neural_field_module
 from pathfield.neural_field import (
     _activation_derivative,
+    _activation_value,
     _backward_from_cache,
     _ForwardCache,
     _forward_with_cache,
-    _layout_vector,
     HeadConfig,
     HeadParams,
     activation,
@@ -154,8 +155,9 @@ class TestInit:
     def test_arrays_are_views_of_one_vector_in_named_order(self, conditioning):
         params = init_head(HeadConfig(depth=3, width=5, code_dim=4, conditioning=conditioning, conf_hidden=3))
         named = named_parameters(params)
-        vector = _layout_vector(list(named.values()))
-        assert vector is not None and vector.size == parameter_count(params)
+        vector = params.vector
+        assert vector.shape == (parameter_count(params),)
+        assert all(arr.base is vector for arr in named.values())
         assert np.array_equal(vector, np.concatenate([arr.ravel() for arr in named.values()]))
         vector[...] = np.arange(vector.size)
         start = 0
@@ -163,10 +165,15 @@ class TestInit:
             assert arr.ravel().tolist() == list(range(start, start + arr.size)), name
             start += arr.size
 
-    def test_copies_are_not_a_layout(self):
-        named = list(named_parameters(init_head(HeadConfig(depth=1, width=4, code_dim=2))).values())
-        assert _layout_vector([arr.copy() for arr in named]) is None
-        assert _layout_vector(named[:-1]) is None
+    def test_deep_copy_is_one_new_vector(self):
+        params = init_head(HeadConfig(depth=2, width=4, code_dim=2))
+        copied = copy.deepcopy(params)
+        assert copied.config == params.config
+        assert not np.shares_memory(copied.vector, params.vector)
+        assert_same_bits(copied.vector, params.vector)
+        assert all(arr.base is copied.vector for arr in named_parameters(copied).values())
+        copied.out_b[...] = 7.0
+        assert not np.any(params.out_b == 7.0) and np.all(copied.out_b == 7.0)
 
     def test_arrays_match_pinned_digest(self):
         # sha256 of every array init_head draws over 192 option combinations,
@@ -458,11 +465,12 @@ class TestForwardOnly:
 
 
 def copied_cache(cache: _ForwardCache, rows) -> _ForwardCache:
-    """The slots `rows` of a forward cache, every array an explicit fancy-indexed copy."""
+    """The slots `rows` of a forward cache, every array an explicit fancy-indexed copy
+    (block 0's one-slot pre-activation in modulation mode a plain copy)."""
     return _ForwardCache(
         cache.codes[rows],
         [arr[:, rows] for arr in cache.inputs],
-        [arr[:, rows] for arr in cache.derivs],
+        [arr.copy() if arr.shape[1] == 1 else arr[:, rows] for arr in cache.pres],
         [arr[:, rows] for arr in cache.acts],
         [arr[rows] for arr in cache.mod_hs],
         cache.raw[rows],
@@ -472,7 +480,8 @@ def copied_cache(cache: _ForwardCache, rows) -> _ForwardCache:
 class TestBackwardRows:
     """The backward reads the cache directly when it takes every slot in
     order, and rebuilds modulation-mode block inputs from the activations;
-    both must give the bits that explicit per-row copies give."""
+    both must give the bits that explicit per-row copies give. The copies
+    are taken first, since the backward may overwrite the cache it reads."""
 
     @staticmethod
     def case(kind, conditioning):
@@ -489,8 +498,9 @@ class TestBackwardRows:
         params, cache, rng = self.case(kind, conditioning)
         rows = np.arange(len(cache.codes))
         upstream = rng.normal(0.0, 1.0, cache.raw.shape)
+        copied_rows = copied_cache(cache, rows)
         direct, direct_codes = _backward_from_cache(params, cache, upstream, rows)
-        copied, copied_codes = _backward_from_cache(params, copied_cache(cache, rows), upstream, rows)
+        copied, copied_codes = _backward_from_cache(params, copied_rows, upstream, rows)
         assert direct.keys() == copied.keys()
         for name in direct:
             assert_same_bits(direct[name], copied[name])
@@ -503,10 +513,9 @@ class TestBackwardRows:
         params, cache, rng = self.case(kind, conditioning)
         rows = np.array(rows)
         upstream = rng.normal(0.0, 1.0, (len(rows), *cache.raw.shape[1:]))
+        copied_rows = copied_cache(cache, rows)
         direct, direct_codes = _backward_from_cache(params, cache, upstream, rows)
-        copied, copied_codes = _backward_from_cache(
-            params, copied_cache(cache, rows), upstream, np.arange(len(rows))
-        )
+        copied, copied_codes = _backward_from_cache(params, copied_rows, upstream, np.arange(len(rows)))
         for name in direct:
             assert_same_bits(direct[name], copied[name])
         assert_same_bits(direct_codes[rows], copied_codes)
@@ -514,8 +523,12 @@ class TestBackwardRows:
 
 
 class TestLazyCache:
-    """A lazy cache keeps the pre-activations and leaves the derivatives to the
-    backward, which takes them for its rows only; the bits must be the eager cache's."""
+    """Every training cache is lazy: it keeps each block's pre-activation, and the
+    backward differentiates the rows it reads. A pre-activation read whole (every
+    slot in order, or block 0's one slot in modulation mode) is differentiated
+    without a copy and may be overwritten, so a cache is read once; other rows are
+    copied first. The gradients must be the bits of an eager copy of the rows,
+    taken before the backward."""
 
     @staticmethod
     def case(kind, conditioning):
@@ -526,30 +539,40 @@ class TestLazyCache:
     @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
     @pytest.mark.parametrize("kind", ["relu", "siren", "finer"])
     def test_forward_is_the_eager_forward(self, kind, conditioning):
+        # the inference forward's outputs, and activations that are those of the kept pre-activations
         params, codes, xs = self.case(kind, conditioning)
-        eager, lazy = _forward_with_cache(params, codes, xs), _forward_with_cache(params, codes, xs, lazy=True)
-        assert_same_bits(lazy.raw, eager.raw)
-        for pre_act, deriv in zip(lazy.derivs, eager.derivs):
-            assert_same_bits(_activation_derivative(pre_act.copy(), kind, params.config.omega0), deriv)
+        cache = _forward_with_cache(params, codes, xs)
+        assert_same_bits(cache.raw, head_forward_batch(params, codes, xs))
+        assert [pre.shape[1] for pre in cache.pres] == [1 if conditioning == "modulation" else 4, 4, 4]
+        for pre, act in zip(cache.pres, cache.acts):
+            value = _activation_value(pre, kind, params.config.omega0)
+            assert_same_bits(np.broadcast_to(value, act.shape), act)
 
     @pytest.mark.parametrize("rows", [[0, 1, 2, 3], [0, 2, 3], [3, 0, 2], [1, 0, 3, 2], [2]])
     @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
     @pytest.mark.parametrize("kind", ["relu", "siren", "finer"])
-    def test_gradients_equal_the_eager_cache(self, kind, conditioning, rows):
+    def test_gradients_equal_the_eager_cache(self, monkeypatch, kind, conditioning, rows):
         params, codes, xs = self.case(kind, conditioning)
-        eager, lazy = _forward_with_cache(params, codes, xs), _forward_with_cache(params, codes, xs, lazy=True)
-        kept = [arr.copy() for arr in lazy.derivs]
+        cache = _forward_with_cache(params, codes, xs)
         rows = np.array(rows)
-        upstream = np.random.default_rng(3).normal(0.0, 1.0, (len(rows), *eager.raw.shape[1:]))
-        want, want_codes = _backward_from_cache(params, eager, upstream, rows)
-        for _ in range(2):  # the backward leaves the lazy cache as it found it
-            got, got_codes = _backward_from_cache(params, lazy, upstream, rows)
-            assert got.keys() == want.keys()
-            for name in want:
-                assert_same_bits(got[name], want[name])
-            assert_same_bits(got_codes, want_codes)
-        for arr, before in zip(lazy.derivs, kept):
-            assert_same_bits(arr, before)
+        eager, before = copied_cache(cache, rows), [arr.copy() for arr in cache.pres]
+        upstream = np.random.default_rng(3).normal(0.0, 1.0, (len(rows), *cache.raw.shape[1:]))
+        want, want_codes = _backward_from_cache(params, eager, upstream, np.arange(len(rows)))
+        differentiated, derivative = [], neural_field_module._activation_derivative
+        monkeypatch.setattr(
+            neural_field_module, "_activation_derivative", lambda z, *args: differentiated.append(z) or derivative(z, *args)
+        )
+        got, got_codes = _backward_from_cache(params, cache, upstream, rows)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert_same_bits(got[name], want[name])
+        assert_same_bits(got_codes[rows], want_codes)
+        every_slot = rows.tolist() == list(range(len(codes)))
+        for layer, z in zip(reversed(range(3)), differentiated, strict=True):
+            whole = every_slot or (conditioning == "modulation" and layer == 0)
+            assert (z is cache.pres[layer]) == whole  # read uncopied, else from a copy of the rows
+            if not whole:
+                assert_same_bits(cache.pres[layer], before[layer])
 
 
 def spy_activation_values(monkeypatch) -> list[tuple[tuple, object]]:
@@ -567,40 +590,43 @@ def spy_activation_values(monkeypatch) -> list[tuple[tuple, object]]:
 
 class TestSharedBlock0:
     """In modulation mode block 0 sees x alone, so a training forward evaluates
-    it once, over one slot's worth of samples, and a lazy backward
-    differentiates it once; in concat mode it sees the codeword, so every
-    slot evaluates it."""
+    it once, over one slot's worth of samples, and the backward differentiates
+    it once, whichever slots it reads; in concat mode it sees the codeword, so
+    every slot evaluates it."""
 
-    @pytest.mark.parametrize("lazy", [False, True])
+    @pytest.mark.parametrize("every_slot", [False, True])
     @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
     @pytest.mark.parametrize("kind", ["relu", "siren", "finer"])
-    def test_block0_runs_once_per_forward(self, monkeypatch, kind, conditioning, lazy):
+    def test_block0_runs_once_per_forward(self, monkeypatch, kind, conditioning, every_slot):
         cfg = HeadConfig(depth=3, width=12, code_dim=5, activation=kind, conditioning=conditioning, seed=6)
         params = init_head(cfg)
         rng = np.random.default_rng(2)
         codes, xs = rng.normal(0.0, 0.5, (4, 5)), np.linspace(-1.0, 1.0, 9)
         calls = spy_activation_values(monkeypatch)
-        cache = _forward_with_cache(params, codes, xs, lazy=lazy)
+        cache = _forward_with_cache(params, codes, xs)
         block0 = (12, 1 if conditioning == "modulation" else 4, 9)
-        values = [shape for shape, wave in calls if wave is np.sin]
-        assert values == [block0, (12, 4, 9), (12, 4, 9)]
-        differentiated = not lazy and kind != "relu"
-        assert [shape for shape, wave in calls if wave is np.cos] == (values if differentiated else [])
+        assert calls == [(block0, np.sin), ((12, 4, 9), np.sin), ((12, 4, 9), np.sin)]  # no derivative
 
         calls.clear()
-        rows = np.array([2, 0])
-        _backward_from_cache(params, cache, rng.normal(0.0, 1.0, (2, 9, 6)), rows)
-        block0 = (12, 1 if conditioning == "modulation" else 2, 9)
-        differentiated = lazy and kind != "relu"
-        assert [shape for shape, _ in calls] == ([(12, 2, 9), (12, 2, 9), block0] if differentiated else [])
+        rows = np.arange(4) if every_slot else np.array([2, 0])
+        _backward_from_cache(params, cache, rng.normal(0.0, 1.0, (len(rows), 9, 6)), rows)
+        block0 = (12, 1 if conditioning == "modulation" else len(rows), 9)
+        differentiated = [(12, len(rows), 9), (12, len(rows), 9), block0]
+        assert [shape for shape, _ in calls] == (differentiated if kind != "relu" else [])
 
-    @pytest.mark.parametrize("lazy", [False, True])
-    def test_cache_keeps_one_slot_of_block0(self, lazy):
+    @pytest.mark.parametrize("every_slot", [False, True])
+    def test_cache_keeps_one_slot_of_block0(self, every_slot):
         cfg = HeadConfig(depth=2, width=8, code_dim=3, activation="finer", seed=1)
-        cache = _forward_with_cache(init_head(cfg), np.ones((5, 3)), np.linspace(-1.0, 1.0, 7), lazy=lazy)
-        for arr in (cache.acts[0], cache.derivs[0]):
-            assert arr.shape == (8, 5, 7) and arr.strides[1] == 0 and arr.base.size == 8 * 7
-        assert cache.acts[1].strides[1] != 0
+        params = init_head(cfg)
+        cache = _forward_with_cache(params, np.ones((5, 3)), np.linspace(-1.0, 1.0, 7))
+        act = cache.acts[0]
+        assert act.shape == (8, 5, 7) and act.strides[1] == 0 and act.base.size == 8 * 7
+        assert cache.pres[0].shape == (8, 1, 7) and cache.acts[1].strides[1] != 0
+        kept = cache.pres[0].copy()
+        rows = np.arange(5) if every_slot else np.array([4, 1])
+        _backward_from_cache(params, cache, np.ones((len(rows), 7, 6)), rows)
+        # whichever slots the backward reads, it differentiates block 0's one slot in place
+        assert_same_bits(cache.pres[0], _activation_derivative(kept, "finer", cfg.omega0))
 
     @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
     @pytest.mark.parametrize("kind", ["relu", "siren", "finer"])

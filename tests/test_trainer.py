@@ -1,3 +1,5 @@
+import base64
+import copy
 import dataclasses
 import hashlib
 import json
@@ -24,6 +26,7 @@ from pathfield.trainer import (
     TrainingError,
     _object_gradients,
     _parameter_registry,
+    _registry_moments,
     adam_step,
     checkpoint_from_document,
     checkpoint_to_document,
@@ -72,13 +75,17 @@ def fitted():
     return dataset, config, state
 
 
+def zero_head_gradients(state) -> dict[str, np.ndarray]:
+    """A zero gradient for every head tensor: adam_step updates the whole head."""
+    return {f"head.{k}": np.zeros_like(v) for k, v in named_parameters(state.head).items()}
+
+
 class TestAdamStep:
     def test_zero_gradients_leave_parameters(self):
         dataset = {"obj": [line_path(0.0)]}
         state = init_state(dataset, tiny_config(epochs=0))
         before = {k: v.copy() for k, v in named_parameters(state.head).items()}
-        grads = {f"head.{k}": np.zeros_like(v) for k, v in named_parameters(state.head).items()}
-        adam_step(state, grads)
+        adam_step(state, zero_head_gradients(state))
         for name, arr in named_parameters(state.head).items():
             assert np.array_equal(arr, before[name])
 
@@ -87,14 +94,14 @@ class TestAdamStep:
         config = tiny_config(epochs=0, step_size=0.1)
         state = init_state(dataset, config)
         state.head.out_b[...] = 0.0
-        adam_step(state, {"head.out_b": np.ones(6)})
+        adam_step(state, zero_head_gradients(state) | {"head.out_b": np.ones(6)})
         assert np.allclose(state.head.out_b, -0.1, atol=1e-8)
 
     def test_nonfinite_gradient_rejected(self):
         dataset = {"obj": [line_path(0.0)]}
         state = init_state(dataset, tiny_config(epochs=0))
         with pytest.raises(TrainingError, match="out_b"):
-            adam_step(state, {"head.out_b": np.full(6, np.nan)})
+            adam_step(state, zero_head_gradients(state) | {"head.out_b": np.full(6, np.nan)})
 
     def test_unknown_parameter_rejected(self):
         dataset = {"obj": [line_path(0.0)]}
@@ -110,8 +117,8 @@ class TestAdamStep:
         b = init_state(dataset, tiny_config(epochs=0, seed=2))
         b.head.out_b[...] = a.head.out_b
         grad = np.linspace(-1, 1, 6)
-        adam_step(a, {"head.out_b": grad})
-        adam_step(b, {"head.out_b": grad})
+        adam_step(a, zero_head_gradients(a) | {"head.out_b": grad})
+        adam_step(b, zero_head_gradients(b) | {"head.out_b": grad})
         assert np.array_equal(a.head.out_b, b.head.out_b)
 
 
@@ -131,7 +138,7 @@ class ReferenceOptimizer:
         self.config = state.config
         self.params = {name: arr.copy() for name, arr in _parameter_registry(state).items()}
         self.moments = {name: {"m": slot["m"].copy(), "v": slot["v"].copy(), "step": slot["step"]}
-                        for name, slot in state.moments.items()}
+                        for name, slot in _registry_moments(state).items()}
 
     def step(self, gradients, lr):
         for name, grad in gradients.items():
@@ -146,11 +153,12 @@ class ReferenceOptimizer:
         assert registry.keys() == self.params.keys()
         for name, arr in registry.items():
             assert arr.tobytes() == self.params[name].tobytes(), name
-        assert state.moments.keys() >= self.moments.keys()
+        moments = _registry_moments(state)
+        assert moments.keys() >= self.moments.keys()
         for name, slot in self.moments.items():
-            assert state.moments[name]["step"] == slot["step"], name
+            assert moments[name]["step"] == slot["step"], name
             for key in ("m", "v"):
-                assert state.moments[name][key].tobytes() == np.asarray(slot[key], float).tobytes(), name
+                assert moments[name][key].tobytes() == np.asarray(slot[key], float).tobytes(), name
 
 
 def random_gradients(state, names, seed):
@@ -201,34 +209,50 @@ class TestFusedAdam:
         assert counted_updates == [head_size, 4 * 8] * 6
 
     @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
-    def test_mixed_counters_run_per_tensor(self, conditioning, counted_updates):
+    def test_partial_head_gradient_is_named(self, conditioning, counted_updates):
         state = self.two_object_state(conditioning)
-        reference = ReferenceOptimizer(state)
-        names = self.head_names(state) + ["codewords.a"]
-        for step, step_names in enumerate([["head.out_b"]] + [names] * 5):
-            grads = random_gradients(state, step_names, step)
-            adam_step(state, grads, 2e-3)
-            reference.step(grads, 2e-3)
-            reference.assert_matches(state)
-        assert state.moments["head.out_b"]["step"] == 6 and state.moments["head.out_w"]["step"] == 5
-        assert len(counted_updates) == 1 + 5 * len(names)
+        names = self.head_names(state)
+        adam_step(state, random_gradients(state, names + ["codewords.a"], 0), 2e-3)
+        before = checkpoint_to_document(state)
+        for left_out in (names[0], "head.out_b", names[-1]):
+            grads = random_gradients(state, [n for n in names if n != left_out] + ["codewords.b"], 1)
+            with pytest.raises(TrainingError, match=f"gradient for '{left_out}' is missing"):
+                adam_step(state, grads, 2e-3)
+            assert checkpoint_to_document(state) == before  # nothing moved
+        assert len(counted_updates) == 2
 
     @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
     def test_partial_first_update_keeps_one_moment_vector(self, conditioning, counted_updates):
-        # the moments the second step creates live in the vector the first step's do,
-        # so once the counters meet, a full step is one head update
+        # a partial first update is refused before any moment exists; the full steps
+        # that follow keep the head's moments as one m and one v vector at one counter
         state = self.two_object_state(conditioning)
         reference = ReferenceOptimizer(state)
+        with pytest.raises(TrainingError, match="gradient for 'head.block_b0' is missing"):
+            adam_step(state, random_gradients(state, ["head.out_b", "codewords.a"], 0), 1e-3)
+        assert state.moments == {} and counted_updates == []
         names = self.head_names(state)
-        schedule = [["head.out_b"], [n for n in names if n != "head.out_b"] + ["codewords.a"], names + ["codewords.b"]]
-        for step, step_names in enumerate(schedule):
-            grads = random_gradients(state, step_names, step)
+        for step, bank in enumerate("ab", start=1):
+            grads = random_gradients(state, names + [f"codewords.{bank}"], step)
             adam_step(state, grads, 1e-3)
             reference.step(grads, 1e-3)
             reference.assert_matches(state)
-        head_size = sum(arr.size for arr in named_parameters(state.head).values())
-        assert counted_updates[-2:] == [head_size, 4 * 8]
-        assert len(counted_updates) == 1 + len(names) + 2
+        head = state.moments["head"]
+        assert head["m"].shape == head["v"].shape == state.head.vector.shape and head["step"] == 2
+        assert state.moments.keys() == {"head", "codewords.a", "codewords.b"}
+        assert counted_updates == [state.head.vector.size, 4 * 8] * 2
+
+    @pytest.mark.parametrize("trained", [False, True], ids=["fresh", "trained"])
+    def test_deep_copy_continues_like_the_original(self, trained, counted_updates):
+        dataset = {"a": [line_path(0.0)], "b": [line_path(0.3), line_path(0.6)]}
+        config = tiny_config(epochs=4)
+        original = fit(dataset, tiny_config(epochs=2)) if trained else init_state(dataset, config)
+        copied = copy.deepcopy(original)
+        counted_updates.clear()
+        fit(dataset, config, state=copied)
+        steps = 2 * (config.epochs - (2 if trained else 0))
+        assert counted_updates == [copied.head.vector.size, 4 * 8] * steps  # one head update per step
+        fit(dataset, config, state=original)  # after the copy's fit, so shared memory would show
+        assert checkpoint_to_document(copied) == checkpoint_to_document(original)
 
     def test_updates_in_blocks_give_the_per_tensor_bits(self, monkeypatch, counted_updates):
         # blocks of 7 floats leave a short last block in nearly every tensor and in the head vector
@@ -236,7 +260,7 @@ class TestFusedAdam:
         state = self.two_object_state("modulation")
         reference = ReferenceOptimizer(state)
         names = self.head_names(state)
-        for step, step_names in enumerate([names + ["codewords.a"], ["head.out_w", "codewords.b"], names]):
+        for step, step_names in enumerate([names + ["codewords.a"], names + ["codewords.b"], names]):
             grads = random_gradients(state, step_names, step)
             adam_step(state, grads, 1e-3)
             reference.step(grads, 1e-3)
@@ -246,7 +270,8 @@ class TestFusedAdam:
 
     def test_mixed_counters_resume_like_an_uninterrupted_run(self):
         names = self.head_names(self.two_object_state("modulation"))
-        schedule = [["head.out_b", "codewords.b"]] + [names + [f"codewords.{'ab'[i % 2]}"] for i in range(5)]
+        # every step updates the head; the two banks' counters stay apart
+        schedule = [names + ["codewords.b"]] + [names + [f"codewords.{'ab'[i % 2]}"] for i in range(5)]
         straight = self.two_object_state("modulation")
         for step, step_names in enumerate(schedule):
             adam_step(straight, random_gradients(straight, step_names, step), 1e-3)
@@ -426,19 +451,23 @@ class TestObjectGradients:
         assert len(gt) == state.config.slots
         assert_gradients_match_finite_differences(gt, state, svals)
 
-    def test_forward_is_lazy_unless_the_object_fills_every_slot(self, monkeypatch):
+    def test_backward_differentiates_only_the_matched_rows(self, monkeypatch):
         dataset = {"a": [line_path(0.0), line_path(0.5)], "b": [line_path(y) for y in (-0.6, -0.2, 0.2, 0.6)], "c": []}
         state = init_state(dataset, tiny_config(epochs=1))
-        forward, lazy = trainer_module._forward_with_cache, {}
+        backward, derivative = trainer_module._backward_from_cache, neural_field_module._activation_derivative
+        calls, shapes = [], {}
 
-        def recording(params, codes, xs, **kwargs):
-            cache = forward(params, codes, xs, **kwargs)
-            lazy[next(oid for oid, bank in state.codewords.items() if bank is codes)] = cache.lazy
-            return cache
+        def recording(params, cache, upstream, rows):
+            calls.clear()
+            result = backward(params, cache, upstream, rows)
+            shapes[next(oid for oid, bank in state.codewords.items() if bank is cache.codes)] = list(calls)
+            return result
 
-        monkeypatch.setattr(trainer_module, "_forward_with_cache", recording)
+        monkeypatch.setattr(neural_field_module, "_activation_derivative", lambda z, *a: calls.append(z.shape) or derivative(z, *a))
+        monkeypatch.setattr(trainer_module, "_backward_from_cache", recording)
         train_epoch(state, dataset)
-        assert lazy == {"a": True, "b": False, "c": True}
+        # depth 2, width 16, 12 samples: block 1 over the rows matched to paths, block 0 over its one slot
+        assert shapes == {"a": [(16, 2, 12), (16, 1, 12)], "b": [(16, 4, 12), (16, 1, 12)], "c": [(16, 0, 12), (16, 1, 12)]}
 
     @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
     def test_loss_equals_per_pair_reference(self, conditioning):
@@ -669,12 +698,14 @@ class TestCheckpoint:
         assert loaded.loss_history == state.loss_history
         loaded_registry = _parameter_registry(loaded)
         assert loaded_registry.keys() == registry.keys()
+        moments, loaded_moments = _registry_moments(state), _registry_moments(loaded)
+        assert loaded.moments.keys() == state.moments.keys() == {"head", "codewords.a", "codewords.b"}
         for name, arr in registry.items():
             assert loaded_registry[name].shape == arr.shape, name
             assert loaded_registry[name].tobytes() == arr.tobytes(), name
             for key in ("m", "v"):
-                assert loaded.moments[name][key].tobytes() == state.moments[name][key].tobytes(), name
-            assert loaded.moments[name]["step"] == state.moments[name]["step"]
+                assert loaded_moments[name][key].tobytes() == moments[name][key].tobytes(), name
+            assert loaded_moments[name]["step"] == moments[name]["step"]
 
     def test_missing_array_rejected(self, fitted):
         doc = checkpoint_to_document(fitted[2])
@@ -700,6 +731,63 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="codewords.ghost"):
             checkpoint_from_document(doc)
 
+    @pytest.mark.parametrize("path,value,message", [
+        (("epoch",), 1.7, "epoch must be an integer"),
+        (("epoch",), True, "epoch must be an integer"),
+        (("epoch",), -1, "epoch must be >= 0"),
+        (("moments", "codewords.obj", "step"), -3, "codewords.obj.step must be >= 0"),
+        (("moments", "head.out_w", "step"), 2.5, "head.out_w.step must be an integer"),
+        (("moments", "head.out_w", "step"), False, "head.out_w.step must be an integer"),
+        (("loss_history", 1), [0.5, 0.25], r"loss_history\[1\] must hold three finite numbers"),
+        (("loss_history", 1), [0.5, 0.25, 0.75, 1.0], r"loss_history\[1\] must hold"),
+        (("loss_history", 0, 2), float("nan"), r"loss_history\[0\] must hold"),
+        (("loss_history", 0, 0), True, r"loss_history\[0\] must hold"),
+        (("loss_history", 0, 1), "0.5", r"loss_history\[0\] must hold"),
+    ], ids=["epoch-float", "epoch-bool", "epoch-negative", "step-negative", "step-float", "step-bool",
+            "row-of-two", "row-of-four", "row-nan", "row-bool", "row-string"])
+    def test_bad_counter_is_named(self, fitted, path, value, message):
+        doc = json.loads(json.dumps(checkpoint_to_document(fitted[2])))
+        *keys, last = path
+        holder = doc
+        for key in keys:
+            holder = holder[key]
+        holder[last] = value
+        with pytest.raises(ValueError, match=message):
+            checkpoint_from_document(doc)
+
+    def test_head_moments_at_another_step_are_named(self, fitted):
+        # the head steps as one, so only a partial update could write these
+        doc = checkpoint_to_document(fitted[2])
+        doc["moments"]["head.conf_b1"]["step"] += 1
+        with pytest.raises(ValueError, match="'head.conf_b1' are missing or off the head's step"):
+            checkpoint_from_document(doc)
+        doc = checkpoint_to_document(fitted[2])
+        del doc["moments"]["head.out_w"]
+        with pytest.raises(ValueError, match="'head.out_w' are missing"):
+            checkpoint_from_document(doc)
+
+    @pytest.mark.parametrize("path", [
+        ("parameters", "head.block_w0"), ("parameters", "head.conf_b2"), ("parameters", "codewords.obj"),
+        ("moments", "head.out_w", "v"), ("moments", "codewords.obj", "m"),
+    ], ids=lambda path: ".".join(path[1:]))
+    def test_non_finite_array_is_named(self, fitted, tmp_path, capsys, path):
+        doc = checkpoint_to_document(fitted[2])
+        *keys, last = path
+        holder = doc
+        for key in keys:
+            holder = holder[key]
+        values = np.frombuffer(base64.b64decode(holder[last]), dtype="<f8").copy()
+        values[-1] = np.inf if last == "v" else np.nan
+        holder[last] = base64.b64encode(values.tobytes()).decode()
+        name = ".".join(path[1:])
+        with pytest.raises(ValueError, match=f"checkpoint array '{name}' is not finite"):
+            checkpoint_from_document(doc)
+        ckpt = tmp_path / "ckpt.json"
+        save_json(doc, ckpt, indent=None, separators=(",", ":"))
+        capsys.readouterr()
+        assert main(["predict", "--checkpoint", str(ckpt), "--object", "obj", "--out", str(tmp_path / "p.json")]) == 1
+        assert f"'{name}' is not finite" in capsys.readouterr().err
+
     def test_failed_save_keeps_previous_checkpoint(self, fitted, tmp_path, monkeypatch):
         # every byte reaches the temp file, then the atomic writer's fsync fails
         target = tmp_path / "ckpt.json"
@@ -721,7 +809,7 @@ class TestCheckpoint:
         save_checkpoint(fitted[2], target)
         before = target.read_bytes()
         encode, calls = trainer_module._encode, []
-        arrays = len(_parameter_registry(fitted[2])) + 2 * len(fitted[2].moments)
+        arrays = len(_parameter_registry(fitted[2])) + 2 * len(_registry_moments(fitted[2]))
 
         def failing_encode(arr):
             calls.append(arr)
@@ -738,11 +826,11 @@ class TestCheckpoint:
 
 
 def mixed_counter_state():
-    """Two objects, a partial first head update and steps that leave the counters apart."""
+    """Two objects whose banks' counters and the head's stay apart."""
     dataset = {"a": [line_path(0.0)], "b": [line_path(0.3), line_path(0.6)]}
     state = init_state(dataset, tiny_config(epochs=0))
     names = [f"head.{name}" for name in named_parameters(state.head)]
-    for step, step_names in enumerate([["head.out_b", "codewords.b"], names + ["codewords.a"], names]):
+    for step, step_names in enumerate([names + ["codewords.b"], names + ["codewords.a"], names + ["codewords.b"]]):
         adam_step(state, random_gradients(state, step_names, step), 1e-3)
     return state
 
@@ -808,6 +896,25 @@ class TestTrainConfigDocument:
         ("codeword_sigma", 0.0), ("conf_threshold", 0.0), ("conf_threshold", 1.0), ("sampling_noise", 0.0),
     ])
     def test_boundary_value_is_accepted(self, field, value):
+        assert getattr(tiny_config(**{field: value}), field) == value
+
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", 1.5), ("epochs", 2.0), ("slots", True), ("slots", 8.5), ("train_samples", np.float64(12)),
+        ("test_samples", 48.0), ("seed", 1.5), ("seed", False),
+    ])
+    def test_non_integer_count_is_named(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            tiny_config(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("depth", 2.0), ("width", True), ("code_dim", 8.5), ("conf_hidden", 3.5), ("conf_hidden", False), ("seed", 0.0),
+    ])
+    def test_non_integer_head_count_is_named(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            tiny_head(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [("epochs", np.int64(3)), ("slots", np.int32(4)), ("seed", 0)])
+    def test_integer_count_is_accepted(self, field, value):
         assert getattr(tiny_config(**{field: value}), field) == value
 
 
