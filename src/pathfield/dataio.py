@@ -14,6 +14,7 @@ Every document, checkpoints too, is written by one atomic writer.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -22,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .metrics import EvalReport
-from .paths import Path, PredictedPath, normalize_scene
+from .paths import Path, PredictedPath, _check_integer, _check_number, normalize_scene
 
 __all__ = [
     "ValidationError",
@@ -80,16 +81,14 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.strokes < 1:
-            raise ValueError("strokes must be >= 1")
-        if self.waypoints_per_stroke < 2:
-            raise ValueError("waypoints_per_stroke must be >= 2")
+        for name, minimum in (("strokes", 1), ("waypoints_per_stroke", 2), ("cloud_points", 1), ("seed", 0)):
+            _check_integer(name, getattr(self, name), minimum)
+        for name in ("jitter_sigma", "curvature"):
+            _check_number(name, getattr(self, name))
         if not 0 <= self.jitter_sigma < np.inf:
             raise ValueError("jitter_sigma must be finite and >= 0")
         if not np.isfinite(self.curvature):
             raise ValueError("curvature must be finite")
-        if self.cloud_points < 1:
-            raise ValueError("cloud_points must be >= 1")
 
 
 def gen_raster_object(config: SyntheticConfig, object_id: str = "object-000") -> ObjectRecord:
@@ -165,13 +164,17 @@ def save_json(doc, path, indent: int | None = 1, separators: tuple[str, str] | N
     _write_atomic(path, json.JSONEncoder(sort_keys=True, indent=indent, separators=separators).iterencode(doc))
 
 
+def _number_rows(rows, width: int, object_id: str, where: str) -> np.ndarray:
+    """A non-empty list of rows of `width` JSON numbers as a float array; anything else, a
+    string or a boolean among them too, is a ValidationError naming the object and field."""
+    if not (type(rows) is list and rows and set(map(type, rows)) == {list} and set(map(len, rows)) == {width}
+            and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}):
+        raise ValidationError(f"object {object_id!r}: {where}: every row needs exactly {width} JSON numbers")
+    return np.array(rows, dtype=float)
+
+
 def _path_from_rows(rows, object_id: str, where: str) -> Path:
-    try:
-        arr = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"object {object_id!r}: {where}: malformed pose rows ({exc})") from exc
-    if arr.ndim != 2 or arr.shape[1] != 6:
-        raise ValidationError(f"object {object_id!r}: {where}: every pose row needs exactly 6 numbers")
+    arr = _number_rows(rows, 6, object_id, where)
     try:
         return Path(arr)
     except ValueError as exc:
@@ -200,11 +203,8 @@ def dataset_from_document(doc) -> list[ObjectRecord]:
 
         cloud = None
         if entry.get("point_cloud") is not None:
-            try:
-                cloud = np.asarray(entry["point_cloud"], dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"object {object_id!r}: point_cloud: malformed rows ({exc})") from exc
-            if cloud.ndim != 2 or cloud.shape[1] != 3 or not np.all(np.isfinite(cloud)):
+            cloud = _number_rows(entry["point_cloud"], 3, object_id, "point_cloud")
+            if not np.all(np.isfinite(cloud)):
                 raise ValidationError(f"object {object_id!r}: point_cloud rows need 3 finite numbers")
 
         pred_docs = [] if entry.get("predictions") is None else entry["predictions"]

@@ -14,12 +14,13 @@ samples inside one matmul. In modulation mode block 0 sees x alone, so
 it runs once per sample grid, over (width, 1, T), for the slots of a
 training cache and a decode of the slots one at a time alike. Every
 head array is a view into one vector, which a deep copy copies as one,
-so the optimizer updates the whole head at once; gradients are
-name -> array dicts keyed like named_parameters. Inference
-(head_forward_batch) computes activation values only; the training
-forward also keeps each block's output and pre-activation, which the
-backward differentiates for the slots it reads, reading the cache once.
-The ReLU branches keep only their outputs, which are positive exactly
+so the optimizer updates the whole head at once; a gradient is laid out
+the same way, as a HeadParams whose vector is the whole gradient.
+Inference (head_forward_batch) computes activation values only; the
+training forward runs both branches and also keeps each block's output
+and pre-activation, which one backward through both branches
+differentiates for the slots it reads, dropping each block's arrays
+once read. The ReLU branches keep only their outputs, which are positive exactly
 where their pre-activations are and so are also the backward's masks.
 The initialisation rule lives in init_head's one walk over the tensors.
 
@@ -29,12 +30,13 @@ them against central finite differences.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .paths import _check_integer
+from .paths import _check_integer, _check_number
 
 ACTIVATIONS = ("relu", "siren", "finer")
 CONDITIONING = ("modulation", "concat")
@@ -50,7 +52,6 @@ __all__ = [
     "head_forward_batch",
     "confidence_forward",
     "head_backward",
-    "confidence_backward",
     "named_parameters",
     "parameter_count",
 ]
@@ -84,6 +85,8 @@ class HeadConfig:
         for name, minimum in (("depth", 1), ("width", 1), ("code_dim", 0), ("seed", 0)):
             _check_integer(name, getattr(self, name), minimum)
         _check_integer("conf_hidden", self.conf_width, 1)  # conf_width is conf_hidden unless that is None
+        for name in ("omega0", "finer_bias_scale"):
+            _check_number(name, getattr(self, name))
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.conditioning not in CONDITIONING:
@@ -130,7 +133,8 @@ def _allocate(config: HeadConfig, vector: np.ndarray | None = None) -> HeadParam
     shapes = [shape for rows, cols in weights for shape in ((rows, cols), (rows,))] + [(hc, code), (hc,), (hc,), ()]
     sizes = [math.prod(shape) for shape in shapes]
     vector = np.zeros(sum(sizes)) if vector is None else vector
-    arrays = [vector[end - size : end].reshape(shape) for end, size, shape in zip(np.cumsum(sizes), sizes, shapes)]
+    ends = itertools.accumulate(sizes)  # Python ints: numpy integers slice slower
+    arrays = [vector[end - size : end].reshape(shape) for end, size, shape in zip(ends, sizes, shapes)]
     block, mod = arrays[: 2 * depth], arrays[2 * depth + 2 : -4]
     out_w, out_b = arrays[2 * depth : 2 * depth + 2]
     return HeadParams(config, vector, block[::2], block[1::2], out_w, out_b, mod[::2], mod[1::2], *arrays[-4:])
@@ -247,7 +251,7 @@ class _ForwardCache:
     """What the training backward reads, once. In modulation mode every block input after
     layer 0, and the readout input, is mod_hs[l].T[:, :, None] * acts[l] of the
     block before; the backward rebuilds those with one multiply instead. The
-    modulator's ReLU mask is mod_hs[l] > 0, so its pre-activations are not kept.
+    ReLU branches' masks are their outputs > 0, so their pre-activations are not kept.
     Block 0's arrays in modulation mode are one slot's worth (its activation broadcast over the slots)."""
 
     codes: np.ndarray  # (N, code_dim)
@@ -256,6 +260,8 @@ class _ForwardCache:
     acts: list[np.ndarray] = field(default_factory=list)  # block activation outputs, (width, N, T)
     mod_hs: list[np.ndarray] = field(default_factory=list)  # (N, width)
     raw: np.ndarray | None = None  # (N, T, 6)
+    hidden: np.ndarray | None = None  # confidence branch outputs (N, conf_width)
+    prob: np.ndarray | None = None  # confidences (N,)
 
 
 def _head_pass(params: HeadParams, codes: np.ndarray, xs, cache: _ForwardCache | None, block0=None) -> np.ndarray:
@@ -303,10 +309,20 @@ def _head_pass(params: HeadParams, codes: np.ndarray, xs, cache: _ForwardCache |
     return (params.out_w @ _flat(x) + params.out_b[:, None]).reshape(6, *shape).transpose(1, 2, 0)
 
 
+def _confidence(params: HeadParams, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The confidence branch's hidden outputs (N, conf_width) and confidences (N,) of a bank."""
+    hidden = np.maximum(codes @ params.conf_w1.T + params.conf_b1, 0.0)
+    logit = hidden @ params.conf_w2 + params.conf_b2
+    # logistic sigmoid with exp only ever seeing -|logit|, so it cannot overflow
+    e = np.exp(-np.abs(logit))
+    return hidden, np.where(logit >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def _forward_with_cache(params: HeadParams, codewords, xs) -> _ForwardCache:
-    """Raw outputs and what the backward reads; the backward takes the activation derivatives."""
+    """Raw outputs, confidences and what the backward reads; the backward takes the activation derivatives."""
     cache = _ForwardCache(_as_codewords(params, codewords))
     cache.raw = _head_pass(params, cache.codes, xs, cache)
+    cache.hidden, cache.prob = _confidence(params, cache.codes)
     return cache
 
 
@@ -321,50 +337,26 @@ def head_forward_batch(params: HeadParams, codewords, xs, _block0: list | None =
     return raw[0] if np.ndim(codewords) == 1 else raw
 
 
-@dataclass
-class _ConfCache:
-    codes: np.ndarray  # (N, code_dim)
-    hidden: np.ndarray  # (N, conf_width)
-    prob: np.ndarray  # (N,)
-
-
-def _confidence_with_cache(params: HeadParams, codewords) -> _ConfCache:
-    codes = _as_codewords(params, codewords)
-    hidden = np.maximum(codes @ params.conf_w1.T + params.conf_b1, 0.0)
-    logit = hidden @ params.conf_w2 + params.conf_b2
-    # logistic sigmoid with exp only ever seeing -|logit|, so it cannot overflow
-    e = np.exp(-np.abs(logit))
-    prob = np.where(logit >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return _ConfCache(codes, hidden, prob)
-
-
 def confidence_forward(params: HeadParams, codewords):
     """Confidence in (0, 1) of the path each codeword encodes.
 
     One codeword gives a float; a bank (N, code_dim) gives an (N,) array.
     """
-    prob = _confidence_with_cache(params, codewords).prob
+    prob = _confidence(params, _as_codewords(params, codewords))[1]
     return float(prob[0]) if np.ndim(codewords) == 1 else prob
 
 
-def _without_bias(config: HeadConfig, grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    # a bias-free head keeps its biases at zero, so their gradients are zeroed
-    if not config.use_bias:
-        for name, arr in grads.items():
-            if _is_bias(name):
-                arr[...] = 0.0
-    return grads
-
-
 def _backward_from_cache(
-    params: HeadParams, cache: _ForwardCache, upstream: np.ndarray, rows: np.ndarray
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Pose gradients through the slots `rows` of a forward cache.
+    params: HeadParams, cache: _ForwardCache, upstream: np.ndarray, rows: np.ndarray, d_prob
+) -> tuple[HeadParams, np.ndarray]:
+    """Gradients of both branches through a forward cache, which the backward spends.
 
-    `upstream` is d(loss)/d(raw output) of those slots, (len(rows), T, 6).
-    Every weight gradient sums over slots and samples inside one matmul;
-    the codeword gradients are (N, code_dim), zero outside `rows`. The cache is read once:
-    pre-activations read whole (every slot, or block 0's one slot) are differentiated uncopied.
+    `upstream` is d(loss)/d(raw output) of the slots `rows`, (len(rows), T, 6), and
+    `d_prob` d(loss)/d(confidence) of every slot, (N,). Returns the head's gradient as
+    a HeadParams, summed over slots and samples (a bias-free head's bias gradients
+    exactly 0), and the (N, code_dim) codeword gradients. Each block's cached arrays
+    are dropped once read; pre-activations read whole (every slot, or block 0's one
+    slot) are differentiated uncopied.
     """
     cfg = params.config
     d_raw = np.asarray(upstream, dtype=float)
@@ -373,6 +365,9 @@ def _backward_from_cache(
         raise ValueError(f"upstream gradient shape {d_raw.shape} != output shape {expected}")
     if not np.all(np.isfinite(d_raw)):
         raise ValueError("upstream gradients must be finite")
+    d_prob = np.asarray(d_prob, dtype=float)
+    if d_prob.shape != cache.prob.shape:
+        raise ValueError(f"confidence gradient shape {d_prob.shape} != output shape {cache.prob.shape}")
     shape = expected[:2]
     codes = cache.codes[rows]
     d_codes = np.zeros_like(codes)
@@ -404,6 +399,7 @@ def _backward_from_cache(
         else:
             d_z = _flat(d_x * act_deriv)
         inp = block_output(layer - 1) if modulated and layer > 0 else take(cache.inputs[layer])
+        del cache.pres[layer], cache.acts[layer], cache.inputs[layer:], pre, act_deriv  # spent
         grads[f"block_w{layer}"] = d_z @ _flat(inp).T
         grads[f"block_b{layer}"] = d_z.sum(axis=1)
         if modulated and layer == 0:
@@ -428,49 +424,33 @@ def _backward_from_cache(
                 carry = d_mod_h[layer - 1] + d_inp[:, :split]
             d_codes += d_inp[:, split:]
 
-    code_grads = np.zeros_like(cache.codes)
-    code_grads[rows] = d_codes
-    return _without_bias(cfg, grads), code_grads
-
-
-def head_backward(params: HeadParams, codewords, xs, upstream) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Exact gradients of the pose forward pass over a codeword bank.
-
-    `upstream` holds d(loss)/d(raw output) per slot and sample, shape
-    (N, T, 6). Returns the pose weight gradients, summed over slots and
-    samples and keyed like named_parameters, and the (N, code_dim)
-    codeword gradients. The modulation product routes gradients into both
-    the block branch and the modulator branch.
-    """
-    cache = _forward_with_cache(params, codewords, xs)
-    return _backward_from_cache(params, cache, upstream, np.arange(len(cache.codes)))
-
-
-def _conf_backward_from_cache(
-    params: HeadParams, cache: _ConfCache, d_prob
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    d_prob = np.asarray(d_prob, dtype=float)
-    if d_prob.shape != cache.prob.shape:
-        raise ValueError(f"confidence gradient shape {d_prob.shape} != output shape {cache.prob.shape}")
     d_logit = d_prob * cache.prob * (1.0 - cache.prob)
     d_pre = np.outer(d_logit, params.conf_w2) * (cache.hidden > 0)
-    grads = {
-        "conf_w1": d_pre.T @ cache.codes,
-        "conf_b1": d_pre.sum(axis=0),
-        "conf_w2": d_logit @ cache.hidden,
-        "conf_b2": np.array(d_logit.sum()),
-    }
-    return _without_bias(params.config, grads), d_pre @ params.conf_w1
+    grads |= {"conf_w1": d_pre.T @ cache.codes, "conf_b1": d_pre.sum(axis=0)}
+    grads |= {"conf_w2": d_logit @ cache.hidden, "conf_b2": d_logit.sum()}
+    code_grads = np.zeros_like(cache.codes)
+    code_grads[rows] = d_codes
+    code_grads += d_pre @ params.conf_w1
+
+    grad = _allocate(cfg)  # after the cache's large arrays are gone
+    for name, arr in named_parameters(grad).items():
+        if cfg.use_bias or not _is_bias(name):  # a bias-free head keeps its biases at zero
+            arr[...] = grads[name]
+    return grad, code_grads
 
 
-def confidence_backward(params: HeadParams, codewords, d_prob) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Gradients of the confidences w.r.t. their branch and the codewords.
+def head_backward(params: HeadParams, codewords, xs, upstream, d_prob) -> tuple[HeadParams, np.ndarray]:
+    """Exact gradients of both branches over a codeword bank.
 
-    `d_prob` holds d(loss)/d(confidence) per slot, shape (N,). Returns the
-    branch gradients summed over slots, keyed like named_parameters, and
-    the (N, code_dim) codeword gradients.
+    `upstream` holds d(loss)/d(raw output) per slot and sample, shape
+    (N, T, 6), and `d_prob` d(loss)/d(confidence) per slot, shape (N,).
+    Returns the head's gradient as a HeadParams (its `vector` in
+    named_parameters order), summed over slots and samples, and the
+    (N, code_dim) codeword gradients. The modulation product routes
+    gradients into both the block branch and the modulator branch.
     """
-    return _conf_backward_from_cache(params, _confidence_with_cache(params, codewords), d_prob)
+    cache = _forward_with_cache(params, codewords, xs)
+    return _backward_from_cache(params, cache, upstream, np.arange(len(cache.codes)), d_prob)
 
 
 def named_parameters(params: HeadParams) -> dict[str, np.ndarray]:

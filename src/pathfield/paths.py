@@ -8,6 +8,7 @@ fractional waypoint index.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,10 +32,16 @@ __all__ = [
 ]
 
 
+def _check_number(name: str, value, integer: bool = False) -> None:
+    """The rule of every config number: a ValueError naming it unless it is a real number
+    (an integer, if `integer`) and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, not {value!r}")
+
+
 def _check_integer(name: str, value, minimum: int) -> None:
-    """The rule of every count: a ValueError naming it if it is a bool, a float or below minimum."""
-    if isinstance(value, (bool, float, np.floating)):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
+    """The rule of every count: an integer by _check_number's rule, and at least minimum."""
+    _check_number(name, value, integer=True)
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
 
@@ -107,10 +114,14 @@ class ParamSamplingConfig:
     def __post_init__(self) -> None:
         if self.strategy not in SAMPLING_STRATEGIES:
             raise ValueError(f"unknown sampling strategy {self.strategy!r}")
+        _check_number("count", self.count, integer=True)
         if self.count < 2:
             raise ValueError(f"sample count {self.count} is below 2: a path needs at least two poses")
-        if self.noise_sigma is not None and self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        _check_integer("seed", self.seed, 0)
+        if self.noise_sigma is not None:
+            _check_number("noise_sigma", self.noise_sigma)
+            if self.noise_sigma < 0:
+                raise ValueError("noise_sigma must be >= 0")
 
 
 def sample_params(config: ParamSamplingConfig) -> np.ndarray:

@@ -2,10 +2,12 @@
 
 Instead of an encoder, every object owns a bank of free codewords that
 are optimized jointly with the shared head parameters against the
-matching objective. One optimizer step per object per epoch, which
-updates the whole head as one vector at one step counter; everything is
-float64 and fully deterministic given the config seed. A checkpoint is
-one JSON document with every array as base64.
+matching objective. One optimizer step per object per epoch: one forward
+and one backward give the gradients keyed like the Adam moments ("head",
+the head's whole vector, and "codewords.<id>"), and Adam updates the
+head as one vector at one step counter; everything is float64 and fully
+deterministic given the config seed. A checkpoint is one JSON document
+with every array as base64, keyed by the per-tensor parameter registry.
 """
 from __future__ import annotations
 
@@ -25,15 +27,14 @@ from .neural_field import (
     HeadParams,
     _allocate,
     _backward_from_cache,
-    _conf_backward_from_cache,
-    _confidence_with_cache,
     _forward_with_cache,
     confidence_forward,
     head_forward_batch,
     init_head,
     named_parameters,
 )
-from .paths import ParamSamplingConfig, Path, PredictedPath, SAMPLING_STRATEGIES, _check_integer, sample_params
+from .paths import ParamSamplingConfig, Path, PredictedPath, SAMPLING_STRATEGIES, sample_params
+from .paths import _check_integer, _check_number
 
 CHECKPOINT_FORMAT = "pathfield.checkpoint.v2"
 _ADAM_BLOCK = 1 << 15  # floats per Adam update call: its five arrays (1.25 MB) stay in cache
@@ -89,6 +90,9 @@ class TrainConfig:
     def __post_init__(self) -> None:
         for name, minimum in (("slots", 1), ("train_samples", 2), ("test_samples", 2), ("epochs", 0), ("seed", 0)):
             _check_integer(name, getattr(self, name), minimum)
+        for name in ("step_size", "adam_beta1", "adam_beta2", "adam_eps", "gamma", "codeword_sigma", "conf_threshold",
+                     "lr_min") + (("sampling_noise",) if self.sampling_noise is not None else ()):
+            _check_number(name, getattr(self, name))
         if not self.step_size > 0:
             raise ValueError("step_size must be positive")
         if self.sampling not in SAMPLING_STRATEGIES:
@@ -182,18 +186,18 @@ def _registry_moments(state: TrainState) -> dict[str, dict]:
 
 
 def _adam_update(param, m, v, grad, step: int, lr: float, config: TrainConfig) -> None:
-    """Adam on one array and its moments, in place, grad overwritten; terms keep their left-to-right order."""
+    """Adam on one array and its moments, in place; terms keep their left-to-right order."""
     m *= config.adam_beta1
     m += (1.0 - config.adam_beta1) * grad
     v *= config.adam_beta2
     v += (1.0 - config.adam_beta2) * grad * grad
-    np.divide(m, 1.0 - config.adam_beta1**step, out=grad)
-    grad *= lr
-    work = np.divide(v, 1.0 - config.adam_beta2**step, out=np.empty_like(grad))
+    update = np.divide(m, 1.0 - config.adam_beta1**step)
+    update *= lr
+    work = np.divide(v, 1.0 - config.adam_beta2**step)
     np.sqrt(work, out=work)
     work += config.adam_eps
-    grad /= work
-    param -= grad
+    update /= work
+    param -= update
 
 
 def adam_step(
@@ -202,39 +206,37 @@ def adam_step(
     """Bias-corrected adaptive-moment update, in place and in float64.
 
     Hyperparameters come from state.config; step_size overrides its
-    step_size. `gradients` must cover every head tensor: the head updates
-    as one vector at one step counter. Each codeword bank keeps its own
-    counter, so banks that are only touched on their object's steps stay
-    correctly corrected. Updates run in cache-sized blocks. Nothing moves
-    unless every gradient fits and is finite.
+    step_size. `gradients` is keyed like state.moments: "head" holds the
+    gradient of the head's whole vector, "codewords.<id>" that of one
+    bank. Each entry keeps its own step counter, so banks that are only
+    touched on their object's steps stay correctly corrected. Updates run
+    in cache-sized blocks. Nothing moves unless every gradient fits and is
+    finite, and the gradients are left as they were.
     """
     cfg = state.config
     lr = cfg.step_size if step_size is None else step_size
-    registry = _parameter_registry(state)
-    for name in sorted(gradients.keys() | {name for name in registry if name.startswith("head.")}):
-        if name not in gradients:
-            raise TrainingError(f"gradient for {name!r} is missing: every step updates the whole head")
-        if name not in registry:
+    params = {"head": state.head.vector} | {f"codewords.{oid}": bank for oid, bank in state.codewords.items()}
+    grads = {name: np.asarray(grad, dtype=float) for name, grad in gradients.items()}
+    for name, grad in sorted(grads.items()):
+        if name not in params:
             raise TrainingError(f"gradient for unknown parameter {name!r}")
-        if (shape := np.asarray(gradients[name]).shape) != registry[name].shape:
-            raise TrainingError(f"gradient shape {shape} != parameter shape {registry[name].shape} for {name!r}")
-    names = [name for name in registry if name in gradients]  # the head's layout order, then codewords
-    flat = np.concatenate([gradients[name] for name in names], axis=None, dtype=float)
-    if not np.isfinite(flat).all():
-        bad = next(name for name in sorted(gradients) if not np.isfinite(gradients[name]).all())
-        raise TrainingError(f"non-finite gradient for {bad!r}")
+        if grad.shape != params[name].shape:
+            raise TrainingError(f"gradient shape {grad.shape} != parameter shape {params[name].shape} for {name!r}")
+        if not np.isfinite(grad).all():
+            if name == "head":  # name the tensor
+                head = named_parameters(_allocate(cfg.head, grad))
+                name = "head." + next(k for k, arr in head.items() if not np.isfinite(arr).all())
+            raise TrainingError(f"non-finite gradient for {name!r}")
 
-    updates = {"head": state.head.vector} | {name: registry[name] for name in names if name.startswith("codewords.")}
-    start = 0
-    for name, param in updates.items():
+    for name, grad in grads.items():
+        param = params[name]
         if name not in state.moments:
             state.moments[name] = {"m": np.zeros_like(param), "v": np.zeros_like(param), "step": 0}
         slot = state.moments[name]
         slot["step"] += 1
-        arrays = [arr.reshape(-1) for arr in (param, slot["m"], slot["v"])] + [flat[start : start + param.size]]
+        arrays = [arr.reshape(-1) for arr in (param, slot["m"], slot["v"], grad)]
         for low in range(0, param.size, _ADAM_BLOCK):
             _adam_update(*(arr[low : low + _ADAM_BLOCK] for arr in arrays), slot["step"], lr, cfg)
-        start += param.size
     return state
 
 
@@ -248,24 +250,19 @@ def _epoch_step_size(config: TrainConfig, epoch: int) -> float:
 def _object_gradients(
     state: TrainState, object_id: str, gt_paths: Sequence[Path], svals: np.ndarray
 ) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
-    head = state.head
+    """The object's loss and its gradients, keyed like state.moments."""
     codes = state.codewords[object_id]
     targets = pad_targets(gt_paths, state.config.slots, svals)
-    cache = _forward_with_cache(head, codes, svals)
-    conf_cache = _confidence_with_cache(head, codes)
+    cache = _forward_with_cache(state.head, codes, svals)
     match = hungarian(position_cost_matrix(targets, cache.raw))
     try:
         breakdown, real, d_raw, d_prob = objective(
-            targets, match.permutation, cache.raw, conf_cache.prob, state.config.gamma
+            targets, match.permutation, cache.raw, cache.prob, state.config.gamma
         )
     except ValueError as exc:
         raise TrainingError(f"{exc} for object {object_id!r}") from exc
-
-    pose_grads, pose_code_grads = _backward_from_cache(head, cache, d_raw, real)
-    conf_grads, conf_code_grads = _conf_backward_from_cache(head, conf_cache, d_prob)
-    grads = {f"head.{name}": arr for name, arr in (pose_grads | conf_grads).items()}
-    grads[f"codewords.{object_id}"] = pose_code_grads + conf_code_grads
-    return breakdown, grads
+    grad, code_grads = _backward_from_cache(state.head, cache, d_raw, real, d_prob)
+    return breakdown, {"head": grad.vector, f"codewords.{object_id}": code_grads}
 
 
 def train_epoch(state: TrainState, dataset: Mapping[str, Sequence[Path]]) -> float:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -72,6 +73,15 @@ class TestGenerator:
         with pytest.raises(ValueError, match=field):
             SyntheticConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("strokes", 2.5, "an integer"), ("strokes", True, "an integer"), ("waypoints_per_stroke", "20", "an integer"),
+        ("cloud_points", None, "an integer"), ("seed", 1.5, "an integer"), ("seed", -1, ">= 0"),
+        ("jitter_sigma", True, "a number"), ("curvature", "0.1", "a number"),
+    ])
+    def test_non_number_settings_are_named(self, field, value, message):
+        with pytest.raises(ValueError, match=f"{field} must be {message}"):
+            SyntheticConfig(**{field: value})
+
     @pytest.mark.parametrize("flag", ["--jitter", "--curvature"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_gen_rejects_non_finite_flags(self, tmp_path, capsys, flag, value):
@@ -141,6 +151,30 @@ class TestDatasetDocuments:
         target.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match="confidence"):
             load_dataset(target)
+
+    @pytest.mark.parametrize("field,edit", [
+        ("gt_paths[0]", lambda entry: entry["gt_paths"][0][0].__setitem__(0, "0")),
+        ("gt_paths[0]", lambda entry: entry["gt_paths"][0][1].__setitem__(5, True)),
+        ("gt_paths[0]", lambda entry: entry["gt_paths"][0].__setitem__(0, None)),
+        ("predictions[0].poses", lambda entry: entry["predictions"][0]["poses"][1].__setitem__(2, None)),
+        ("point_cloud", lambda entry: entry["point_cloud"][0].__setitem__(0, True)),
+        ("point_cloud", lambda entry: entry["point_cloud"][1].__setitem__(2, "1")),
+        ("point_cloud", lambda entry: entry.__setitem__("point_cloud", [])),
+    ], ids=["pose-string", "pose-bool", "pose-null-row", "prediction-null", "cloud-bool", "cloud-string",
+            "cloud-empty"])
+    def test_non_number_row_entry_is_named(self, tmp_path, capsys, field, edit):
+        pose_rows = [[0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 1.0]]
+        entry = {"object_id": "obj", "gt_paths": [pose_rows], "point_cloud": [[0, 0, 0], [1, 0.5, 0]],
+                 "predictions": [{"confidence": 0.5, "poses": pose_rows}]}
+        entry = json.loads(json.dumps(entry))
+        assert dataset_from_document({"objects": [entry]})[0].point_cloud.tolist() == [[0, 0, 0], [1, 0.5, 0]]
+        edit(entry)
+        with pytest.raises(ValidationError, match=re.escape(f"'obj': {field}: every row")):
+            dataset_from_document({"objects": [entry]})
+        target = tmp_path / "data.json"
+        target.write_text(json.dumps({"objects": [entry]}))
+        assert run_cli("evaluate", "--gt", target, "--pred", target, "--out", tmp_path / "r.json") == 1
+        assert f"'obj': {field}: every row needs exactly" in capsys.readouterr().err
 
     @pytest.mark.parametrize("confidence", [True, False])
     def test_boolean_confidence_rejected(self, tmp_path, capsys, confidence):
@@ -333,7 +367,7 @@ class TestCli:
         ({"format": "pathfield.checkpoint.v1", "config": {}}, "pathfield.checkpoint.v2"),
         ({"format": "pathfield.checkpoint.v2", "config": {}}, "'parameters'"),
         ({"format": "pathfield.checkpoint.v2", "config": {"head": {"depht": 4}}}, "depht"),
-        ({"format": "pathfield.checkpoint.v2", "config": {"slots": "many"}}, "malformed"),
+        ({"format": "pathfield.checkpoint.v2", "config": {"slots": "many"}}, "slots must be an integer, not 'many'"),
     ], ids=["v1", "missing-key", "unknown-head-key", "wrong-type"])
     def test_malformed_checkpoint_is_validation_error(self, tmp_path, capsys, doc, named):
         ckpt = tmp_path / "ckpt.json"
@@ -341,19 +375,19 @@ class TestCli:
         assert run_cli("predict", "--checkpoint", ckpt, "--object", "all", "--out", tmp_path / "p.json") == 1
         assert named in capsys.readouterr().err
 
-    @pytest.mark.parametrize("config", [
-        {"slots": "many"},
-        {"head": {"depth": "two"}},
-        {"head": []},
+    @pytest.mark.parametrize("config,named", [
+        ({"slots": "many"}, "slots must be an integer, not 'many'"),
+        ({"head": {"depth": "two"}}, "depth must be an integer, not 'two'"),
+        ({"head": []}, "malformed train config"),
     ], ids=["slots-str", "head-depth-str", "head-list"])
-    def test_wrong_typed_config_is_validation_error(self, tmp_path, capsys, config):
+    def test_wrong_typed_config_is_validation_error(self, tmp_path, capsys, config, named):
         data = tmp_path / "data.json"
         run_cli("gen", "--strokes", 2, "--waypoints", 6, "--seed", 0, "--out", data)
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps(config))
         assert run_cli("fit", "--dataset", data, "--config", config_path,
                        "--checkpoint", tmp_path / "ckpt.json") == 1
-        assert "malformed train config" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
 
     def test_truncated_checkpoint_names_file(self, tmp_path, capsys):
         ckpt = tmp_path / "ckpt.json"
@@ -534,12 +568,30 @@ class TestCli:
         assert f"{field} must be an integer" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("override,message", [
+        ({"slots": "4"}, "slots must be an integer, not '4'"),
+        ({"epochs": None}, "epochs must be an integer, not None"),
+        ({"step_size": True}, "step_size must be a number, not True"), ({"gamma": True}, "gamma must be a number"),
+        ({"codeword_sigma": False}, "codeword_sigma must be a number"), ({"lr_min": "0"}, "lr_min must be a number"),
+        ({"sampling_noise": "0.1"}, "sampling_noise must be a number"),
+        ({"head": {"depth": 1, "width": 4, "code_dim": 2, "omega0": "30"}}, "omega0 must be a number, not '30'"),
+    ], ids=["slots-str", "epochs-null", "step-size-true", "gamma-true", "sigma-false", "lr-min-str", "noise-str",
+            "head-omega0-str"])
+    def test_non_number_config_field_is_validation_error(self, tmp_path, capsys, override, message):
+        data, config, _ = self.small_fit_files(tmp_path, **override)
+        ckpt = tmp_path / "ckpt.json"
+        capsys.readouterr()
+        assert run_cli("fit", "--dataset", data, "--config", config, "--checkpoint", ckpt) == 1
+        assert message in capsys.readouterr().err
+        assert not ckpt.exists()
+
     @pytest.mark.parametrize("edit,message", [
         (lambda doc: doc.update(epoch=1.7), "epoch must be an integer"),
+        (lambda doc: doc.update(epoch="1"), "epoch must be an integer, not '1'"),
         (lambda doc: doc["moments"]["codewords.object-000"].update(step=-3), "codewords.object-000.step must be >= 0"),
         (lambda doc: doc["loss_history"][0].pop(), "loss_history[0] must hold three finite numbers"),
         (lambda doc: doc["moments"]["head.out_b"].update(step=7), "'head.out_b' are missing or off the head's step 2"),
-    ], ids=["epoch-1.7", "step-negative", "row-of-two", "head-steps-differ"])
+    ], ids=["epoch-1.7", "epoch-str", "step-negative", "row-of-two", "head-steps-differ"])
     def test_edited_checkpoint_is_validation_error(self, tmp_path, capsys, edit, message):
         data, config, _ = self.small_fit_files(tmp_path, epochs=2)
         ckpt = tmp_path / "ckpt.json"

@@ -15,7 +15,6 @@ from pathfield.neural_field import (
     HeadConfig,
     HeadParams,
     activation,
-    confidence_backward,
     confidence_forward,
     head_backward,
     head_forward_batch,
@@ -66,10 +65,8 @@ def fd_gradient_check(config: HeadConfig, seed: int, step=1e-5, tol=1e-4):
         raw = head_forward_batch(params, codes, xs)
         return float((raw * probe).sum()) + float(conf_weight @ confidence_forward(params, codes))
 
-    pose_grads, pose_code_grads = head_backward(params, codes, xs, probe)
-    conf_grads, conf_code_grads = confidence_backward(params, codes, conf_weight)
-    analytic = pose_grads | conf_grads
-    analytic["codeword"] = pose_code_grads + conf_code_grads
+    grad, code_grads = head_backward(params, codes, xs, probe, conf_weight)
+    analytic = named_parameters(grad) | {"codeword": code_grads}
 
     worst = 0.0
     targets = dict(named_parameters(params))
@@ -415,18 +412,17 @@ class TestBackward:
         params = init_head(cfg)
         code = np.random.default_rng(1).normal(0, 1, 4)
         xs = np.linspace(-1, 1, 4)
-        grads, code_grads = head_backward(params, code[None], xs, np.zeros((1, 4, 6)))
-        for name, arr in grads.items():
-            assert not arr.any(), name
+        grad, code_grads = head_backward(params, code[None], xs, np.zeros((1, 4, 6)), np.zeros(1))
+        assert grad.vector.shape == params.vector.shape and not grad.vector.any()
         assert not code_grads.any()
 
     def test_shape_mismatch_raises(self):
         cfg = HeadConfig(depth=1, width=4, code_dim=2)
         params = init_head(cfg)
-        with pytest.raises(ValueError):
-            head_backward(params, np.zeros((1, 2)), [0.0, 0.5], np.zeros((1, 3, 6)))
-        with pytest.raises(ValueError):
-            confidence_backward(params, np.zeros((2, 2)), np.zeros(3))
+        with pytest.raises(ValueError, match="upstream gradient shape"):
+            head_backward(params, np.zeros((1, 2)), [0.0, 0.5], np.zeros((1, 3, 6)), np.zeros(1))
+        with pytest.raises(ValueError, match="confidence gradient shape"):
+            head_backward(params, np.zeros((2, 2)), [0.0], np.zeros((2, 1, 6)), np.zeros(3))
 
     @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
     @pytest.mark.parametrize("kind", ["relu", "siren", "finer"])
@@ -440,11 +436,25 @@ class TestBackward:
         cfg = HeadConfig(depth=2, width=4, code_dim=3, use_bias=False, seed=0)
         params = init_head(cfg)
         codes = np.random.default_rng(0).normal(0, 1, (2, 3))
-        grads, _ = head_backward(params, codes, [0.1, 0.7], np.ones((2, 2, 6)))
-        conf_grads, _ = confidence_backward(params, codes, np.ones(2))
-        for name in ("out_b", "block_b0", "block_b1", "mod_b0", "mod_b1"):
-            assert not grads[name].any(), name
-        assert not conf_grads["conf_b1"].any() and not conf_grads["conf_b2"].any()
+        grad, _ = head_backward(params, codes, [0.1, 0.7], np.ones((2, 2, 6)), np.ones(2))
+        named = named_parameters(grad)
+        biases = [name for name in named if "_b" in name]
+        assert biases == ["block_b0", "block_b1", "out_b", "mod_b0", "mod_b1", "conf_b1", "conf_b2"]
+        for name in biases:
+            assert named[name].tobytes() == bytes(named[name].nbytes), name  # exactly +0.0
+
+    @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
+    def test_gradient_is_one_vector_in_named_order(self, conditioning):
+        cfg = HeadConfig(depth=3, width=5, code_dim=4, conditioning=conditioning, conf_hidden=3, seed=2)
+        params = init_head(cfg)
+        rng = np.random.default_rng(5)
+        grad, _ = head_backward(params, rng.normal(0, 1, (3, 4)), [-0.5, 0.2], rng.normal(0, 1, (3, 2, 6)),
+                                rng.normal(0, 1, 3))
+        assert grad.config == cfg and grad.vector.shape == params.vector.shape
+        named = named_parameters(grad)
+        assert named.keys() == named_parameters(params).keys()
+        assert all(arr.base is grad.vector for arr in named.values())
+        assert_same_bits(grad.vector, np.concatenate([arr.ravel() for arr in named.values()]))
 
 
 
@@ -474,14 +484,24 @@ def copied_cache(cache: _ForwardCache, rows) -> _ForwardCache:
         [arr[:, rows] for arr in cache.acts],
         [arr[rows] for arr in cache.mod_hs],
         cache.raw[rows],
+        cache.hidden[rows],
+        cache.prob[rows],
     )
+
+
+def assert_same_gradients(got, want) -> None:
+    assert named_parameters(got).keys() == named_parameters(want).keys()
+    for name, arr in named_parameters(got).items():
+        assert_same_bits(arr, named_parameters(want)[name])
 
 
 class TestBackwardRows:
     """The backward reads the cache directly when it takes every slot in
     order, and rebuilds modulation-mode block inputs from the activations;
     both must give the bits that explicit per-row copies give. The copies
-    are taken first, since the backward may overwrite the cache it reads."""
+    are taken first, since the backward spends the cache it reads. With
+    some slots left out, the confidence gradients are zero on both sides,
+    so only the pose branch is compared."""
 
     @staticmethod
     def case(kind, conditioning):
@@ -497,13 +517,11 @@ class TestBackwardRows:
     def test_every_slot_equals_copied_cache(self, kind, conditioning):
         params, cache, rng = self.case(kind, conditioning)
         rows = np.arange(len(cache.codes))
-        upstream = rng.normal(0.0, 1.0, cache.raw.shape)
+        upstream, d_prob = rng.normal(0.0, 1.0, cache.raw.shape), rng.normal(0.0, 1.0, len(rows))
         copied_rows = copied_cache(cache, rows)
-        direct, direct_codes = _backward_from_cache(params, cache, upstream, rows)
-        copied, copied_codes = _backward_from_cache(params, copied_rows, upstream, rows)
-        assert direct.keys() == copied.keys()
-        for name in direct:
-            assert_same_bits(direct[name], copied[name])
+        direct, direct_codes = _backward_from_cache(params, cache, upstream, rows, d_prob)
+        copied, copied_codes = _backward_from_cache(params, copied_rows, upstream, rows, d_prob)
+        assert_same_gradients(direct, copied)
         assert_same_bits(direct_codes, copied_codes)
 
     @pytest.mark.parametrize("rows", [[0, 2, 3], [3, 0, 2], [1, 0, 3, 2]])
@@ -514,10 +532,11 @@ class TestBackwardRows:
         rows = np.array(rows)
         upstream = rng.normal(0.0, 1.0, (len(rows), *cache.raw.shape[1:]))
         copied_rows = copied_cache(cache, rows)
-        direct, direct_codes = _backward_from_cache(params, cache, upstream, rows)
-        copied, copied_codes = _backward_from_cache(params, copied_rows, upstream, np.arange(len(rows)))
-        for name in direct:
-            assert_same_bits(direct[name], copied[name])
+        direct, direct_codes = _backward_from_cache(params, cache, upstream, rows, np.zeros(4))
+        copied, copied_codes = _backward_from_cache(
+            params, copied_rows, upstream, np.arange(len(rows)), np.zeros(len(rows))
+        )
+        assert_same_gradients(direct, copied)
         assert_same_bits(direct_codes[rows], copied_codes)
         assert not np.delete(direct_codes, rows, axis=0).any()
 
@@ -526,9 +545,9 @@ class TestLazyCache:
     """Every training cache is lazy: it keeps each block's pre-activation, and the
     backward differentiates the rows it reads. A pre-activation read whole (every
     slot in order, or block 0's one slot in modulation mode) is differentiated
-    without a copy and may be overwritten, so a cache is read once; other rows are
-    copied first. The gradients must be the bits of an eager copy of the rows,
-    taken before the backward."""
+    without a copy and may be overwritten; other rows are copied first. The
+    backward drops each block's arrays once read, so a cache is read once. The
+    gradients must be the bits of an eager copy of the rows, taken before the backward."""
 
     @staticmethod
     def case(kind, conditioning):
@@ -555,24 +574,23 @@ class TestLazyCache:
         params, codes, xs = self.case(kind, conditioning)
         cache = _forward_with_cache(params, codes, xs)
         rows = np.array(rows)
-        eager, before = copied_cache(cache, rows), [arr.copy() for arr in cache.pres]
+        pres, eager, before = list(cache.pres), copied_cache(cache, rows), [arr.copy() for arr in cache.pres]
         upstream = np.random.default_rng(3).normal(0.0, 1.0, (len(rows), *cache.raw.shape[1:]))
-        want, want_codes = _backward_from_cache(params, eager, upstream, np.arange(len(rows)))
+        want, want_codes = _backward_from_cache(params, eager, upstream, np.arange(len(rows)), np.zeros(len(rows)))
         differentiated, derivative = [], neural_field_module._activation_derivative
         monkeypatch.setattr(
             neural_field_module, "_activation_derivative", lambda z, *args: differentiated.append(z) or derivative(z, *args)
         )
-        got, got_codes = _backward_from_cache(params, cache, upstream, rows)
-        assert got.keys() == want.keys()
-        for name in want:
-            assert_same_bits(got[name], want[name])
+        got, got_codes = _backward_from_cache(params, cache, upstream, rows, np.zeros(len(codes)))
+        assert_same_gradients(got, want)
         assert_same_bits(got_codes[rows], want_codes)
+        assert cache.pres == cache.acts == cache.inputs == []  # spent
         every_slot = rows.tolist() == list(range(len(codes)))
         for layer, z in zip(reversed(range(3)), differentiated, strict=True):
             whole = every_slot or (conditioning == "modulation" and layer == 0)
-            assert (z is cache.pres[layer]) == whole  # read uncopied, else from a copy of the rows
+            assert (z is pres[layer]) == whole  # read uncopied, else from a copy of the rows
             if not whole:
-                assert_same_bits(cache.pres[layer], before[layer])
+                assert_same_bits(pres[layer], before[layer])
 
 
 def spy_activation_values(monkeypatch) -> list[tuple[tuple, object]]:
@@ -609,7 +627,7 @@ class TestSharedBlock0:
 
         calls.clear()
         rows = np.arange(4) if every_slot else np.array([2, 0])
-        _backward_from_cache(params, cache, rng.normal(0.0, 1.0, (len(rows), 9, 6)), rows)
+        _backward_from_cache(params, cache, rng.normal(0.0, 1.0, (len(rows), 9, 6)), rows, np.zeros(4))
         block0 = (12, 1 if conditioning == "modulation" else len(rows), 9)
         differentiated = [(12, len(rows), 9), (12, len(rows), 9), block0]
         assert [shape for shape, _ in calls] == (differentiated if kind != "relu" else [])
@@ -622,11 +640,11 @@ class TestSharedBlock0:
         act = cache.acts[0]
         assert act.shape == (8, 5, 7) and act.strides[1] == 0 and act.base.size == 8 * 7
         assert cache.pres[0].shape == (8, 1, 7) and cache.acts[1].strides[1] != 0
-        kept = cache.pres[0].copy()
+        pre, kept = cache.pres[0], cache.pres[0].copy()
         rows = np.arange(5) if every_slot else np.array([4, 1])
-        _backward_from_cache(params, cache, np.ones((len(rows), 7, 6)), rows)
+        _backward_from_cache(params, cache, np.ones((len(rows), 7, 6)), rows, np.zeros(5))
         # whichever slots the backward reads, it differentiates block 0's one slot in place
-        assert_same_bits(cache.pres[0], _activation_derivative(kept, "finer", cfg.omega0))
+        assert_same_bits(pre, _activation_derivative(kept, "finer", cfg.omega0))
 
     @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
     @pytest.mark.parametrize("kind", ["relu", "siren", "finer"])

@@ -258,6 +258,15 @@ class TestSampleParams:
         with pytest.raises(ValueError, match="below 2"):
             ParamSamplingConfig("uniform", 1)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("count", 2.5, "count must be an integer"), ("count", True, "count must be an integer"),
+        ("count", "4", "count must be an integer"), ("seed", 1.5, "seed must be an integer"),
+        ("seed", -1, "seed must be >= 0"), ("noise_sigma", True, "noise_sigma must be a number"),
+    ])
+    def test_non_number_field_is_named(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ParamSamplingConfig(**{"strategy": "noisy-equispaced", "count": 4, field: value})
+
     @given(
         st.sampled_from(["noisy-equispaced", "uniform"]),
         st.integers(2, 64),

@@ -19,7 +19,7 @@ from pathfield.matching import (
     pad_targets,
     position_cost_matrix,
 )
-from pathfield.neural_field import HeadConfig, confidence_forward, head_forward_batch, named_parameters
+from pathfield.neural_field import HeadConfig, _allocate, confidence_forward, head_forward_batch, named_parameters
 from pathfield.paths import ParamSamplingConfig, Path, PredictedPath, sample_params
 from pathfield.trainer import (
     TrainConfig,
@@ -75,9 +75,20 @@ def fitted():
     return dataset, config, state
 
 
-def zero_head_gradients(state) -> dict[str, np.ndarray]:
-    """A zero gradient for every head tensor: adam_step updates the whole head."""
-    return {f"head.{k}": np.zeros_like(v) for k, v in named_parameters(state.head).items()}
+def head_gradient(state, **tensors) -> dict[str, np.ndarray]:
+    """The head's gradient entry, zero but for the given tensors."""
+    grad = _allocate(state.config.head)
+    for name, value in tensors.items():
+        named_parameters(grad)[name][...] = value
+    return {"head": grad.vector}
+
+
+def per_tensor(config, gradients) -> dict[str, np.ndarray]:
+    """Gradients keyed by registry name, the head's entry as a view per tensor."""
+    grads = dict(gradients)
+    if (head := grads.pop("head", None)) is not None:
+        grads |= {f"head.{k}": v for k, v in named_parameters(_allocate(config.head, head)).items()}
+    return grads
 
 
 class TestAdamStep:
@@ -85,7 +96,7 @@ class TestAdamStep:
         dataset = {"obj": [line_path(0.0)]}
         state = init_state(dataset, tiny_config(epochs=0))
         before = {k: v.copy() for k, v in named_parameters(state.head).items()}
-        adam_step(state, zero_head_gradients(state))
+        adam_step(state, head_gradient(state))
         for name, arr in named_parameters(state.head).items():
             assert np.array_equal(arr, before[name])
 
@@ -94,14 +105,14 @@ class TestAdamStep:
         config = tiny_config(epochs=0, step_size=0.1)
         state = init_state(dataset, config)
         state.head.out_b[...] = 0.0
-        adam_step(state, zero_head_gradients(state) | {"head.out_b": np.ones(6)})
+        adam_step(state, head_gradient(state, out_b=np.ones(6)))
         assert np.allclose(state.head.out_b, -0.1, atol=1e-8)
 
     def test_nonfinite_gradient_rejected(self):
         dataset = {"obj": [line_path(0.0)]}
         state = init_state(dataset, tiny_config(epochs=0))
         with pytest.raises(TrainingError, match="out_b"):
-            adam_step(state, zero_head_gradients(state) | {"head.out_b": np.full(6, np.nan)})
+            adam_step(state, head_gradient(state, out_b=np.full(6, np.nan)))
 
     def test_unknown_parameter_rejected(self):
         dataset = {"obj": [line_path(0.0)]}
@@ -117,8 +128,8 @@ class TestAdamStep:
         b = init_state(dataset, tiny_config(epochs=0, seed=2))
         b.head.out_b[...] = a.head.out_b
         grad = np.linspace(-1, 1, 6)
-        adam_step(a, zero_head_gradients(a) | {"head.out_b": grad})
-        adam_step(b, zero_head_gradients(b) | {"head.out_b": grad})
+        adam_step(a, head_gradient(a, out_b=grad))
+        adam_step(b, head_gradient(b, out_b=grad))
         assert np.array_equal(a.head.out_b, b.head.out_b)
 
 
@@ -141,7 +152,7 @@ class ReferenceOptimizer:
                         for name, slot in _registry_moments(state).items()}
 
     def step(self, gradients, lr):
-        for name, grad in gradients.items():
+        for name, grad in per_tensor(self.config, gradients).items():
             slot = self.moments.setdefault(name, {"m": 0.0, "v": 0.0, "step": 0})
             slot["step"] += 1
             self.params[name], slot["m"], slot["v"] = reference_adam(
@@ -163,8 +174,8 @@ class ReferenceOptimizer:
 
 def random_gradients(state, names, seed):
     rng = np.random.default_rng(seed)
-    registry = _parameter_registry(state)
-    return {name: rng.normal(0.0, 0.1, registry[name].shape) for name in names}
+    shapes = {"head": state.head.vector.shape} | {f"codewords.{k}": v.shape for k, v in state.codewords.items()}
+    return {name: rng.normal(0.0, 0.1, shapes[name]) for name in names}
 
 
 @pytest.fixture
@@ -189,10 +200,6 @@ class TestFusedAdam:
         dataset = {"a": [line_path(0.0)], "b": [line_path(0.3), line_path(0.6)]}
         return init_state(dataset, tiny_config(epochs=0, head=tiny_head(conditioning=conditioning)))
 
-    @staticmethod
-    def head_names(state):
-        return [f"head.{name}" for name in named_parameters(state.head)]
-
     @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
     def test_full_steps_run_one_head_update(self, conditioning, counted_updates):
         state = self.two_object_state(conditioning)
@@ -200,8 +207,7 @@ class TestFusedAdam:
         head_size = sum(arr.size for arr in named_parameters(state.head).values())
         for step in range(6):
             # the two objects' codewords step on alternate steps
-            names = self.head_names(state) + [f"codewords.{'ab'[step % 2]}"]
-            grads = random_gradients(state, names, step)
+            grads = random_gradients(state, ["head", f"codewords.{'ab'[step % 2]}"], step)
             lr = 1e-3 * (step + 1)
             adam_step(state, grads, lr)
             reference.step(grads, lr)
@@ -209,37 +215,24 @@ class TestFusedAdam:
         assert counted_updates == [head_size, 4 * 8] * 6
 
     @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
-    def test_partial_head_gradient_is_named(self, conditioning, counted_updates):
-        state = self.two_object_state(conditioning)
-        names = self.head_names(state)
-        adam_step(state, random_gradients(state, names + ["codewords.a"], 0), 2e-3)
-        before = checkpoint_to_document(state)
-        for left_out in (names[0], "head.out_b", names[-1]):
-            grads = random_gradients(state, [n for n in names if n != left_out] + ["codewords.b"], 1)
-            with pytest.raises(TrainingError, match=f"gradient for '{left_out}' is missing"):
-                adam_step(state, grads, 2e-3)
-            assert checkpoint_to_document(state) == before  # nothing moved
-        assert len(counted_updates) == 2
-
-    @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
     def test_partial_first_update_keeps_one_moment_vector(self, conditioning, counted_updates):
-        # a partial first update is refused before any moment exists; the full steps
+        # a first update of one bank alone makes no head moment; the head steps
         # that follow keep the head's moments as one m and one v vector at one counter
         state = self.two_object_state(conditioning)
         reference = ReferenceOptimizer(state)
-        with pytest.raises(TrainingError, match="gradient for 'head.block_b0' is missing"):
-            adam_step(state, random_gradients(state, ["head.out_b", "codewords.a"], 0), 1e-3)
-        assert state.moments == {} and counted_updates == []
-        names = self.head_names(state)
-        for step, bank in enumerate("ab", start=1):
-            grads = random_gradients(state, names + [f"codewords.{bank}"], step)
+        for step, names in enumerate([["codewords.a"], ["head", "codewords.a"], ["head", "codewords.b"]]):
+            grads = random_gradients(state, names, step)
             adam_step(state, grads, 1e-3)
             reference.step(grads, 1e-3)
             reference.assert_matches(state)
+            if step == 0:
+                assert state.moments.keys() == {"codewords.a"}
         head = state.moments["head"]
         assert head["m"].shape == head["v"].shape == state.head.vector.shape and head["step"] == 2
-        assert state.moments.keys() == {"head", "codewords.a", "codewords.b"}
-        assert counted_updates == [state.head.vector.size, 4 * 8] * 2
+        assert {name: slot["step"] for name, slot in state.moments.items()} == {
+            "codewords.a": 2, "head": 2, "codewords.b": 1
+        }
+        assert counted_updates == [4 * 8] + [state.head.vector.size, 4 * 8] * 2
 
     @pytest.mark.parametrize("trained", [False, True], ids=["fresh", "trained"])
     def test_deep_copy_continues_like_the_original(self, trained, counted_updates):
@@ -259,8 +252,7 @@ class TestFusedAdam:
         monkeypatch.setattr(trainer_module, "_ADAM_BLOCK", 7)
         state = self.two_object_state("modulation")
         reference = ReferenceOptimizer(state)
-        names = self.head_names(state)
-        for step, step_names in enumerate([names + ["codewords.a"], names + ["codewords.b"], names]):
+        for step, step_names in enumerate([["head", "codewords.a"], ["head", "codewords.b"], ["head"]]):
             grads = random_gradients(state, step_names, step)
             adam_step(state, grads, 1e-3)
             reference.step(grads, 1e-3)
@@ -269,9 +261,8 @@ class TestFusedAdam:
             counted_updates.clear()
 
     def test_mixed_counters_resume_like_an_uninterrupted_run(self):
-        names = self.head_names(self.two_object_state("modulation"))
         # every step updates the head; the two banks' counters stay apart
-        schedule = [names + ["codewords.b"]] + [names + [f"codewords.{'ab'[i % 2]}"] for i in range(5)]
+        schedule = [["head", "codewords.b"]] + [["head", f"codewords.{'ab'[i % 2]}"] for i in range(5)]
         straight = self.two_object_state("modulation")
         for step, step_names in enumerate(schedule):
             adam_step(straight, random_gradients(straight, step_names, step), 1e-3)
@@ -287,7 +278,7 @@ class TestFusedAdam:
     def test_loaded_checkpoint_keeps_the_one_vector_update(self, fitted, counted_updates):
         loaded = checkpoint_from_document(checkpoint_to_document(fitted[2]))
         reference = ReferenceOptimizer(loaded)
-        grads = random_gradients(loaded, self.head_names(loaded) + ["codewords.obj"], 0)
+        grads = random_gradients(loaded, ["head", "codewords.obj"], 0)
         adam_step(loaded, grads, 1e-3)
         reference.step(grads, 1e-3)
         reference.assert_matches(loaded)
@@ -296,22 +287,35 @@ class TestFusedAdam:
     @pytest.mark.parametrize("bad", ["head.block_w1", "codewords.b"])
     def test_nonfinite_tensor_of_a_full_step_is_named(self, bad):
         state = self.two_object_state("modulation")
-        adam_step(state, random_gradients(state, self.head_names(state) + ["codewords.b"], 0), 1e-3)
+        adam_step(state, random_gradients(state, ["head", "codewords.b"], 0), 1e-3)
         before = checkpoint_to_document(state)
-        grads = random_gradients(state, self.head_names(state) + ["codewords.b"], 1)
-        grads[bad][1, 2] = np.nan
-        grads["head.out_w"][0, 0] = np.inf  # sorts after block_w1 and codewords
+        grads = random_gradients(state, ["head", "codewords.b"], 1)
+        tensors = per_tensor(state.config, grads)
+        tensors[bad][1, 2] = np.nan
+        tensors["head.out_w"][0, 0] = np.inf  # after block_w1 in the head's layout, and after codewords
         with pytest.raises(TrainingError, match=f"non-finite gradient for '{bad}'"):
             adam_step(state, grads, 1e-3)
         assert checkpoint_to_document(state) == before
 
     def test_wrong_shape_of_the_right_size_rejected(self):
         state = self.two_object_state("modulation")
-        grads = random_gradients(state, self.head_names(state) + ["codewords.a"], 0)
-        grads["head.out_w"] = grads["head.out_w"].T.copy()
-        with pytest.raises(TrainingError, match="shape .* for 'head.out_w'"):
-            adam_step(state, grads, 1e-3)
+        grads = random_gradients(state, ["head", "codewords.a"], 0)
+        for name, wrong in (("head", grads["head"][None]), ("codewords.a", grads["codewords.a"].T.copy())):
+            with pytest.raises(TrainingError, match=f"shape .* for '{name}'"):
+                adam_step(state, grads | {name: wrong}, 1e-3)
         assert state.moments == {}
+
+    @pytest.mark.parametrize("block", [7, trainer_module._ADAM_BLOCK])
+    def test_gradients_are_left_unchanged(self, monkeypatch, block):
+        monkeypatch.setattr(trainer_module, "_ADAM_BLOCK", block)
+        state = self.two_object_state("modulation")
+        for step in range(3):
+            grads = random_gradients(state, ["head", f"codewords.{'ab'[step % 2]}"], step)
+            kept = {name: grad.copy() for name, grad in grads.items()}
+            adam_step(state, grads, 1e-3)
+            assert grads.keys() == kept.keys()
+            for name, grad in grads.items():
+                assert grad.tobytes() == kept[name].tobytes(), name
 
 
 class TestFocalProbGradient:
@@ -348,6 +352,7 @@ class TestTrainEpoch:
 
     def test_converged_state_is_approximately_stationary(self, fitted):
         dataset, config, state = fitted
+        state = copy.deepcopy(state)  # one more epoch on a copy: the fixture stays at its 200 steps
         tail = [entry[2] for entry in state.loss_history[-10:]]
         reference = float(np.median(tail))
         before = {k: v.copy() for k, v in named_parameters(state.head).items()}
@@ -391,6 +396,8 @@ def assert_gradients_match_finite_differences(gt, state, svals) -> dict[str, np.
         return _object_gradients(state, "obj", gt, svals)[0].total
 
     _, grads = _object_gradients(state, "obj", gt, svals)
+    assert grads.keys() == {"head", "codewords.obj"}
+    grads = per_tensor(state.config, grads)
     params = {f"head.{k}": v for k, v in named_parameters(state.head).items()}
     params["codewords.obj"] = state.codewords["obj"]
     assert grads.keys() == params.keys()
@@ -457,9 +464,9 @@ class TestObjectGradients:
         backward, derivative = trainer_module._backward_from_cache, neural_field_module._activation_derivative
         calls, shapes = [], {}
 
-        def recording(params, cache, upstream, rows):
+        def recording(params, cache, upstream, rows, d_prob):
             calls.clear()
-            result = backward(params, cache, upstream, rows)
+            result = backward(params, cache, upstream, rows, d_prob)
             shapes[next(oid for oid, bank in state.codewords.items() if bank is cache.codes)] = list(calls)
             return result
 
@@ -468,6 +475,18 @@ class TestObjectGradients:
         train_epoch(state, dataset)
         # depth 2, width 16, 12 samples: block 1 over the rows matched to paths, block 0 over its one slot
         assert shapes == {"a": [(16, 2, 12), (16, 1, 12)], "b": [(16, 4, 12), (16, 1, 12)], "c": [(16, 0, 12), (16, 1, 12)]}
+
+    def test_bias_free_head_keeps_zero_biases(self):
+        dataset = {"obj": [line_path(0.0), line_path(0.5)]}
+        state = init_state(dataset, tiny_config(epochs=2, head=tiny_head(use_bias=False)))
+        svals = sample_params(ParamSamplingConfig("uniform", state.config.train_samples, None, 7))
+        _, grads = _object_gradients(state, "obj", dataset["obj"], svals)
+        biases = {name: grad for name, grad in per_tensor(state.config, grads).items() if "_b" in name}
+        assert len(biases) == 7 and grads["head"].any()  # depth 2: two blocks, out, two mod, two conf
+        for name, grad in biases.items():
+            assert grad.tobytes() == bytes(grad.nbytes), name  # exactly +0.0
+        fit(dataset, state.config, state=state)
+        assert all(not arr.any() for name, arr in named_parameters(state.head).items() if "_b" in name)
 
     @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
     def test_loss_equals_per_pair_reference(self, conditioning):
@@ -829,8 +848,7 @@ def mixed_counter_state():
     """Two objects whose banks' counters and the head's stay apart."""
     dataset = {"a": [line_path(0.0)], "b": [line_path(0.3), line_path(0.6)]}
     state = init_state(dataset, tiny_config(epochs=0))
-    names = [f"head.{name}" for name in named_parameters(state.head)]
-    for step, step_names in enumerate([names + ["codewords.b"], names + ["codewords.a"], names + ["codewords.b"]]):
+    for step, step_names in enumerate([["head", "codewords.b"], ["head", "codewords.a"], ["head", "codewords.b"]]):
         adam_step(state, random_gradients(state, step_names, step), 1e-3)
     return state
 
