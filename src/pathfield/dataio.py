@@ -18,7 +18,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -146,7 +146,7 @@ def _write_atomic(path, chunks: Iterable[str]) -> None:
     """Write the text chunks and a newline to a temp file beside `path`, fsync it, os.replace it over `path`."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "w", encoding="ascii") as fh:
             for chunk in chunks:
                 fh.write(chunk)
             fh.write("\n")
@@ -159,9 +159,37 @@ def _write_atomic(path, chunks: Iterable[str]) -> None:
         raise
 
 
+def _indented(value, indent: str, level: int = 0) -> Iterator[str]:
+    """The chunks of json.JSONEncoder(sort_keys=True, indent=indent).iterencode(value), nested `level` deep.
+    Lists and str-keyed dicts are walked here, and a list of exact ints and floats, or of equal-length lists
+    of them, is one str.format (`{!r}` is json's int and float text); other values are json's own text."""
+    pad, close, numbers, item = "\n" + indent * (level + 1), "\n" + indent * level, value, "{!r}"
+    if type(value) is list and value:
+        if set(map(type, value)) == {list} and len(set(map(len, value))) == 1 and value[0]:
+            numbers = list(itertools.chain.from_iterable(value))
+            item = "[" + pad + indent + ("," + pad + indent).join(["{!r}"] * len(value[0])) + pad + "]"
+        if set(map(type, numbers)) <= {int, float}:
+            text = ("[" + pad + ("," + pad).join([item] * len(value)) + close + "]").format(*numbers)
+            if "n" not in text:  # else a nan or inf, which json writes NaN or Infinity
+                yield text
+                return
+        for k, entry in enumerate(value):
+            yield ("," if k else "[") + pad
+            yield from _indented(entry, indent, level + 1)
+        yield close + "]"
+    elif type(value) is dict and value and set(map(type, value)) == {str}:
+        for k, key in enumerate(sorted(value)):
+            yield ("," if k else "{") + pad + json.encoder.encode_basestring_ascii(key) + ": "
+            yield from _indented(value[key], indent, level + 1)
+        yield close + "}"
+    else:  # json escapes every newline inside a string, so each one it writes starts a line
+        yield from (c.replace("\n", close) for c in json.JSONEncoder(sort_keys=True, indent=indent).iterencode(value))
+
+
 def save_json(doc, path, indent: int | None = 1, separators: tuple[str, str] | None = None) -> None:
-    """Write `doc` (keys sorted, ASCII, one closing newline) through the atomic writer."""
-    _write_atomic(path, json.JSONEncoder(sort_keys=True, indent=indent, separators=separators).iterencode(doc))
+    """Write `doc` (keys sorted, ASCII, one closing newline) atomically, and through _indented if indented."""
+    encode = json.JSONEncoder(sort_keys=True, indent=indent, separators=separators).iterencode
+    _write_atomic(path, encode(doc) if indent is None or separators else _indented(doc, " " * indent))
 
 
 def _number_rows(rows, width: int, object_id: str, where: str) -> np.ndarray:

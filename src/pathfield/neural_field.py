@@ -87,6 +87,8 @@ class HeadConfig:
         _check_integer("conf_hidden", self.conf_width, 1)  # conf_width is conf_hidden unless that is None
         for name in ("omega0", "finer_bias_scale"):
             _check_number(name, getattr(self, name))
+        if not isinstance(self.use_bias, bool):  # "false" is truthy: only true and false say what they mean
+            raise ValueError(f"use_bias must be true or false, not {self.use_bias!r}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.conditioning not in CONDITIONING:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -7,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pathfield.cli import main
 from pathfield.dataio import (
@@ -19,8 +22,10 @@ from pathfield.dataio import (
     load_dataset,
     load_path_document,
     save_dataset,
+    save_json,
     save_report,
 )
+from pathfield.dataio import _indented, _write_atomic
 from pathfield.metrics import EvalReport
 from pathfield.paths import Path, PredictedPath
 
@@ -261,6 +266,64 @@ class TestDatasetDocuments:
             save_dataset(gen_dataset(SyntheticConfig(strokes=3, waypoints_per_stroke=5, seed=5)), target)
         assert target.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["data.json"]
+
+
+_NUMBERS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 1e-5, 10**20, -(10**30), 5e-324]),
+    st.floats(), st.integers(-(10**20), 10**20),
+)
+_NOT_NUMBERS = st.one_of(st.booleans(), st.none(), st.floats(allow_nan=False).map(np.float64))
+_TEXT = st.text(st.sampled_from('az"\\/\n\t\x00\x7féü€😀'), max_size=5)
+# Equal-length number rows are one str.format each; ragged rows and rows holding a bool, null or an
+# np.float64 are walked.
+_ROW_LISTS = st.one_of(
+    st.integers(0, 4).flatmap(lambda n: st.lists(st.lists(_NUMBERS, min_size=n, max_size=n), max_size=5)),
+    st.lists(st.lists(st.one_of(_NUMBERS, _NOT_NUMBERS), max_size=3), max_size=4),
+)
+_DOCUMENTS = st.recursive(
+    st.one_of(_NUMBERS, _NOT_NUMBERS, _TEXT, _ROW_LISTS, st.lists(_NUMBERS, max_size=4), st.tuples(_NUMBERS, _TEXT)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3), st.dictionaries(_TEXT, children, max_size=3),
+        st.dictionaries(st.integers(-3, 3), children, max_size=2),
+    ),
+    max_leaves=12,
+)
+
+
+class TestIndentedWriter:
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=_DOCUMENTS, indent=st.sampled_from([1, 2]))
+    def test_bytes_equal_json(self, tmp_path, doc, indent):
+        target = tmp_path / "doc.json"
+        save_json(doc, target, indent=indent)
+        assert target.read_bytes() == (json.JSONEncoder(sort_keys=True, indent=indent).encode(doc) + "\n").encode()
+
+    def test_nested_rows_and_non_finite_numbers(self):
+        doc = {"b": [[1, 2.5], [-0.0, 1e16]], "a": [[[1.0], [2.0]], [[math.nan], [math.inf]]], "c": [[], []]}
+        for indent in (0, 1, 2):
+            assert "".join(_indented(doc, " " * indent)) == json.dumps(doc, sort_keys=True, indent=indent)
+
+    def test_failure_in_a_late_row_keeps_previous_file(self, tmp_path):
+        target = tmp_path / "doc.json"
+        save_json({"rows": [[0.5, 1.0]]}, target)
+        before = target.read_bytes()
+        doc = {"a": [[float(k), 1.0] for k in range(500)], "b": [[1.0, 2.0], [3.0, object()]]}
+        chunks = _indented(doc, " ")
+        assert next(chunks).startswith("{")  # the writer yields before it reaches the bad row
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            list(chunks)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            save_json(doc, target)
+        assert target.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+    def test_non_ascii_text_fails_instead_of_taking_the_locale_encoding(self, tmp_path):
+        target = tmp_path / "doc.json"
+        target.write_bytes(b"{}\n")
+        with pytest.raises(UnicodeEncodeError):
+            _write_atomic(target, ['{"id": "', "caf\u00e9", '"}'])
+        assert target.read_bytes() == b"{}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
 
 class TestCli:
@@ -575,8 +638,10 @@ class TestCli:
         ({"codeword_sigma": False}, "codeword_sigma must be a number"), ({"lr_min": "0"}, "lr_min must be a number"),
         ({"sampling_noise": "0.1"}, "sampling_noise must be a number"),
         ({"head": {"depth": 1, "width": 4, "code_dim": 2, "omega0": "30"}}, "omega0 must be a number, not '30'"),
+        # "false" is a truthy string, so a head built from it drew biases
+        ({"head": {"depth": 1, "width": 4, "code_dim": 2, "use_bias": "false"}}, "use_bias must be true or false"),
     ], ids=["slots-str", "epochs-null", "step-size-true", "gamma-true", "sigma-false", "lr-min-str", "noise-str",
-            "head-omega0-str"])
+            "head-omega0-str", "head-use-bias-str"])
     def test_non_number_config_field_is_validation_error(self, tmp_path, capsys, override, message):
         data, config, _ = self.small_fit_files(tmp_path, **override)
         ckpt = tmp_path / "ckpt.json"
@@ -591,7 +656,8 @@ class TestCli:
         (lambda doc: doc["moments"]["codewords.object-000"].update(step=-3), "codewords.object-000.step must be >= 0"),
         (lambda doc: doc["loss_history"][0].pop(), "loss_history[0] must hold three finite numbers"),
         (lambda doc: doc["moments"]["head.out_b"].update(step=7), "'head.out_b' are missing or off the head's step 2"),
-    ], ids=["epoch-1.7", "epoch-str", "step-negative", "row-of-two", "head-steps-differ"])
+        (lambda doc: doc["config"]["head"].update(use_bias="false"), "use_bias must be true or false, not 'false'"),
+    ], ids=["epoch-1.7", "epoch-str", "step-negative", "row-of-two", "head-steps-differ", "use-bias-str"])
     def test_edited_checkpoint_is_validation_error(self, tmp_path, capsys, edit, message):
         data, config, _ = self.small_fit_files(tmp_path, epochs=2)
         ckpt = tmp_path / "ckpt.json"

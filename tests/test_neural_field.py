@@ -138,6 +138,7 @@ class TestInit:
         ("conf_hidden", 0), ("conf_hidden", -1), ("omega0", float("nan")),
         ("finer_bias_scale", float("nan")), ("finer_bias_scale", float("inf")),
         ("finer_bias_scale", float("-inf")), ("finer_bias_scale", -0.5),
+        ("use_bias", "false"), ("use_bias", 0), ("use_bias", None), ("use_bias", np.bool_(True)),
     ])
     def test_out_of_range_field_is_named(self, field, value):
         with pytest.raises(ValueError, match=field):
