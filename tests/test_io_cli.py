@@ -638,7 +638,7 @@ class TestCli:
         ({"codeword_sigma": False}, "codeword_sigma must be a number"), ({"lr_min": "0"}, "lr_min must be a number"),
         ({"sampling_noise": "0.1"}, "sampling_noise must be a number"),
         ({"head": {"depth": 1, "width": 4, "code_dim": 2, "omega0": "30"}}, "omega0 must be a number, not '30'"),
-        # "false" is a truthy string, so a head built from it drew biases
+        # "false" is a truthy string: read for its truth, it would draw biases
         ({"head": {"depth": 1, "width": 4, "code_dim": 2, "use_bias": "false"}}, "use_bias must be true or false"),
     ], ids=["slots-str", "epochs-null", "step-size-true", "gamma-true", "sigma-false", "lr-min-str", "noise-str",
             "head-omega0-str", "head-use-bias-str"])
