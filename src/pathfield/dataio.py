@@ -186,10 +186,9 @@ def _indented(value, indent: str, level: int = 0) -> Iterator[str]:
         yield from (c.replace("\n", close) for c in json.JSONEncoder(sort_keys=True, indent=indent).iterencode(value))
 
 
-def save_json(doc, path, indent: int | None = 1, separators: tuple[str, str] | None = None) -> None:
-    """Write `doc` (keys sorted, ASCII, one closing newline) atomically, and through _indented if indented."""
-    encode = json.JSONEncoder(sort_keys=True, indent=indent, separators=separators).iterencode
-    _write_atomic(path, encode(doc) if indent is None or separators else _indented(doc, " " * indent))
+def save_json(doc, path, indent: int = 1) -> None:
+    """Write `doc` through _indented (keys sorted, ASCII, one closing newline), atomically."""
+    _write_atomic(path, _indented(doc, " " * indent))
 
 
 def _number_rows(rows, width: int, object_id: str, where: str) -> np.ndarray:

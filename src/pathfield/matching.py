@@ -75,9 +75,9 @@ def hungarian(cost) -> MatchResult:
     Shortest augmenting paths with dual potentials, one path per real
     column (Crouse, IEEE TAES 2016); the rows no real column takes get the
     padded columns in row order. When several assignments tie on cost the
-    lexicographically smallest permutation is returned, resolved on the
-    tight-edge graph of the optimal duals, in which the padding is one
-    column of capacity N - R.
+    lexicographically smallest permutation is returned: one pass over the
+    tight-edge graph of the optimal duals (the padding is one column of
+    capacity N - R) moves each row to the smallest column later rows can free.
     """
     c = np.asarray(cost, dtype=float)
     if c.ndim != 2 or c.shape[0] == 0 or c.shape[1] > c.shape[0]:
@@ -133,20 +133,13 @@ def hungarian(cost) -> MatchResult:
             row = previous
 
     # Complementary slackness: every optimal assignment lives on edges with
-    # zero reduced cost, the padding column (dual 0) included. The optimum is
-    # unique unless the tight edges close an alternating cycle; only then
-    # re-pick the lexicographically smallest assignment.
-    labels = np.array([r if k < 0 else k for k in col_of])
+    # zero reduced cost, the padding column (dual 0) included; among them
+    # take the lexicographically smallest.
     u, v = np.array(u), np.array(v)
     tol = 1e-9 * max(1.0, float(np.abs(c).max()))
     tight = np.column_stack([c - v[:, None] - u[None, :] <= tol, -v <= tol])
-    if _has_alternating_cycle(tight, labels):
-        refined = _lex_smallest_tight_matching(tight, [1] * r + [n - r])
-        if refined is not None:
-            labels = refined
-
-    perm = labels.copy()
-    padded = labels == r
+    perm = _lex_smallest_tight_matching(tight, np.array([r if k < 0 else k for k in col_of]))
+    padded = perm == r
     perm[padded] = r + np.arange(n - r)
     total = 0.0
     for i in np.nonzero(~padded)[0].tolist():
@@ -154,74 +147,40 @@ def hungarian(cost) -> MatchResult:
     return MatchResult(perm, total)
 
 
-def _has_alternating_cycle(tight: np.ndarray, labels: np.ndarray) -> bool:
-    """Whether the tight edges admit a second assignment besides `labels`.
-
-    Column a points to column b when a row assigned to a has a tight edge
-    to b; a second assignment exists exactly when these arrows close a
-    cycle. Columns pointing at no live column are peeled off until none is
-    left (no cycle) or none can be (a cycle).
-    """
-    arrows = [set() for _ in range(tight.shape[1])]
-    for held, edges in zip(labels.tolist(), tight.tolist()):
-        arrows[held].update(col for col, on in enumerate(edges) if on and col != held)
-    alive = set(range(len(arrows)))
-    while alive:
-        sinks = {col for col in alive if not arrows[col] & alive}
-        if not sinks:
-            return True
-        alive -= sinks
-    return False
-
-
-def _lex_smallest_tight_matching(tight: np.ndarray, capacity) -> np.ndarray | None:
+def _lex_smallest_tight_matching(tight: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Lexicographically smallest assignment of every row on the tight-edge graph.
 
-    Column k takes at most capacity[k] rows; the capacities sum to the row
-    count, so every column is filled.
+    `labels` is one such assignment: column k < R holds one row, the padding
+    column R the rest. Row by row, each takes the smallest tight column below
+    its own that a path through later rows can free: every row on the path
+    moves along a tight edge into the column the next one leaves, the last
+    into the row's old column. Any optimum that keeps the earlier rows
+    differs from the current one only by such cycles, so each pick is final.
     """
-    n = tight.shape[0]
-    adjacency = [np.nonzero(tight[row])[0].tolist() for row in range(n)]
-    spare = list(capacity)
-    chosen = np.empty(n, dtype=int)
-    for row in range(n):
-        for col in adjacency[row]:
-            if spare[col] == 0:
+    held = labels.tolist()
+    adjacency = [[col for col, on in enumerate(edges) if on] for edges in tight.tolist()]
+
+    def free(col: int, home: int, first: int, seen: set[int]) -> bool:
+        """Move rows after `first` out of `col` along such a path ending in `home`; False if none exists."""
+        for row in range(first + 1, len(held)):
+            if held[row] != col:
                 continue
-            spare[col] -= 1
-            if _rows_matchable(adjacency, spare, row + 1, n):
-                chosen[row] = col
-                break
-            spare[col] += 1
-        else:
-            return None
-    return chosen
-
-
-def _rows_matchable(adjacency, spare, start: int, n: int) -> bool:
-    """Whether rows start..n-1 can each take a column within the spare capacities."""
-    free = list(spare)
-    holders: dict[int, list[int]] = {}
-
-    def augment(row: int, seen: set[int]) -> bool:
-        for col in adjacency[row]:
-            if col in seen:
-                continue
-            seen.add(col)
-            if free[col] > 0:
-                free[col] -= 1
-                holders.setdefault(col, []).append(row)
-                return True
-            for k, other in enumerate(holders.get(col, [])):
-                if augment(other, seen):
-                    holders[col][k] = row
-                    return True
+            for nxt in adjacency[row]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    if nxt == home or free(nxt, home, first, seen):
+                        held[row] = nxt
+                        return True
         return False
 
-    for row in range(start, n):
-        if not augment(row, set()):
-            return False
-    return True
+    for row in range(len(held)):
+        for col in adjacency[row]:
+            if col >= held[row]:
+                break
+            if free(col, held[row], row, {col}):
+                held[row] = col
+                break
+    return np.array(held)
 
 
 def focal_conf_loss(targets, predicted, gamma: float = 2.0) -> float:

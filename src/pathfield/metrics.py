@@ -212,8 +212,8 @@ def _pose_fscores(pairs: Sequence[_PosePair], delta: float, theta_deg: float) ->
     of at most DTW_BATCH_CELLS cells. The thresholds are checked even
     when there is no pair to score.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < np.inf:
+        raise ValueError("delta must be positive and finite")
     if not 0.0 < theta_deg < 180.0:
         raise ValueError("theta must lie in (0, 180) degrees")
     by_shape: dict[tuple[int, int], list[int]] = {}

@@ -332,8 +332,9 @@ def predict(
     if object_id not in state.codewords:
         raise ValueError(f"unknown object {object_id!r}")
     cfg = state.config
-    count = cfg.test_samples if t_test is None else int(t_test)
-    threshold = cfg.conf_threshold if conf_threshold is None else float(conf_threshold)
+    count = cfg.test_samples if t_test is None else t_test
+    threshold = cfg.conf_threshold if conf_threshold is None else conf_threshold
+    _check_number("conf_threshold", threshold)
     if math.isnan(threshold):
         raise ValueError("conf_threshold must not be NaN")
     grid = sample_params(ParamSamplingConfig("equispaced", count))
@@ -442,8 +443,8 @@ _PLACEHOLDER = re.compile(r'(?<=:")\\u0000(\d+)(?=")')
 
 
 def save_checkpoint(state: TrainState, path) -> None:
-    """The bytes of save_json(checkpoint_to_document(state), path, indent=None, separators=(",", ":")),
-    with each array's base64 written in place of its placeholder, so json never scans it."""
+    """The bytes of json.dumps(checkpoint_to_document(state), sort_keys=True, separators=(",", ":")) and a
+    newline, with each array's base64 written in place of its placeholder, so json never scans it."""
     arrays: list[np.ndarray] = []
 
     def placeholder(arr: np.ndarray) -> str:

@@ -554,9 +554,11 @@ class TestCli:
     @pytest.mark.parametrize("flags,message", [
         (["--delta", -3, "--theta", 999, "--resample-t", -7], "--resample-t -7 is negative"),
         (["--delta", -3], "delta must be positive"),
+        (["--delta", "nan"], "delta must be positive and finite"),
+        (["--delta", "inf"], "delta must be positive and finite"),
         (["--theta", 999], "theta must lie"),
         (["--resample-t", -7], "--resample-t -7 is negative"),
-    ], ids=["all", "delta", "theta", "resample-t"])
+    ], ids=["all", "delta", "delta-nan", "delta-inf", "theta", "resample-t"])
     def test_evaluate_rejects_bad_arguments_without_predictions(self, tmp_path, capsys, flags, message):
         # the dataset has no predictions, so no pair is scored
         data = tmp_path / "data.json"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pathfield.matching import (
     MatchResult,
+    _lex_smallest_tight_matching,
     focal_conf_loss,
     focal_prob_gradient,
     hungarian,
@@ -332,6 +333,38 @@ class TestRectangularTieRule:
                 assert res.permutation.tolist() == expected, cost
                 assert res.total_cost == best
                 assert reference_square_hungarian(padded(cost)).permutation.tolist() == expected
+
+
+def tight_assignments(tight):
+    """Every assignment of rows to tight columns that fills each real column once, the last column
+    (the padding) taking the other rows, in lexicographic order."""
+    n, real = tight.shape[0], tight.shape[1] - 1
+    return [
+        list(labels)
+        for labels in itertools.product(*[np.flatnonzero(edges).tolist() for edges in tight])
+        if sorted(labels) == list(range(real)) + [real] * (n - real)
+    ]
+
+
+class TestLexSmallestTightMatching:
+    """The tie pass alone, on hand-made tight-edge graphs, from every valid starting assignment."""
+
+    GRAPHS = {
+        # from [2, 0, 1, 3], row 0 takes column 0 only if two later rows move: 1 and 2, or 1 and 3
+        "chain": ([[1, 0, 1, 0], [1, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]], [2, 0, 1, 3], [0, 1, 2, 3]),
+        # from [1, 0, 2, 2], row 1 leaves column 0 for the padding, and padded row 3, not row 2,
+        # takes row 0's column 1
+        "padding": ([[1, 1, 0], [1, 0, 1], [0, 0, 1], [0, 1, 1]], [1, 0, 2, 2], [0, 2, 2, 1]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(GRAPHS))
+    def test_every_start_gives_the_smallest(self, kind):
+        edges, start, smallest = self.GRAPHS[kind]
+        tight = np.array(edges, dtype=bool)
+        starts = tight_assignments(tight)
+        assert starts[0] == smallest and start in starts
+        for labels in starts:
+            assert _lex_smallest_tight_matching(tight, np.array(labels)).tolist() == smallest
 
 
 class TestTrainingTrace:

@@ -639,8 +639,10 @@ class TestScoringValidation:
 
     @pytest.mark.parametrize("delta,theta,message", [
         (0.0, 10.0, "delta must be positive"),
+        (float("nan"), 10.0, "delta must be positive and finite"),
+        (float("inf"), 10.0, "delta must be positive and finite"),
         (0.05, 999.0, "theta must lie"),
-    ], ids=["delta", "theta"])
+    ], ids=["delta", "delta-nan", "delta-inf", "theta"])
     def test_thresholds_checked_with_no_pair_to_score(self, delta, theta, message):
         ds = one_object_dataset([self.gt], [])
         with pytest.raises(ValueError, match=message):

@@ -11,7 +11,7 @@ import pytest
 import pathfield.neural_field as neural_field_module
 import pathfield.trainer as trainer_module
 from pathfield.cli import main
-from pathfield.dataio import ObjectRecord, SyntheticConfig, gen_dataset, save_dataset, save_json
+from pathfield.dataio import ObjectRecord, SyntheticConfig, gen_dataset, save_dataset
 from pathfield.matching import (
     focal_conf_loss,
     focal_prob_gradient,
@@ -568,6 +568,16 @@ class TestPredict:
         assert "conf_threshold" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"t_test": 2.5}, "count must be an integer, not 2.5"),
+        ({"conf_threshold": "0.5"}, "conf_threshold must be a number, not '0.5'"),
+        ({"conf_threshold": True}, "conf_threshold must be a number, not True"),
+    ], ids=["t_test-float", "threshold-str", "threshold-bool"])
+    def test_non_number_override_rejected(self, fitted, overrides, message):
+        _, _, state = fitted
+        with pytest.raises(ValueError, match=message):
+            predict(state, "obj", **overrides)
+
     @pytest.mark.parametrize("use_bias", [True, False])
     @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
     @pytest.mark.parametrize("kind", ["relu", "siren", "finer"])
@@ -802,7 +812,7 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"checkpoint array '{name}' is not finite"):
             checkpoint_from_document(doc)
         ckpt = tmp_path / "ckpt.json"
-        save_json(doc, ckpt, indent=None, separators=(",", ":"))
+        ckpt.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
         capsys.readouterr()
         assert main(["predict", "--checkpoint", str(ckpt), "--object", "obj", "--out", str(tmp_path / "p.json")]) == 1
         assert f"'{name}' is not finite" in capsys.readouterr().err
@@ -863,7 +873,7 @@ def odd_id_state():
 
 
 class TestSplicedSave:
-    """save_checkpoint writes exactly the bytes save_json writes for the checkpoint document."""
+    """save_checkpoint writes exactly the bytes json.dumps writes for the checkpoint document, compact."""
 
     STATES = {
         "zero_epochs": lambda: init_state({"obj": [line_path(0.0)]}, tiny_config(epochs=0)),
@@ -877,12 +887,10 @@ class TestSplicedSave:
     @pytest.mark.parametrize("kind", sorted(STATES))
     def test_bytes_equal_save_json(self, kind, tmp_path):
         state = self.STATES[kind]()
-        spliced, reference = tmp_path / "spliced.json", tmp_path / "reference.json"
+        spliced = tmp_path / "spliced.json"
         save_checkpoint(state, spliced)
         doc = checkpoint_to_document(state)
-        save_json(doc, reference, indent=None, separators=(",", ":"))
-        assert spliced.read_bytes() == reference.read_bytes()
-        assert reference.read_bytes() == (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+        assert spliced.read_bytes() == (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
         assert checkpoint_to_document(load_checkpoint(spliced)) == checkpoint_to_document(state)
 
 
