@@ -14,7 +14,9 @@ from __future__ import annotations
 import base64
 import json
 import math
+import os
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
 from typing import Callable, Mapping, Sequence
 
@@ -38,6 +40,9 @@ from .paths import _check_integer, _check_number
 
 CHECKPOINT_FORMAT = "pathfield.checkpoint.v2"
 _ADAM_BLOCK = 1 << 15  # floats per Adam update call: its five arrays (1.25 MB) stay in cache
+# Cells (width x samples) of one decoded block from which predict decodes slots on a thread pool: on
+# 2 CPUs every head measured (widths 64-512) decoded faster so from 2^15 cells, some slower at 2^14.
+PARALLEL_DECODE_CELLS = 1 << 15
 
 __all__ = [
     "TrainingError",
@@ -328,6 +333,17 @@ def predict(
 
     Paths are returned sorted by confidence, descending; slot order
     breaks ties. The pose view normalizes orientations.
+
+    Every kept slot decodes on its own through the same numpy calls, so
+    the bytes do not depend on where it runs. When one block holds at
+    least PARALLEL_DECODE_CELLS cells (width x samples) and more than one
+    CPU is usable, the first kept slot decodes alone and the rest on a
+    pool of min(usable CPUs, kept slots) threads, which run numpy's
+    matmuls and sines without the GIL; results are read in slot order.
+    On 2 Xeon vCPUs, 160 slots of a width-512 head at T = 384 took a
+    median 2.24 s against 3.79 s serially with one OpenBLAS thread, and
+    3.29 s against 3.13 s with OpenBLAS's default 2 threads, which the
+    pool's threads compete with (10 alternating runs each).
     """
     if object_id not in state.codewords:
         raise ValueError(f"unknown object {object_id!r}")
@@ -339,20 +355,36 @@ def predict(
         raise ValueError("conf_threshold must not be NaN")
     grid = sample_params(ParamSamplingConfig("equispaced", count))
     codes = state.codewords[object_id]
-    confidences = confidence_forward(state.head, codes)
+    confidences = confidence_forward(state.head, codes).tolist()
+    slots = [slot for slot, confidence in enumerate(confidences) if confidence >= threshold]
     block0: list[np.ndarray] = []  # block 0 sees x alone when modulated, so it runs once per grid
     kept: list[PredictedPath] = []
-    for slot, confidence in enumerate(confidences.tolist()):
-        if confidence < threshold:
-            continue
+
+    def decode(slot: int) -> np.ndarray:
         # one slot at a time: BLAS rounds a multi-slot matmul differently, so
         # a batched decode would not give these prediction bytes
-        raw = head_forward_batch(state.head, codes[slot], grid, _block0=block0)
+        return head_forward_batch(state.head, codes[slot], grid, _block0=block0)
+
+    def keep(slot: int, raw: np.ndarray) -> None:
         norms = np.linalg.norm(raw[:, 3:], axis=1)
         if np.any(norms < 1e-12):
             raise TrainingError(f"degenerate predicted orientation for object {object_id!r}")
         poses = np.concatenate([raw[:, :3], raw[:, 3:] / norms[:, None]], axis=1)
-        kept.append(PredictedPath(Path(poses), confidence))
+        kept.append(PredictedPath(Path(poses), confidences[slot]))
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, len(slots))
+    if workers < 2 or state.head.config.width * grid.size < PARALLEL_DECODE_CELLS:
+        for slot in slots:
+            keep(slot, decode(slot))
+    else:
+        keep(slots[0], decode(slots[0]))  # fills block0, which the later decodes only read
+        pool = ThreadPoolExecutor(workers)
+        try:
+            for slot, raw in zip(slots[1:], pool.map(decode, slots[1:])):
+                keep(slot, raw)
+        finally:
+            pool.shutdown(cancel_futures=True)
     kept.sort(key=lambda p: -p.confidence)
     return kept
 

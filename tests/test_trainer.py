@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -536,6 +538,19 @@ class TestAllTiePaddedMatching:
         assert hungarian(cost).permutation.tolist() == list(range(slots))
 
 
+def assert_equals_serial_decode(state, preds, samples):
+    """preds, every slot of object 'obj' kept, byte for byte as an unshared decode of each slot gives them."""
+    codes = state.codewords["obj"]
+    confidences = confidence_forward(state.head, codes)
+    grid = sample_params(ParamSamplingConfig("equispaced", samples))
+    assert len(preds) == len(codes)
+    for pred, slot in zip(preds, np.argsort(-confidences, kind="stable")):
+        raw = head_forward_batch(state.head, codes[slot], grid)
+        poses = np.concatenate([raw[:, :3], raw[:, 3:] / np.linalg.norm(raw[:, 3:], axis=1)[:, None]], axis=1)
+        assert pred.path.poses.tobytes() == Path(poses).poses.tobytes()
+        assert np.float64(pred.confidence).tobytes() == confidences[slot].tobytes()
+
+
 class TestPredict:
     def test_threshold_zero_returns_all_slots(self, fitted):
         _, config, state = fitted
@@ -584,17 +599,8 @@ class TestPredict:
     def test_equals_an_unshared_decode_of_each_slot(self, kind, conditioning, use_bias):
         head = tiny_head(activation=kind, conditioning=conditioning, use_bias=use_bias)
         state = fit({"obj": [line_path(0.0), line_path(0.5)]}, tiny_config(epochs=3, head=head))
-        codes = state.codewords["obj"]
-        confidences = confidence_forward(state.head, codes)
         # an odd count keeps x = 0, where a bias-free relu head decodes a zero orientation, off the grid
-        grid = sample_params(ParamSamplingConfig("equispaced", 25))
-        preds = predict(state, "obj", 25, conf_threshold=0.0)
-        assert len(preds) == len(codes)
-        for pred, slot in zip(preds, np.argsort(-confidences, kind="stable")):
-            raw = head_forward_batch(state.head, codes[slot], grid)
-            poses = np.concatenate([raw[:, :3], raw[:, 3:] / np.linalg.norm(raw[:, 3:], axis=1)[:, None]], axis=1)
-            assert pred.path.poses.tobytes() == Path(poses).poses.tobytes()
-            assert np.float64(pred.confidence).tobytes() == confidences[slot].tobytes()
+        assert_equals_serial_decode(state, predict(state, "obj", 25, conf_threshold=0.0), 25)
 
     @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
     def test_block0_runs_once_per_call(self, monkeypatch, conditioning):
@@ -613,6 +619,85 @@ class TestPredict:
             # depth 2, width 16: block 0 once per call when modulated, else once per slot
             blocks = 1 + len(kept) if conditioning == "modulation" else 2 * len(kept)
             assert len(kept) == 4 and calls == [(16, 1, 20)] * blocks
+
+
+class TestPoolDecode:
+    """predict decodes the slots after the first on a thread pool when a block holds at
+    least PARALLEL_DECODE_CELLS cells and more than one CPU is usable; the bytes stay those
+    of a serial decode of each slot."""
+
+    SLOTS = 8
+
+    @staticmethod
+    def state(**head):
+        return init_state({"obj": []}, tiny_config(slots=TestPoolDecode.SLOTS, head=tiny_head(**head)))
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Every pool predict builds, each with whether it was shut down. With 16 usable CPUs patched
+        in, a pool may run more threads than there are cores, and the switch interval is short."""
+        built = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, workers):
+                super().__init__(workers)
+                self.workers, self.closed = workers, False
+                built.append(self)
+
+            def shutdown(self, *args, **kwargs):
+                super().shutdown(*args, **kwargs)
+                self.closed = True
+
+        monkeypatch.setattr(trainer_module, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield built
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("head,samples,pooled", [
+        ({"width": 64}, 1024, True),
+        ({"width": 16}, 48, False),
+        ({"width": 64, "conditioning": "concat"}, 1024, True),
+    ], ids=["above-rule", "below-rule", "concat"])
+    def test_equals_serial_decode_of_each_slot(self, pools, monkeypatch, head, samples, pooled):
+        assert (head["width"] * samples >= trainer_module.PARALLEL_DECODE_CELLS) == pooled
+        state = self.state(**head)
+        blocks = []
+        original = neural_field_module._activation_value
+        monkeypatch.setattr(neural_field_module, "_activation_value", lambda *args: blocks.append(1) or original(*args))
+        preds = predict(state, "obj", samples, conf_threshold=0.0)
+        # depth 2: a modulated block 0 runs once per call, on the first slot, before any pool decode
+        assert len(blocks) == (2 * self.SLOTS if head.get("conditioning") == "concat" else 1 + self.SLOTS)
+        assert_equals_serial_decode(state, preds, samples)
+        # one pool of min(usable CPUs, kept slots) threads, closed before predict returns
+        assert [(pool.workers, pool.closed) for pool in pools] == ([(self.SLOTS, True)] if pooled else [])
+
+    def test_degenerate_orientation_on_the_pool_path(self, pools):
+        # bias-free, so a zero codeword decodes a zero path; slot 0 decodes serially, slot 5 on the
+        # pool (an odd count keeps x = 0, where every bias-free slot decodes a zero orientation, off the grid)
+        state = self.state(width=64, use_bias=False)
+        assert len(predict(state, "obj", 1025, conf_threshold=0.0)) == self.SLOTS
+        state.codewords["obj"][5] = 0.0
+        with pytest.raises(TrainingError, match="degenerate predicted orientation for object 'obj'"):
+            predict(state, "obj", 1025, conf_threshold=0.0)
+        assert [pool.closed for pool in pools] == [True, True]
+
+    @pytest.mark.parametrize("affinity", ["one-cpu", "no-affinity-call"])
+    def test_one_usable_cpu_builds_no_pool(self, monkeypatch, affinity):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("predict built a thread pool with one usable CPU")
+
+        monkeypatch.setattr(trainer_module, "ThreadPoolExecutor", no_pool)
+        if affinity == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        state = self.state(width=64)
+        assert_equals_serial_decode(state, predict(state, "obj", 1024, conf_threshold=0.0), 1024)
 
 
 class TestTraceBindings:
