@@ -83,12 +83,8 @@ class SyntheticConfig:
     def __post_init__(self) -> None:
         for name, minimum in (("strokes", 1), ("waypoints_per_stroke", 2), ("cloud_points", 1), ("seed", 0)):
             _check_integer(name, getattr(self, name), minimum)
-        for name in ("jitter_sigma", "curvature"):
-            _check_number(name, getattr(self, name))
-        if not 0 <= self.jitter_sigma < np.inf:
-            raise ValueError("jitter_sigma must be finite and >= 0")
-        if not np.isfinite(self.curvature):
-            raise ValueError("curvature must be finite")
+        for name, interval in (("jitter_sigma", (0, np.inf, "[)")), ("curvature", (-np.inf, np.inf, "()"))):
+            _check_number(name, getattr(self, name), interval)
 
 
 def gen_raster_object(config: SyntheticConfig, object_id: str = "object-000") -> ObjectRecord:
@@ -242,11 +238,11 @@ def dataset_from_document(doc) -> list[ObjectRecord]:
             if not isinstance(pred, dict):
                 raise ValidationError(f"object {object_id!r}: predictions[{i}] is not an object")
             confidence = pred.get("confidence")
-            if (isinstance(confidence, bool) or not isinstance(confidence, (int, float))
-                    or not 0.0 <= float(confidence) <= 1.0):
-                raise ValidationError(
-                    f"object {object_id!r}: predictions[{i}].confidence must lie in [0, 1]"
-                )
+            try:
+                _check_number("confidence", confidence, (0, 1, "[]"))
+            except ValueError as exc:
+                message = f"predictions[{i}].confidence must lie in [0, 1], not {confidence!r}"
+                raise ValidationError(f"object {object_id!r}: {message}") from exc
             path = _path_from_rows(pred.get("poses"), object_id, f"predictions[{i}].poses")
             predictions.append(PredictedPath(path, float(confidence)))
 

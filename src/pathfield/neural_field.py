@@ -85,18 +85,14 @@ class HeadConfig:
         for name, minimum in (("depth", 1), ("width", 1), ("code_dim", 0), ("seed", 0)):
             _check_integer(name, getattr(self, name), minimum)
         _check_integer("conf_hidden", self.conf_width, 1)  # conf_width is conf_hidden unless that is None
-        for name in ("omega0", "finer_bias_scale"):
-            _check_number(name, getattr(self, name))
+        for name, interval in (("omega0", (0, np.inf, "()")), ("finer_bias_scale", (0, np.inf, "[)"))):
+            _check_number(name, getattr(self, name), interval)
         if not isinstance(self.use_bias, bool):  # "false" is truthy: only true and false say what they mean
             raise ValueError(f"use_bias must be true or false, not {self.use_bias!r}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.conditioning not in CONDITIONING:
             raise ValueError(f"unknown conditioning {self.conditioning!r}")
-        if not self.omega0 > 0:
-            raise ValueError("omega0 must be positive")
-        if not 0 <= self.finer_bias_scale < np.inf:
-            raise ValueError("finer_bias_scale must be finite and >= 0")
 
     @property
     def conf_width(self) -> int:

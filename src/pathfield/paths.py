@@ -9,6 +9,7 @@ fractional waypoint index.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,17 +33,22 @@ __all__ = [
 ]
 
 
-def _check_number(name: str, value, integer: bool = False) -> None:
-    """The rule of every config number: a ValueError naming it unless it is a real number
-    (an integer, if `integer`) and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
-        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, not {value!r}")
+def _check_number(name: str, value, interval: tuple = (-np.inf, np.inf, "()")) -> None:
+    """The rule of every config real: a ValueError naming it and its value unless it is a real number, not a bool,
+    finite as a float, and in interval (low, high, ends), ends one of "()", "[)", "(]", "[]"."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    low, high, ends = interval
+    if not (abs(value) <= sys.float_info.max and (low <= value if ends[0] == "[" else low < value)
+            and (value <= high if ends[1] == "]" else value < high)):
+        raise ValueError(f"{name} must lie in {ends[0]}{low}, {high}{ends[1]}, not {value!r}")
 
 
-def _check_integer(name: str, value, minimum: int) -> None:
-    """The rule of every count: an integer by _check_number's rule, and at least minimum."""
-    _check_number(name, value, integer=True)
-    if value < minimum:
+def _check_integer(name: str, value, minimum: int | None = None) -> None:
+    """The rule of every count: a ValueError naming it unless it is an integer, not a bool, and at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
 
 
@@ -114,14 +120,12 @@ class ParamSamplingConfig:
     def __post_init__(self) -> None:
         if self.strategy not in SAMPLING_STRATEGIES:
             raise ValueError(f"unknown sampling strategy {self.strategy!r}")
-        _check_number("count", self.count, integer=True)
+        _check_integer("count", self.count)
         if self.count < 2:
             raise ValueError(f"sample count {self.count} is below 2: a path needs at least two poses")
         _check_integer("seed", self.seed, 0)
         if self.noise_sigma is not None:
-            _check_number("noise_sigma", self.noise_sigma)
-            if self.noise_sigma < 0:
-                raise ValueError("noise_sigma must be >= 0")
+            _check_number("noise_sigma", self.noise_sigma, (0, np.inf, "[)"))
 
 
 def sample_params(config: ParamSamplingConfig) -> np.ndarray:

@@ -64,6 +64,12 @@ class TrainingError(RuntimeError):
     """Raised when optimization hits a numeric or bookkeeping problem."""
 
 
+# TrainConfig's real fields and the (low, high, ends) interval each must lie in
+_REAL_FIELDS = (("step_size", (0, np.inf, "()")), ("adam_beta1", (0, 1, "[)")), ("adam_beta2", (0, 1, "[)")),
+                ("adam_eps", (0, np.inf, "()")), ("gamma", (0, np.inf, "[)")), ("codeword_sigma", (0, np.inf, "[)")),
+                ("conf_threshold", (0, 1, "[]")), ("lr_min", (0, np.inf, "[)")), ("sampling_noise", (0, np.inf, "[)")))
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters of one auto-decoder run.
@@ -95,29 +101,13 @@ class TrainConfig:
     def __post_init__(self) -> None:
         for name, minimum in (("slots", 1), ("train_samples", 2), ("test_samples", 2), ("epochs", 0), ("seed", 0)):
             _check_integer(name, getattr(self, name), minimum)
-        for name in ("step_size", "adam_beta1", "adam_beta2", "adam_eps", "gamma", "codeword_sigma", "conf_threshold",
-                     "lr_min") + (("sampling_noise",) if self.sampling_noise is not None else ()):
-            _check_number(name, getattr(self, name))
-        if not self.step_size > 0:
-            raise ValueError("step_size must be positive")
+        for name, interval in _REAL_FIELDS:
+            if name != "sampling_noise" or self.sampling_noise is not None:  # unset, it is 0.5 / count
+                _check_number(name, getattr(self, name), interval)
         if self.sampling not in SAMPLING_STRATEGIES:
             raise ValueError(f"unknown sampling strategy {self.sampling!r}")
         if self.lr_schedule not in ("constant", "cosine"):
             raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
-        if not self.gamma >= 0:
-            raise ValueError("gamma must be >= 0")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must lie in [0, 1)")
-        if not self.adam_eps > 0:
-            raise ValueError("adam_eps must be positive")
-        for name in ("lr_min", "codeword_sigma"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0")
-        if not 0 <= self.conf_threshold <= 1:
-            raise ValueError("conf_threshold must lie in [0, 1]")
-        if self.sampling_noise is not None and not self.sampling_noise >= 0:
-            raise ValueError("sampling_noise must be >= 0")
 
     def to_document(self) -> dict:
         return asdict(self)
@@ -351,8 +341,6 @@ def predict(
     count = cfg.test_samples if t_test is None else t_test
     threshold = cfg.conf_threshold if conf_threshold is None else conf_threshold
     _check_number("conf_threshold", threshold)
-    if math.isnan(threshold):
-        raise ValueError("conf_threshold must not be NaN")
     grid = sample_params(ParamSamplingConfig("equispaced", count))
     codes = state.codewords[object_id]
     confidences = confidence_forward(state.head, codes).tolist()

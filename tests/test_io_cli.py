@@ -621,6 +621,23 @@ class TestCli:
         assert field in capsys.readouterr().err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("field,literal", [
+        ("adam_eps", "Infinity"), ("lr_min", "Infinity"), ("omega0", "1e400"), ("gamma", "Infinity"),
+        ("step_size", "Infinity"), ("codeword_sigma", "-Infinity"), ("adam_beta2", "NaN"), ("lr_min", "1" + "0" * 400),
+    ], ids=lambda item: item if len(item) < 20 else "10**400")
+    def test_non_finite_config_number_is_validation_error(self, tmp_path, capsys, field, literal):
+        # json reads Infinity, NaN and an overflowing 1e400 as floats, which no config real takes, and
+        # 10**400 as an int, which no float holds
+        head = {"depth": 1, "width": 4, "code_dim": 2}
+        override = {"head": head | {field: "?"}} if field == "omega0" else {field: "?"}
+        data, config, _ = self.small_fit_files(tmp_path, **override)
+        config.write_text(config.read_text().replace('"?"', literal))
+        ckpt = tmp_path / "ckpt.json"
+        capsys.readouterr()
+        assert run_cli("fit", "--dataset", data, "--config", config, "--checkpoint", ckpt) == 1
+        assert f"{field} must lie in" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     @pytest.mark.parametrize("override,field", [
         ({"epochs": 1.5}, "epochs"), ({"slots": True}, "slots"), ({"slots": 8.5}, "slots"),
         ({"seed": 1.5}, "seed"), ({"head": {"depth": 1, "width": 4.5, "code_dim": 2}}, "width"),

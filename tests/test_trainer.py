@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -62,6 +63,13 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def real_fields(config_class) -> list[str]:
+    """The names of a config dataclass's fields typed float or float | None."""
+    hints = typing.get_type_hints(config_class)
+    return [f.name for f in dataclasses.fields(config_class)
+            if float in (typing.get_args(hints[f.name]) or (hints[f.name],))]
 
 
 def line_path(offset_y, k=12):
@@ -583,6 +591,12 @@ class TestPredict:
         assert "conf_threshold" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("threshold", [float("inf"), float("-inf")], ids=["inf", "-inf"])
+    def test_infinite_threshold_rejected(self, fitted, threshold):
+        _, _, state = fitted
+        with pytest.raises(ValueError, match=rf"conf_threshold must lie in \(-inf, inf\), not {threshold}"):
+            predict(state, "obj", conf_threshold=threshold)
+
     @pytest.mark.parametrize("overrides,message", [
         ({"t_test": 2.5}, "count must be an integer, not 2.5"),
         ({"conf_threshold": "0.5"}, "conf_threshold must be a number, not '0.5'"),
@@ -902,6 +916,16 @@ class TestCheckpoint:
         assert main(["predict", "--checkpoint", str(ckpt), "--object", "obj", "--out", str(tmp_path / "p.json")]) == 1
         assert f"'{name}' is not finite" in capsys.readouterr().err
 
+    def test_non_finite_config_number_is_named(self, fitted, tmp_path):
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(fitted[2], ckpt)
+        doc = json.loads(ckpt.read_text())
+        doc["config"]["gamma"] = float("inf")
+        ckpt.write_text(json.dumps(doc))  # json writes the infinity as Infinity, which it reads back
+        assert '"gamma": Infinity' in ckpt.read_text()
+        with pytest.raises(ValueError, match=r"gamma must lie in \[0, inf\), not inf"):
+            load_checkpoint(ckpt)
+
     def test_failed_save_keeps_previous_checkpoint(self, fitted, tmp_path, monkeypatch):
         # every byte reaches the temp file, then the atomic writer's fsync fails
         target = tmp_path / "ckpt.json"
@@ -1027,6 +1051,17 @@ class TestTrainConfigDocument:
     @pytest.mark.parametrize("field,value", [("epochs", np.int64(3)), ("slots", np.int32(4)), ("seed", 0)])
     def test_integer_count_is_accepted(self, field, value):
         assert getattr(tiny_config(**{field: value}), field) == value
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("config_class,field", [
+        (config_class, field)
+        for config_class in (TrainConfig, HeadConfig, ParamSamplingConfig, SyntheticConfig)
+        for field in real_fields(config_class)
+    ], ids=lambda item: item if isinstance(item, str) else item.__name__)
+    def test_every_real_field_rejects_a_non_finite_value(self, config_class, field, value):
+        # the fields come from the dataclasses, so a real field added later is checked too
+        with pytest.raises(ValueError, match=f"^{field} must lie in .*, not {value}$"):
+            config_class(**{field: value})
 
 
 class TestSmoothPredictions:
