@@ -23,13 +23,12 @@ from .dataio import (
     save_report,
 )
 from .metrics import DEFAULT_DELTA, DEFAULT_RESAMPLE_T, DEFAULT_THETA_DEG, dtw_align, evaluate_dataset
-from .paths import ParamSamplingConfig, PredictedPath, resample, sample_params
+from .paths import ParamSamplingConfig, PredictedPath, _check_integer, resample, sample_params
 from .trainer import TrainConfig, fit, load_checkpoint, predict, save_checkpoint
 
 
 def _cmd_evaluate(args) -> int:
-    if args.resample_t < 0:
-        raise ValidationError(f"--resample-t {args.resample_t} is negative (0 scores the paths as given)")
+    _check_integer("--resample-t", args.resample_t, 0)  # 0 scores the paths as given
     gt_records = load_dataset(args.gt)
     pred_records = load_dataset(args.pred)
     gt_map = {r.object_id: r for r in gt_records}

@@ -115,8 +115,7 @@ def gen_raster_object(config: SyntheticConfig, object_id: str = "object-000") ->
 
 def gen_dataset(config: SyntheticConfig, objects: int = 1) -> list[ObjectRecord]:
     """Several raster objects; object i draws from sub-seed (seed, i)."""
-    if objects < 1:
-        raise ValueError("objects must be >= 1")
+    _check_integer("objects", objects, 1)
     records = []
     for index in range(objects):
         sub_seed = int(np.random.SeedSequence([config.seed, index]).generate_state(1)[0])
@@ -188,12 +187,15 @@ def save_json(doc, path, indent: int = 1) -> None:
 
 
 def _number_rows(rows, width: int, object_id: str, where: str) -> np.ndarray:
-    """A non-empty list of rows of `width` JSON numbers as a float array; anything else, a
-    string or a boolean among them too, is a ValidationError naming the object and field."""
-    if not (type(rows) is list and rows and set(map(type, rows)) == {list} and set(map(len, rows)) == {width}
+    """A non-empty list of rows of `width` JSON numbers as a float array; anything else, a string, a
+    boolean or an integer that no float holds among them too, is a ValidationError naming the object and field."""
+    if (type(rows) is list and rows and set(map(type, rows)) == {list} and set(map(len, rows)) == {width}
             and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}):
-        raise ValidationError(f"object {object_id!r}: {where}: every row needs exactly {width} JSON numbers")
-    return np.array(rows, dtype=float)
+        try:
+            return np.array(rows, dtype=float)
+        except OverflowError:
+            pass
+    raise ValidationError(f"object {object_id!r}: {where}: every row needs exactly {width} JSON numbers")
 
 
 def _path_from_rows(rows, object_id: str, where: str) -> Path:
@@ -237,14 +239,11 @@ def dataset_from_document(doc) -> list[ObjectRecord]:
         for i, pred in enumerate(pred_docs):
             if not isinstance(pred, dict):
                 raise ValidationError(f"object {object_id!r}: predictions[{i}] is not an object")
-            confidence = pred.get("confidence")
-            try:
-                _check_number("confidence", confidence, (0, 1, "[]"))
-            except ValueError as exc:
-                message = f"predictions[{i}].confidence must lie in [0, 1], not {confidence!r}"
-                raise ValidationError(f"object {object_id!r}: {message}") from exc
             path = _path_from_rows(pred.get("poses"), object_id, f"predictions[{i}].poses")
-            predictions.append(PredictedPath(path, float(confidence)))
+            try:
+                predictions.append(PredictedPath(path, pred.get("confidence")))
+            except ValueError as exc:
+                raise ValidationError(f"object {object_id!r}: predictions[{i}].{exc}") from exc
 
         records.append(ObjectRecord(object_id, gt_paths, cloud, predictions))
     return records

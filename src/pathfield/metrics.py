@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .paths import ParamSamplingConfig, Path, PredictedPath, resample, sample_params
+from .paths import ParamSamplingConfig, Path, PredictedPath, _check_number, resample, sample_params
 
 DEFAULT_DELTA = 0.025
 DEFAULT_THETA_DEG = 10.0
@@ -212,10 +212,8 @@ def _pose_fscores(pairs: Sequence[_PosePair], delta: float, theta_deg: float) ->
     of at most DTW_BATCH_CELLS cells. The thresholds are checked even
     when there is no pair to score.
     """
-    if not 0.0 < delta < np.inf:
-        raise ValueError("delta must be positive and finite")
-    if not 0.0 < theta_deg < 180.0:
-        raise ValueError("theta must lie in (0, 180) degrees")
+    _check_number("delta", delta, (0, np.inf, "()"))
+    _check_number("theta", theta_deg, (0, 180, "()"))
     by_shape: dict[tuple[int, int], list[int]] = {}
     for index, (gt_arr, _, pred_arr, _) in enumerate(pairs):
         by_shape.setdefault((len(gt_arr), len(pred_arr)), []).append(index)
@@ -371,8 +369,7 @@ def average_precision(
     a claim at F-score >= tau is a true positive. AP is the area under
     the monotone precision envelope over recall.
     """
-    if not 0.0 < tau <= 1.0:
-        raise ValueError("tau must lie in (0, 1]")
+    _check_number("tau", tau, (0, 1, "(]"))
     return _ap_at(*_score_dataset(dataset, delta, theta_deg), (tau,))[0]
 
 

@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 ORIENTATION_TOL = 1e-6
+_INDEX_MAX = int(np.iinfo(np.intp).max)  # the largest count numpy can index or allocate
 
 SAMPLING_STRATEGIES = ("equispaced", "noisy-equispaced", "uniform")
 
@@ -34,7 +35,7 @@ __all__ = [
 
 
 def _check_number(name: str, value, interval: tuple = (-np.inf, np.inf, "()")) -> None:
-    """The rule of every config real: a ValueError naming it and its value unless it is a real number, not a bool,
+    """The rule of every real taken in: a ValueError naming it and its value unless it is a real number, not a bool,
     finite as a float, and in interval (low, high, ends), ends one of "()", "[)", "(]", "[]"."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, not {value!r}")
@@ -45,11 +46,14 @@ def _check_number(name: str, value, interval: tuple = (-np.inf, np.inf, "()")) -
 
 
 def _check_integer(name: str, value, minimum: int | None = None) -> None:
-    """The rule of every count: a ValueError naming it unless it is an integer, not a bool, and at least minimum."""
+    """The rule of every count: a ValueError naming it unless it is an integer, not a bool, at least minimum
+    and within numpy's index range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, not {value!r}")
     if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}")
+        raise ValueError(f"{name} must be >= {minimum}, not {value!r}")
+    if value > _INDEX_MAX:
+        raise ValueError(f"{name} must be <= {_INDEX_MAX}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -96,10 +100,8 @@ class PredictedPath:
     confidence: float
 
     def __post_init__(self) -> None:
-        c = float(self.confidence)
-        if not 0.0 <= c <= 1.0:
-            raise ValueError("confidence must lie in [0, 1]")
-        object.__setattr__(self, "confidence", c)
+        _check_number("confidence", self.confidence, (0, 1, "[]"))
+        object.__setattr__(self, "confidence", float(self.confidence))
 
 
 @dataclass(frozen=True)
@@ -120,9 +122,7 @@ class ParamSamplingConfig:
     def __post_init__(self) -> None:
         if self.strategy not in SAMPLING_STRATEGIES:
             raise ValueError(f"unknown sampling strategy {self.strategy!r}")
-        _check_integer("count", self.count)
-        if self.count < 2:
-            raise ValueError(f"sample count {self.count} is below 2: a path needs at least two poses")
+        _check_integer("count", self.count, 2)  # a path needs at least two poses
         _check_integer("seed", self.seed, 0)
         if self.noise_sigma is not None:
             _check_number("noise_sigma", self.noise_sigma, (0, np.inf, "[)"))

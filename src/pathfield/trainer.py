@@ -387,7 +387,7 @@ def _decode(text, shape: tuple, name: str) -> np.ndarray:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint array {name!r} is not base64 text: {exc}") from exc
     if len(raw) != 8 * math.prod(shape):
-        raise ValueError(f"checkpoint array {name!r} holds {len(raw)} bytes, expected shape {shape}")
+        raise ValueError(f"checkpoint array {name!r} holds {len(raw)} bytes, expected shape {shape} from the config")
     arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
     if not np.isfinite(arr).all():
         raise ValueError(f"checkpoint array {name!r} is not finite")
@@ -424,8 +424,10 @@ def checkpoint_from_document(doc: dict) -> TrainState:
             if name.startswith("codewords.")
         }
         for k, row in enumerate(doc["loss_history"]):
-            if not (type(row) is list and len(row) == 3 and all(type(x) in (int, float) and math.isfinite(x) for x in row)):
+            if not (type(row) is list and len(row) == 3):
                 raise ValueError(f"loss_history[{k}] must hold three finite numbers")
+            for i, x in enumerate(row):
+                _check_number(f"loss_history[{k}][{i}]", x)
         history = [tuple(float(x) for x in row) for row in doc["loss_history"]]
         _check_integer("epoch", doc["epoch"], 0)
         state = TrainState(config, _allocate(config.head), codewords, {}, doc["epoch"], history)

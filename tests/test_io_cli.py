@@ -1,10 +1,17 @@
+import copy
 import hashlib
+import io
 import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 import pytest
@@ -13,6 +20,7 @@ from hypothesis import strategies as st
 
 from pathfield.cli import main
 from pathfield.dataio import (
+    ObjectRecord,
     SyntheticConfig,
     ValidationError,
     dataset_from_document,
@@ -27,7 +35,9 @@ from pathfield.dataio import (
 )
 from pathfield.dataio import _indented, _write_atomic
 from pathfield.metrics import EvalReport
+from pathfield.neural_field import HeadConfig
 from pathfield.paths import Path, PredictedPath
+from pathfield.trainer import TrainConfig, checkpoint_to_document, load_checkpoint
 
 
 def run_cli(*args):
@@ -86,6 +96,11 @@ class TestGenerator:
     def test_non_number_settings_are_named(self, field, value, message):
         with pytest.raises(ValueError, match=f"{field} must be {message}"):
             SyntheticConfig(**{field: value})
+
+    @pytest.mark.parametrize("objects,message", [(0, "must be >= 1, not 0"), (True, "must be an integer, not True")])
+    def test_object_count_is_named(self, objects, message):
+        with pytest.raises(ValueError, match=f"^objects {message}$"):
+            gen_dataset(SyntheticConfig(), objects)
 
     @pytest.mark.parametrize("flag", ["--jitter", "--curvature"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -165,8 +180,11 @@ class TestDatasetDocuments:
         ("point_cloud", lambda entry: entry["point_cloud"][0].__setitem__(0, True)),
         ("point_cloud", lambda entry: entry["point_cloud"][1].__setitem__(2, "1")),
         ("point_cloud", lambda entry: entry.__setitem__("point_cloud", [])),
+        # json reads a 401-digit integer exactly, and no float holds it
+        ("gt_paths[0]", lambda entry: entry["gt_paths"][0][1].__setitem__(0, 10**400)),
+        ("point_cloud", lambda entry: entry["point_cloud"][1].__setitem__(2, -10**400)),
     ], ids=["pose-string", "pose-bool", "pose-null-row", "prediction-null", "cloud-bool", "cloud-string",
-            "cloud-empty"])
+            "cloud-empty", "pose-huge-int", "cloud-huge-int"])
     def test_non_number_row_entry_is_named(self, tmp_path, capsys, field, edit):
         pose_rows = [[0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 1.0]]
         entry = {"object_id": "obj", "gt_paths": [pose_rows], "point_cloud": [[0, 0, 0], [1, 0.5, 0]],
@@ -186,7 +204,8 @@ class TestDatasetDocuments:
         pose_rows = [[0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 1]]
         pred = {"object_id": "obj", "gt_paths": [pose_rows],
                 "predictions": [{"confidence": confidence, "poses": pose_rows}]}
-        with pytest.raises(ValidationError, match=r"'obj': predictions\[0\]\.confidence must lie in"):
+        message = rf"'obj': predictions\[0\]\.confidence must be a number, not {confidence}$"
+        with pytest.raises(ValidationError, match=message):
             dataset_from_document({"objects": [pred]})
         gt, target = tmp_path / "gt.json", tmp_path / "pred.json"
         gt.write_text(json.dumps({"objects": [{"object_id": "obj", "gt_paths": [pose_rows]}]}))
@@ -548,16 +567,16 @@ class TestCli:
         }[command]
         capsys.readouterr()
         assert run_cli(*argv, "--out", out) == 1
-        assert "sample count 1 is below 2" in capsys.readouterr().err
+        assert "count must be >= 2, not 1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flags,message", [
-        (["--delta", -3, "--theta", 999, "--resample-t", -7], "--resample-t -7 is negative"),
-        (["--delta", -3], "delta must be positive"),
-        (["--delta", "nan"], "delta must be positive and finite"),
-        (["--delta", "inf"], "delta must be positive and finite"),
+        (["--delta", -3, "--theta", 999, "--resample-t", -7], "--resample-t must be >= 0, not -7"),
+        (["--delta", -3], "delta must lie in (0, inf), not -3.0"),
+        (["--delta", "nan"], "delta must lie in (0, inf), not nan"),
+        (["--delta", "inf"], "delta must lie in (0, inf), not inf"),
         (["--theta", 999], "theta must lie"),
-        (["--resample-t", -7], "--resample-t -7 is negative"),
+        (["--resample-t", -7], "--resample-t must be >= 0, not -7"),
     ], ids=["all", "delta", "delta-nan", "delta-inf", "theta", "resample-t"])
     def test_evaluate_rejects_bad_arguments_without_predictions(self, tmp_path, capsys, flags, message):
         # the dataset has no predictions, so no pair is scored
@@ -612,6 +631,7 @@ class TestCli:
     @pytest.mark.parametrize("field,value", [
         ("adam_beta1", 1.0), ("adam_beta2", 1.0), ("adam_eps", 0), ("lr_min", -1),
         ("codeword_sigma", -0.01), ("conf_threshold", 2), ("sampling_noise", -0.1),
+        ("test_samples", 10**30), ("slots", 10**30), ("train_samples", 10**30),
     ])
     def test_out_of_range_config_field_is_validation_error(self, tmp_path, capsys, field, value):
         data, config, _ = self.small_fit_files(tmp_path, **{field: value})
@@ -674,9 +694,13 @@ class TestCli:
         (lambda doc: doc.update(epoch="1"), "epoch must be an integer, not '1'"),
         (lambda doc: doc["moments"]["codewords.object-000"].update(step=-3), "codewords.object-000.step must be >= 0"),
         (lambda doc: doc["loss_history"][0].pop(), "loss_history[0] must hold three finite numbers"),
+        (lambda doc: doc["loss_history"][1].__setitem__(2, 10**400),
+         "loss_history[1][2] must lie in (-inf, inf), not 1000"),
+        (lambda doc: doc.update(epoch=10**30), f"epoch must be <= {np.iinfo(np.intp).max}, not {10**30}"),
         (lambda doc: doc["moments"]["head.out_b"].update(step=7), "'head.out_b' are missing or off the head's step 2"),
         (lambda doc: doc["config"]["head"].update(use_bias="false"), "use_bias must be true or false, not 'false'"),
-    ], ids=["epoch-1.7", "epoch-str", "step-negative", "row-of-two", "head-steps-differ", "use-bias-str"])
+    ], ids=["epoch-1.7", "epoch-str", "step-negative", "row-of-two", "row-huge-int", "epoch-huge", "head-steps-differ",
+            "use-bias-str"])
     def test_edited_checkpoint_is_validation_error(self, tmp_path, capsys, edit, message):
         data, config, _ = self.small_fit_files(tmp_path, epochs=2)
         ckpt = tmp_path / "ckpt.json"
@@ -711,3 +735,106 @@ class TestCli:
         run_cli("fit", "--dataset", data, "--config", config, "--checkpoint", ckpt)
         out = tmp_path / "pred.json"
         assert run_cli("predict", "--checkpoint", ckpt, "--object", "nope", "--out", out) == 1
+
+
+# One leaf's replacement: another JSON type, a number that no float holds, or no value at all.
+_DROP = "<dropped>"
+_OTHER_TYPES = [0, 3, 0.5, True, "0.5", None, [1.0], {"x": 1}]
+
+
+def _has_leaf(doc) -> bool:
+    return not isinstance(doc, (dict, list)) or any(map(_has_leaf, doc.values() if isinstance(doc, dict) else doc))
+
+
+def _leaf_paths(doc):
+    """The key path to one scalar of a parsed JSON document, drawn key by key from the root, so
+    that a short list of fields (a checkpoint's loss_history) is drawn as often as a long one."""
+    if not isinstance(doc, (dict, list)):
+        return st.just(())
+    keys = [key for key in (doc if isinstance(doc, dict) else range(len(doc))) if _has_leaf(doc[key])]
+    return st.sampled_from(keys).flatmap(lambda key: _leaf_paths(doc[key]).map(lambda path: (key, *path)))
+
+
+def _config_with_defaults(doc: dict) -> dict:
+    defaults = TrainConfig().to_document()
+    return defaults | doc | {"head": defaults["head"] | doc.get("head", {})}
+
+
+def _dataset_as_loaded(tmp, target) -> dict:
+    return dataset_to_document(load_dataset(target))
+
+
+def _dataset_as_written(doc: dict) -> dict:
+    return {"objects": [{"gt_paths": []} | entry for entry in doc["objects"]]}
+
+
+class TestOneChangedLeaf:
+    """Every document the CLI reads either loads exactly as written or stops the command with exit 1
+    and a message that names the changed field; it never exits 2 and never loads a coerced value."""
+
+    @pytest.fixture(scope="class")
+    def documents(self, tmp_path_factory):
+        """Per kind: the valid document, the argv that reads it from {doc} (other files under {base}), the
+        values it loads to once the command exits 0, and the values the document writes down."""
+        base = tmp_path_factory.mktemp("documents")
+        records = gen_dataset(SyntheticConfig(strokes=2, waypoints_per_stroke=3, cloud_points=3), objects=2)
+        gt = dataset_to_document(records)
+        pred = dataset_to_document(
+            [ObjectRecord(r.object_id, [], None, [PredictedPath(r.gt_paths[1], 0.75)]) for r in records])
+        config = TrainConfig(slots=2, epochs=2, train_samples=4, test_samples=4,
+                             head=HeadConfig(depth=1, width=4, code_dim=2)).to_document()
+        for name, doc in (("gt", gt), ("pred", pred), ("config", config)):
+            (base / f"{name}.json").write_text(json.dumps(doc))
+        with redirect_stdout(io.StringIO()):
+            assert main(["fit", "--dataset", f"{base}/gt.json", "--config", f"{base}/config.json",
+                         "--checkpoint", f"{base}/ckpt.json"]) == 0
+        checkpoint = json.loads((base / "ckpt.json").read_text())
+        # a resumed fit at epoch 200 trains no further for any epochs a changed config gives (200 if dropped)
+        (base / "resume.json").write_text(json.dumps(checkpoint | {"epoch": 200}))
+        evaluate = ["evaluate", "--resample-t", 0, "--out", "{tmp}/report.json"]
+        return {
+            "config": (config, ["fit", "--dataset", "{base}/gt.json", "--config", "{doc}", "--checkpoint",
+                                "{tmp}/resume.json", "--resume"],
+                       lambda tmp, target: load_checkpoint(f"{tmp}/resume.json").config.to_document(),
+                       _config_with_defaults),
+            "dataset": (gt, evaluate + ["--gt", "{doc}", "--pred", "{base}/pred.json"],
+                        _dataset_as_loaded, _dataset_as_written),
+            "predictions": (pred, evaluate + ["--gt", "{base}/gt.json", "--pred", "{doc}"],
+                            _dataset_as_loaded, _dataset_as_written),
+            "checkpoint": (checkpoint, ["predict", "--checkpoint", "{doc}", "--object", "all", "--out",
+                                        "{tmp}/p.json"],
+                           lambda tmp, target: checkpoint_to_document(load_checkpoint(target)),
+                           lambda doc: doc | {"config": _config_with_defaults(doc["config"])}),
+        }, base
+
+    @pytest.mark.parametrize("kind", ["config", "dataset", "predictions", "checkpoint"])
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_exits_1_naming_the_field_or_loads_as_written(self, documents, kind, data):
+        kinds, base = documents
+        valid, argv, loaded, written = kinds[kind]
+        path = data.draw(_leaf_paths(valid), label="leaf")
+        doc = copy.deepcopy(valid)
+        *parents, last = path
+        holder = reduce(getitem, parents, doc)
+        value = data.draw(st.one_of(
+            st.sampled_from([v for v in _OTHER_TYPES if type(v) is not type(holder[last])]),
+            st.sampled_from([math.inf, -math.inf, math.nan]), st.just(10**400), st.just(_DROP)), label="value")
+        if value is _DROP:
+            del holder[last]
+        else:
+            holder[last] = value
+        with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), \
+                redirect_stderr(io.StringIO()) as err:
+            target = f"{tmp}/doc.json"
+            with open(target, "w") as fh:
+                json.dump(doc, fh)
+            shutil.copy(base / "resume.json", tmp)  # the resumed fit saves over its copy
+            code = main([str(a).format(base=base, tmp=tmp, doc=target) for a in argv])
+            if code == 0:
+                assert loaded(tmp, target) == written(doc)
+        assert code in (0, 1), err.getvalue()
+        if code == 1:
+            # the message names a key on the leaf's path; every dataset leaf shares "objects"
+            names = {key for key in path if isinstance(key, str)} - {"objects"}
+            assert any(name in err.getvalue() for name in names), (path, value, err.getvalue())

@@ -362,6 +362,15 @@ class TestAveragePrecision:
             ds = one_object_dataset([self.gt], [PredictedPath(self.gt, 0.8)])
             assert average_precision(ds, tau) == 1.0
 
+    @pytest.mark.parametrize("tau,message", [
+        (0.0, r"must lie in \(0, 1\], not 0.0"), (1.5, r"must lie in \(0, 1\], not 1.5"),
+        (float("nan"), r"must lie in \(0, 1\], not nan"), (True, "must be a number, not True"),
+    ], ids=["zero", "above-one", "nan", "true"])
+    def test_tau_follows_the_number_rule(self, tau, message):
+        ds = one_object_dataset([self.gt], [PredictedPath(self.gt, 0.8)])
+        with pytest.raises(ValueError, match=f"^tau {message}$"):
+            average_precision(ds, tau)
+
     def test_late_false_positive_keeps_ap_one(self):
         ds = one_object_dataset(
             [self.gt],
@@ -628,19 +637,19 @@ class TestScoringValidation:
     @pytest.mark.parametrize("delta", [0.0, -0.01])
     def test_nonpositive_delta_rejected(self, delta):
         ds = one_object_dataset([self.gt], [PredictedPath(self.gt, 0.5)])
-        with pytest.raises(ValueError, match="delta must be positive"):
+        with pytest.raises(ValueError, match=rf"^delta must lie in \(0, inf\), not {delta}$"):
             evaluate_dataset(ds, delta=delta)
 
     @pytest.mark.parametrize("theta", [0.0, 180.0, -5.0, 200.0])
     def test_theta_outside_range_rejected(self, theta):
         ds = one_object_dataset([self.gt], [PredictedPath(self.gt, 0.5)])
-        with pytest.raises(ValueError, match=r"theta must lie in \(0, 180\) degrees"):
+        with pytest.raises(ValueError, match=rf"^theta must lie in \(0, 180\), not {theta}$"):
             evaluate_dataset(ds, theta_deg=theta)
 
     @pytest.mark.parametrize("delta,theta,message", [
-        (0.0, 10.0, "delta must be positive"),
-        (float("nan"), 10.0, "delta must be positive and finite"),
-        (float("inf"), 10.0, "delta must be positive and finite"),
+        (0.0, 10.0, r"delta must lie in \(0, inf\), not 0.0"),
+        (float("nan"), 10.0, r"delta must lie in \(0, inf\), not nan"),
+        (float("inf"), 10.0, r"delta must lie in \(0, inf\), not inf"),
         (0.05, 999.0, "theta must lie"),
     ], ids=["delta", "delta-nan", "delta-inf", "theta"])
     def test_thresholds_checked_with_no_pair_to_score(self, delta, theta, message):

@@ -255,7 +255,7 @@ class TestSampleParams:
 
     def test_single_count_rejected(self):
         # resample would build a one-pose Path, which Path rejects
-        with pytest.raises(ValueError, match="below 2"):
+        with pytest.raises(ValueError, match="^count must be >= 2, not 1$"):
             ParamSamplingConfig("uniform", 1)
 
     @pytest.mark.parametrize("field,value,message", [

@@ -22,6 +22,7 @@ from pathfield.matching import (
     pad_targets,
     position_cost_matrix,
 )
+from pathfield.metrics import evaluate_dataset
 from pathfield.neural_field import HeadConfig, _allocate, confidence_forward, head_forward_batch, named_parameters
 from pathfield.paths import ParamSamplingConfig, Path, PredictedPath, sample_params
 from pathfield.trainer import (
@@ -65,11 +66,11 @@ def tiny_config(**overrides):
     return TrainConfig(**base)
 
 
-def real_fields(config_class) -> list[str]:
-    """The names of a config dataclass's fields typed float or float | None."""
+def typed_fields(config_class, kind: type) -> list[str]:
+    """The names of a config dataclass's fields typed kind or kind | None."""
     hints = typing.get_type_hints(config_class)
     return [f.name for f in dataclasses.fields(config_class)
-            if float in (typing.get_args(hints[f.name]) or (hints[f.name],))]
+            if kind in (typing.get_args(hints[f.name]) or (hints[f.name],))]
 
 
 def line_path(offset_y, k=12):
@@ -868,9 +869,9 @@ class TestCheckpoint:
         (("moments", "head.out_w", "step"), False, "head.out_w.step must be an integer"),
         (("loss_history", 1), [0.5, 0.25], r"loss_history\[1\] must hold three finite numbers"),
         (("loss_history", 1), [0.5, 0.25, 0.75, 1.0], r"loss_history\[1\] must hold"),
-        (("loss_history", 0, 2), float("nan"), r"loss_history\[0\] must hold"),
-        (("loss_history", 0, 0), True, r"loss_history\[0\] must hold"),
-        (("loss_history", 0, 1), "0.5", r"loss_history\[0\] must hold"),
+        (("loss_history", 0, 2), float("nan"), r"loss_history\[0\]\[2\] must lie in \(-inf, inf\), not nan"),
+        (("loss_history", 0, 0), True, r"loss_history\[0\]\[0\] must be a number, not True"),
+        (("loss_history", 0, 1), "0.5", r"loss_history\[0\]\[1\] must be a number, not '0.5'"),
     ], ids=["epoch-float", "epoch-bool", "epoch-negative", "step-negative", "step-float", "step-bool",
             "row-of-two", "row-of-four", "row-nan", "row-bool", "row-string"])
     def test_bad_counter_is_named(self, fitted, path, value, message):
@@ -1056,12 +1057,38 @@ class TestTrainConfigDocument:
     @pytest.mark.parametrize("config_class,field", [
         (config_class, field)
         for config_class in (TrainConfig, HeadConfig, ParamSamplingConfig, SyntheticConfig)
-        for field in real_fields(config_class)
+        for field in typed_fields(config_class, float)
     ], ids=lambda item: item if isinstance(item, str) else item.__name__)
     def test_every_real_field_rejects_a_non_finite_value(self, config_class, field, value):
         # the fields come from the dataclasses, so a real field added later is checked too
         with pytest.raises(ValueError, match=f"^{field} must lie in .*, not {value}$"):
             config_class(**{field: value})
+
+    @pytest.mark.parametrize("config_class,field", [
+        (config_class, field)
+        for config_class in (TrainConfig, HeadConfig, ParamSamplingConfig, SyntheticConfig)
+        for field in typed_fields(config_class, int)
+    ], ids=lambda item: item if isinstance(item, str) else item.__name__)
+    def test_every_integer_field_rejects_a_count_beyond_numpy_indices(self, config_class, field):
+        # numpy can neither index nor allocate 10**30 of anything
+        with pytest.raises(ValueError, match=f"^{field} must be <= {np.iinfo(np.intp).max}, not {10**30}$"):
+            config_class(**{field: 10**30})
+
+    @pytest.mark.parametrize("value,message", [
+        (True, "must be a number, not True"), ("0.5", "must be a number, not '0.5'"),
+        (1.5, r"must lie in \[0, 1\], not 1.5"),
+    ], ids=["true", "string", "above-one"])
+    def test_predicted_path_confidence_follows_the_number_rule(self, value, message):
+        with pytest.raises(ValueError, match=f"^confidence {message}$"):
+            PredictedPath(line_path(0.0), value)
+
+    @pytest.mark.parametrize("keyword,name,value", [
+        ("delta", "delta", True), ("theta_deg", "theta", True), ("delta", "delta", "0.1"),
+    ], ids=["delta-true", "theta-true", "delta-string"])
+    def test_evaluation_threshold_follows_the_number_rule(self, keyword, name, value):
+        dataset = {"obj": ([line_path(0.0)], [PredictedPath(line_path(0.0), 0.5)])}
+        with pytest.raises(ValueError, match=f"^{name} must be a number, not {value!r}$"):
+            evaluate_dataset(dataset, **{keyword: value})
 
 
 class TestSmoothPredictions:
