@@ -28,7 +28,7 @@ from .trainer import TrainConfig, fit, load_checkpoint, predict, save_checkpoint
 
 
 def _cmd_evaluate(args) -> int:
-    _check_integer("--resample-t", args.resample_t, 0)  # 0 scores the paths as given
+    _check_integer("--resample-t", args.resample_t, 2 if args.resample_t > 0 else 0)  # 0 scores the paths as given
     gt_records = load_dataset(args.gt)
     pred_records = load_dataset(args.pred)
     gt_map = {r.object_id: r for r in gt_records}
@@ -67,6 +67,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    if args.samples is not None:
+        _check_integer("--samples", args.samples, 2)
     state = load_checkpoint(args.checkpoint)
     if args.object == "all":
         object_ids = sorted(state.codewords)
@@ -108,6 +110,7 @@ def _cmd_dtw(args) -> int:
 
 
 def _cmd_resample(args) -> int:
+    _check_integer("--t", args.t, 2)
     doc = load_json(args.infile)
     params = sample_params(ParamSamplingConfig(args.strategy, args.t, args.noise_sigma, args.seed))
     if isinstance(doc, dict) and "poses" in doc:

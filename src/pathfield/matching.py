@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .paths import Path, resample
+from .paths import Path, _path_params, _unit_rows, resample
 
 CONF_CLAMP = 1e-7
 
@@ -27,8 +27,7 @@ __all__ = [
     "pad_targets",
     "position_cost_matrix",
     "hungarian",
-    "focal_conf_loss",
-    "focal_prob_gradient",
+    "focal_loss",
     "objective",
 ]
 
@@ -53,9 +52,7 @@ def pad_targets(gt: Sequence[Path], n_slots: int, params: Sequence[float]) -> np
     gt = list(gt)
     if n_slots < len(gt):
         raise ValueError(f"{len(gt)} ground-truth paths exceed the {n_slots} available slots")
-    vals = np.asarray(params, dtype=float)
-    if vals.ndim != 1 or vals.size == 0:
-        raise ValueError("params must be a nonempty 1-D sequence")
+    vals = _path_params(params)
     targets = np.empty((len(gt), vals.size, 6))
     for count in {len(path) for path in gt}:
         rows = [row for row, path in enumerate(gt) if len(path) == count]
@@ -183,12 +180,13 @@ def _lex_smallest_tight_matching(tight: np.ndarray, labels: np.ndarray) -> np.nd
     return np.array(held)
 
 
-def focal_conf_loss(targets, predicted, gamma: float = 2.0) -> float:
-    """Focal confidence loss summed over slots.
+def focal_loss(targets, predicted, gamma: float = 2.0) -> tuple[float, np.ndarray]:
+    """Focal confidence loss summed over slots, and its gradient in each predicted probability.
 
     Target 1 contributes -(1-f)^gamma * log f, target 0 contributes
-    -f^gamma * log(1-f); predictions are clamped away from {0, 1} before
-    the logarithm.
+    -f^gamma * log(1-f). Predictions are clamped away from {0, 1} for the
+    loss and the gradient alike, so the powers never see a zero base even
+    for gamma < 1.
     """
     tgt = np.asarray(targets, dtype=float)
     f = np.asarray(predicted, dtype=float)
@@ -196,28 +194,14 @@ def focal_conf_loss(targets, predicted, gamma: float = 2.0) -> float:
         raise ValueError("targets and predictions must have equal shape")
     f = np.clip(f, CONF_CLAMP, 1.0 - CONF_CLAMP)
     positive = tgt > 0.5
-    terms = np.where(
+    loss = np.where(positive, -((1.0 - f) ** gamma) * np.log(f), -(f ** gamma) * np.log(1.0 - f))
+    g = float(gamma)  # the gradient's powers in float, whatever type gamma is
+    gradient = np.where(
         positive,
-        -((1.0 - f) ** gamma) * np.log(f),
-        -(f ** gamma) * np.log(1.0 - f),
-    )
-    return float(terms.sum())
-
-
-def focal_prob_gradient(targets, predicted, gamma: float = 2.0) -> np.ndarray:
-    """d(focal_conf_loss)/d(predicted probability), elementwise.
-
-    Uses the clamped probabilities like the loss itself, so the powers
-    never see a zero base even for gamma < 1.
-    """
-    tgt = np.asarray(targets, dtype=float)
-    f = np.clip(np.asarray(predicted, dtype=float), CONF_CLAMP, 1.0 - CONF_CLAMP)
-    g = float(gamma)
-    return np.where(
-        tgt > 0.5,
         g * (1.0 - f) ** (g - 1.0) * np.log(f) - (1.0 - f) ** g / f,
         -g * f ** (g - 1.0) * np.log(1.0 - f) + f ** g / (1.0 - f),
     )
+    return float(loss.sum()), gradient
 
 
 def position_cost_matrix(target_paths: np.ndarray, pred_paths: np.ndarray) -> np.ndarray:
@@ -242,7 +226,7 @@ def objective(targets, permutation, raw, confs, gamma: float = 2.0):
     confidence loss sums over every slot. Returns (LossBreakdown, real,
     d_raw, d_confs): `real` holds the prediction rows assigned a real path,
     d_raw is d(loss)/d(raw[real]) and d_confs is d(loss)/d(confs). A zero
-    predicted orientation in a real slot raises ValueError.
+    orientation, predicted in a real slot or in a target, raises ValueError.
     """
     targets = np.asarray(targets, dtype=float)
     raw = np.asarray(raw, dtype=float)
@@ -259,15 +243,13 @@ def objective(targets, permutation, raw, confs, gamma: float = 2.0):
     tgt = targets[perm[real]]
     delta_p = raw[real, :, :3] - tgt[:, :, :3]
     dist = np.linalg.norm(delta_p, axis=2)
-    tgt_unit = tgt[:, :, 3:] / np.linalg.norm(tgt[:, :, 3:], axis=2, keepdims=True)
+    tgt_unit = _unit_rows(tgt[:, :, 3:], "degenerate predicted orientation")[0]
     pred_ori = raw[real, :, 3:]
-    ori_norm = np.linalg.norm(pred_ori, axis=2, keepdims=True)
-    if np.any(ori_norm < 1e-12):
-        raise ValueError("degenerate predicted orientation")
+    pred_unit, ori_norm = _unit_rows(pred_ori, "degenerate predicted orientation")
     cosine = (tgt_unit * pred_ori).sum(axis=2, keepdims=True) / ori_norm
     # 1 - cos computed as half the squared unit-vector gap: same value,
     # but exactly 0 for identical inputs and never negative
-    gap = tgt_unit - pred_ori / ori_norm
+    gap = tgt_unit - pred_unit
     weight = 1.0 / (max(real.size, 1) * raw.shape[1])
     points = float((dist + 0.5 * (gap * gap).sum(axis=2)).sum()) * weight
     safe = np.where(dist > 0, dist, 1.0)[:, :, None]
@@ -279,6 +261,5 @@ def objective(targets, permutation, raw, confs, gamma: float = 2.0):
         axis=2,
     )
 
-    conf = focal_conf_loss(conf_targets, confs, gamma)
-    d_confs = focal_prob_gradient(conf_targets, confs, gamma)
+    conf, d_confs = focal_loss(conf_targets, confs, gamma)
     return LossBreakdown(points, conf, points + conf), real, d_raw, d_confs

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .paths import ParamSamplingConfig, Path, PredictedPath, _check_number, resample, sample_params
+from .paths import ParamSamplingConfig, Path, PredictedPath, _check_number, _unit_rows, resample, sample_params
 
 DEFAULT_DELTA = 0.025
 DEFAULT_THETA_DEG = 10.0
@@ -83,13 +83,6 @@ def _position_array(obj) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] not in (3, 6):
         raise ValueError("expected positions as a (K, 3) or (K, 6) array")
     return arr[:, :3]
-
-
-def _unit_rows(vectors: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(vectors, axis=1)
-    if np.any(norms < 1e-12):
-        raise ValueError("zero orientation vector")
-    return vectors / norms[:, None]
 
 
 # Traceback move codes, one uint8 per DP cell. Their order is the tie rule:
@@ -197,7 +190,8 @@ def _pose_pair(gt, pred) -> _PosePair:
     pred_arr = _pose_array(pred)
     if gt_arr.shape[0] == 0 or pred_arr.shape[0] == 0:
         raise ValueError("pose lists must be nonempty")
-    return gt_arr, _unit_rows(gt_arr[:, 3:]), pred_arr, _unit_rows(pred_arr[:, 3:])
+    message = "zero orientation vector"
+    return gt_arr, _unit_rows(gt_arr[:, 3:], message)[0], pred_arr, _unit_rows(pred_arr[:, 3:], message)[0]
 
 
 def _reversed(pair: _PosePair) -> _PosePair:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .paths import _check_integer, _check_number
+from .paths import _check_integer, _check_number, _path_params
 
 ACTIVATIONS = ("relu", "siren", "finer")
 CONDITIONING = ("modulation", "concat")
@@ -269,11 +269,7 @@ def _head_pass(params: HeadParams, codes: np.ndarray, xs, cache: _ForwardCache |
     samples, once for all passes at xs given one list `block0`: the first leaves its activation there,
     and the rest reuse it."""
     cfg = params.config
-    x_arr = np.asarray(xs, dtype=float).reshape(-1)
-    if x_arr.size == 0:
-        raise ValueError("need at least one sample parameter")
-    if not np.all((x_arr >= -1.0) & (x_arr <= 1.0)):
-        raise ValueError("sample parameters must lie in [-1, 1]")
+    x_arr = _path_params(xs)
     shape = (codes.shape[0], x_arr.size)
     modulated = cfg.conditioning == "modulation"
 

@@ -56,6 +56,25 @@ def _check_integer(name: str, value, minimum: int | None = None) -> None:
         raise ValueError(f"{name} must be <= {_INDEX_MAX}, not {value!r}")
 
 
+def _unit_rows(vectors: np.ndarray, message: str) -> tuple[np.ndarray, np.ndarray]:
+    """The rule of every orientation: (vectors / norms, norms) over the last axis, norms kept as (..., 1) with
+    the bits of np.linalg.norm; a ValueError(message) if any norm is too small to divide by."""
+    norms = np.sqrt((vectors * vectors).sum(axis=-1, keepdims=True))
+    if np.any(norms < 1e-12):
+        raise ValueError(message)
+    return vectors / norms, norms
+
+
+def _path_params(params) -> np.ndarray:
+    """The rule of every sample parameter: params as a nonempty 1-D float array inside [-1, 1]."""
+    vals = np.asarray(params, dtype=float)
+    if vals.ndim != 1 or vals.size == 0:
+        raise ValueError("params must be a nonempty 1-D sequence")
+    if not np.all((vals >= -1.0) & (vals <= 1.0)):
+        raise ValueError("params must lie in [-1, 1]")
+    return vals
+
+
 @dataclass(frozen=True)
 class Path:
     """Ordered pose sequence stored as a (K, 6) float array, K >= 2.
@@ -162,11 +181,7 @@ def resample(path, params: Sequence[float]):
     poses = path.poses if isinstance(path, Path) else np.asarray(path, dtype=float)
     if poses.ndim < 2 or poses.shape[-1] != 6 or poses.shape[-2] < 2:
         raise ValueError("poses must be a (..., K, 6) array with K >= 2")
-    vals = np.asarray(params, dtype=float)
-    if vals.ndim != 1 or vals.size == 0:
-        raise ValueError("params must be a nonempty 1-D sequence")
-    if not np.all((vals >= -1.0) & (vals <= 1.0)):
-        raise ValueError("params must lie in [-1, 1]")
+    vals = _path_params(params)
     k = poses.shape[-2]
     u = 0.5 * (vals + 1.0) * (k - 1)
     i0 = np.minimum(np.floor(u).astype(int), k - 2)
@@ -174,10 +189,7 @@ def resample(path, params: Sequence[float]):
     row0 = poses[..., i0, :]
     row1 = poses[..., i0 + 1, :]
     out = (1.0 - frac)[:, None] * row0 + frac[:, None] * row1
-    norms = np.sqrt((out[..., 3:] * out[..., 3:]).sum(axis=-1))
-    if np.any(norms < 1e-12):
-        raise ValueError("interpolated orientation degenerates to zero")
-    out[..., 3:] /= norms[..., None]
+    out[..., 3:] = _unit_rows(out[..., 3:], "interpolated orientation degenerates to zero")[0]
     exact0 = frac == 0.0
     exact1 = frac == 1.0
     out[..., exact0, :] = row0[..., exact0, :]

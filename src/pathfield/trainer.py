@@ -36,7 +36,7 @@ from .neural_field import (
     named_parameters,
 )
 from .paths import ParamSamplingConfig, Path, PredictedPath, SAMPLING_STRATEGIES, sample_params
-from .paths import _check_integer, _check_number
+from .paths import _check_integer, _check_number, _unit_rows
 
 CHECKPOINT_FORMAT = "pathfield.checkpoint.v2"
 _ADAM_BLOCK = 1 << 15  # floats per Adam update call: its five arrays (1.25 MB) stay in cache
@@ -151,12 +151,6 @@ def init_state(dataset: Mapping[str, Sequence[Path]], config: TrainConfig) -> Tr
     ids = sorted(dataset)
     if not ids:
         raise ValueError("dataset is empty")
-    for object_id in ids:
-        if len(dataset[object_id]) > config.slots:
-            raise ValueError(
-                f"object {object_id!r} has {len(dataset[object_id])} paths, more than "
-                f"the {config.slots} prediction slots"
-            )
     head = init_head(config.head)
     rng = np.random.default_rng([config.seed, 1])
     codewords = {
@@ -271,6 +265,10 @@ def train_epoch(state: TrainState, dataset: Mapping[str, Sequence[Path]]) -> flo
     for object_id in ids:
         if object_id not in state.codewords:
             raise ValueError(f"object {object_id!r} has no codewords in this state")
+        if len(dataset[object_id]) > cfg.slots:
+            raise ValueError(
+                f"object {object_id!r} has {len(dataset[object_id])} paths, more than the {cfg.slots} prediction slots"
+            )
     order = np.random.default_rng([cfg.seed, state.epoch, 0]).permutation(len(ids))
     lr = _epoch_step_size(cfg, state.epoch)
     losses = []
@@ -354,10 +352,11 @@ def predict(
         return head_forward_batch(state.head, codes[slot], grid, _block0=block0)
 
     def keep(slot: int, raw: np.ndarray) -> None:
-        norms = np.linalg.norm(raw[:, 3:], axis=1)
-        if np.any(norms < 1e-12):
-            raise TrainingError(f"degenerate predicted orientation for object {object_id!r}")
-        poses = np.concatenate([raw[:, :3], raw[:, 3:] / norms[:, None]], axis=1)
+        try:
+            units = _unit_rows(raw[:, 3:], "degenerate predicted orientation")[0]
+        except ValueError as exc:
+            raise TrainingError(f"{exc} for object {object_id!r}") from exc
+        poses = np.concatenate([raw[:, :3], units], axis=1)
         kept.append(PredictedPath(Path(poses), confidences[slot]))
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

@@ -19,6 +19,7 @@ from pathfield.metrics import ap_suite, dtw_align, evaluate_dataset, fscore_bidi
 from pathfield.neural_field import HeadConfig
 from pathfield.paths import Path, PredictedPath, max_second_difference, reverse
 
+from conftest import checkout_env
 from test_metrics import brute_force_dtw_cost
 from test_neural_field import fd_gradient_check
 
@@ -40,6 +41,7 @@ def make_path(positions, orientation=Z):
 def run_cli(*args) -> subprocess.CompletedProcess:
     proc = subprocess.run(
         [sys.executable, "-m", "pathfield", *[str(a) for a in args]],
+        env=checkout_env(),
         capture_output=True,
         text=True,
     )

@@ -39,6 +39,8 @@ from pathfield.neural_field import HeadConfig
 from pathfield.paths import Path, PredictedPath
 from pathfield.trainer import TrainConfig, checkpoint_to_document, load_checkpoint
 
+from conftest import checkout_env
+
 
 def run_cli(*args):
     return main([str(a) for a in args])
@@ -219,7 +221,7 @@ class TestDatasetDocuments:
         source.write_bytes(json.dumps({"objects": [{"object_id": "café", "gt_paths": [pose_rows]}]},
                                       ensure_ascii=False).encode("utf-8"))
         out = tmp_path / "o.json"
-        env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+        env = checkout_env(PYTHONUTF8="0", LC_ALL="C", PYTHONCOERCECLOCALE="0")
         proc = subprocess.run(
             [sys.executable, "-m", "pathfield", "resample", "--in", str(source), "--t", "4", "--out", str(out)],
             capture_output=True, env=env,
@@ -494,6 +496,7 @@ class TestCli:
         proc = subprocess.run(
             [sys.executable, "-m", "pathfield", "gen", "--strokes", "2", "--waypoints", "6",
              "--seed", "0", "--out", str(data)],
+            env=checkout_env(),
             capture_output=True,
             text=True,
         )
@@ -548,8 +551,9 @@ class TestCli:
         assert run_cli("predict", "--checkpoint", ckpt, "--object", "all", "--out", tmp_path / "p.json") == 1
         assert "test_samples must be >= 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["predict", "resample", "evaluate"])
-    def test_requested_sample_count_below_two_is_validation_error(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command,flag", [("predict", "--samples"), ("resample", "--t"),
+                                              ("evaluate", "--resample-t")], ids=["predict", "resample", "evaluate"])
+    def test_requested_sample_count_below_two_is_validation_error(self, tmp_path, capsys, command, flag):
         data = tmp_path / "data.json"
         ckpt = tmp_path / "ckpt.json"
         config = tmp_path / "cfg.json"
@@ -567,7 +571,7 @@ class TestCli:
         }[command]
         capsys.readouterr()
         assert run_cli(*argv, "--out", out) == 1
-        assert "count must be >= 2, not 1" in capsys.readouterr().err
+        assert f"error: {flag} must be >= 2, not 1\n" == capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flags,message", [
@@ -619,6 +623,34 @@ class TestCli:
         assert run_cli("fit", "--dataset", data, "--config", config, "--checkpoint", ckpt, "--resume") == 1
         assert f"config {next(iter(change))} differs" in capsys.readouterr().err
         assert ckpt.read_bytes() == before
+
+    def test_resume_over_capacity_names_the_object(self, tmp_path, capsys):
+        data, config, doc = self.small_fit_files(tmp_path, epochs=2)
+        ckpt = tmp_path / "ckpt.json"
+        assert run_cli("fit", "--dataset", data, "--config", config, "--checkpoint", ckpt) == 0
+        before = ckpt.read_bytes()
+        run_cli("gen", "--strokes", 3, "--waypoints", 6, "--seed", 0, "--out", data)
+        config.write_text(json.dumps(doc | {"epochs": 4}))
+        capsys.readouterr()
+        assert run_cli("fit", "--dataset", data, "--config", config, "--checkpoint", ckpt, "--resume") == 1
+        assert "object 'object-000' has 3 paths, more than the 2 prediction slots" in capsys.readouterr().err
+        assert ckpt.read_bytes() == before
+
+    @pytest.mark.parametrize("command", ["evaluate", "fit"])
+    def test_integer_past_the_digit_limit_names_the_file(self, tmp_path, capsys, command):
+        data, config, doc = self.small_fit_files(tmp_path)
+        huge = "9" * 5000  # past Python's 4,300-digit limit on integer parsing
+        if command == "evaluate":
+            target = tmp_path / "gt.json"
+            target.write_text('{"objects": [{"object_id": "obj", "gt_paths": [[[%s, 0, 0, 0, 0, 1]]]}]}' % huge)
+            argv = ["evaluate", "--gt", target, "--pred", data, "--out", tmp_path / "report.json"]
+        else:
+            target = config
+            target.write_text(json.dumps(doc)[:-1] + ', "seed": %s}' % huge)
+            argv = ["fit", "--dataset", data, "--config", target, "--checkpoint", tmp_path / "ckpt.json"]
+        capsys.readouterr()
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {target}: Exceeds the limit (4300 digits)")
 
     def test_resume_without_config_keeps_the_checkpoint_config(self, tmp_path):
         data, config, _ = self.small_fit_files(tmp_path, epochs=2)

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathfield.matching import (
+    CONF_CLAMP,
     MatchResult,
     _lex_smallest_tight_matching,
-    focal_conf_loss,
-    focal_prob_gradient,
+    focal_loss,
     hungarian,
     objective,
     pad_targets,
@@ -444,25 +444,63 @@ class TestPointsLoss:
         assert one_slot_points_loss(target, scaled) == pytest.approx(0.0, abs=1e-12)
 
 
+def reference_focal_conf_loss(targets, predicted, gamma=2.0):
+    """The focal loss as it was written on its own, before it shared one clamp with its gradient."""
+    tgt = np.asarray(targets, dtype=float)
+    f = np.clip(np.asarray(predicted, dtype=float), CONF_CLAMP, 1.0 - CONF_CLAMP)
+    terms = np.where(tgt > 0.5, -((1.0 - f) ** gamma) * np.log(f), -(f ** gamma) * np.log(1.0 - f))
+    return float(terms.sum())
+
+
+def reference_focal_prob_gradient(targets, predicted, gamma=2.0):
+    """The focal loss's gradient as it was written on its own."""
+    tgt = np.asarray(targets, dtype=float)
+    f = np.clip(np.asarray(predicted, dtype=float), CONF_CLAMP, 1.0 - CONF_CLAMP)
+    g = float(gamma)
+    return np.where(
+        tgt > 0.5,
+        g * (1.0 - f) ** (g - 1.0) * np.log(f) - (1.0 - f) ** g / f,
+        -g * f ** (g - 1.0) * np.log(1.0 - f) + f ** g / (1.0 - f),
+    )
+
+
 class TestFocalConfLoss:
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 1.0]),
+                st.sampled_from([0.0, CONF_CLAMP, 1.0 - CONF_CLAMP, 1.0]) | st.floats(0.0, 1.0),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.sampled_from([0, 0.5, 1, 2, 2.0, 3.7]),
+    )
+    @settings(max_examples=60, derandomize=True)
+    def test_equals_the_separate_loss_and_gradient_bit_for_bit(self, pairs, gamma):
+        targets, predicted = zip(*pairs)
+        loss, gradient = focal_loss(targets, predicted, gamma)
+        assert loss == reference_focal_conf_loss(targets, predicted, gamma)
+        assert gradient.tobytes() == reference_focal_prob_gradient(targets, predicted, gamma).tobytes()
+
     def test_confident_correct_positive(self):
-        assert focal_conf_loss([1.0], [1.0 - 1e-9]) == pytest.approx(0.0, abs=1e-12)
+        assert focal_loss([1.0], [1.0 - 1e-9])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_half_confidence_positive(self):
-        assert focal_conf_loss([1.0], [0.5]) == pytest.approx(0.25 * np.log(2.0), rel=1e-12)
+        assert focal_loss([1.0], [0.5])[0] == pytest.approx(0.25 * np.log(2.0), rel=1e-12)
 
     def test_half_confidence_negative_symmetric(self):
-        assert focal_conf_loss([0.0], [0.5]) == focal_conf_loss([1.0], [0.5])
+        assert focal_loss([0.0], [0.5])[0] == focal_loss([1.0], [0.5])[0]
 
     def test_sums_over_slots(self):
-        single = focal_conf_loss([1.0], [0.5])
-        assert focal_conf_loss([1.0, 1.0, 1.0], [0.5] * 3) == pytest.approx(3 * single, rel=1e-12)
+        single = focal_loss([1.0], [0.5])[0]
+        assert focal_loss([1.0, 1.0, 1.0], [0.5] * 3)[0] == pytest.approx(3 * single, rel=1e-12)
 
     @given(st.floats(0.01, 0.98), st.floats(0.001, 0.01))
     @settings(max_examples=40)
     def test_monotonicity(self, f, step):
-        assert focal_conf_loss([1.0], [f + step]) < focal_conf_loss([1.0], [f])
-        assert focal_conf_loss([0.0], [f + step]) > focal_conf_loss([0.0], [f])
+        assert focal_loss([1.0], [f + step])[0] < focal_loss([1.0], [f])[0]
+        assert focal_loss([0.0], [f + step])[0] > focal_loss([0.0], [f])[0]
 
 
 class TestTotalLoss:
@@ -574,5 +612,6 @@ class TestObjective:
         breakdown, real, _, d_confs = objective(targets, perm, raw, confs, 2.0)
         expected = (perm < n_real).astype(float)
         assert real.tolist() == np.nonzero(expected)[0].tolist()
-        assert breakdown.conf_loss == focal_conf_loss(expected, confs, 2.0)
-        assert np.array_equal(d_confs, focal_prob_gradient(expected, confs, 2.0))
+        loss, gradient = focal_loss(expected, confs, 2.0)
+        assert breakdown.conf_loss == loss
+        assert np.array_equal(d_confs, gradient)

@@ -321,6 +321,12 @@ class TestHeadForward:
         with pytest.raises(ValueError):
             head_forward_batch(params, np.zeros(2), [1.5])
 
+    @pytest.mark.parametrize("xs", [[], [[-0.5], [0.5]], 0.5], ids=["empty", "column", "scalar"])
+    def test_rejects_params_other_than_one_nonempty_row(self, xs):
+        params = init_head(HeadConfig(depth=1, width=4, code_dim=2))
+        with pytest.raises(ValueError, match="^params must be a nonempty 1-D sequence$"):
+            head_forward_batch(params, np.zeros(2), xs)
+
     @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
     @pytest.mark.parametrize("kind", ["relu", "siren", "finer"])
     def test_matches_naive_reimplementation(self, kind, conditioning):

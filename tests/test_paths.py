@@ -8,6 +8,7 @@ from pathfield.paths import (
     ParamSamplingConfig,
     Path,
     PredictedPath,
+    _unit_rows,
     max_second_difference,
     normalize_scene,
     resample,
@@ -232,6 +233,21 @@ class TestResampleStack:
     def test_malformed_stack_rejected(self, shape):
         with pytest.raises(ValueError, match="K >= 2"):
             resample(np.zeros(shape), [0.0, 0.5])
+
+
+class TestUnitRows:
+    @given(
+        st.lists(st.integers(1, 4), max_size=2).flatmap(
+            lambda lead: arrays(float, (*lead, 3), elements=st.floats(-1e3, 1e3, allow_nan=False, width=64))
+        )
+    )
+    @settings(max_examples=60, derandomize=True)
+    def test_equals_the_linalg_norm_form_bit_for_bit(self, vectors):
+        norms = np.linalg.norm(vectors, axis=-1, keepdims=True)
+        assume(np.all(norms >= 1e-12))
+        units, got = _unit_rows(vectors, "zero")
+        assert got.tobytes() == norms.tobytes()
+        assert units.tobytes() == (vectors / norms).tobytes()
 
 
 class TestSampleParams:

@@ -3,12 +3,13 @@ top-level `pathfield` package and finish a tiny fit without error. Also
 checks that every exported name exists."""
 import ast
 import importlib
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import checkout_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -21,10 +22,8 @@ ROOT = Path(__file__).resolve().parents[1]
     ],
 )
 def test_script_runs(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, *argv], cwd=ROOT, env=checkout_env(), capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
 

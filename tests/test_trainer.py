@@ -16,8 +16,7 @@ import pathfield.trainer as trainer_module
 from pathfield.cli import main
 from pathfield.dataio import ObjectRecord, SyntheticConfig, gen_dataset, save_dataset
 from pathfield.matching import (
-    focal_conf_loss,
-    focal_prob_gradient,
+    focal_loss,
     hungarian,
     pad_targets,
     position_cost_matrix,
@@ -335,10 +334,10 @@ class TestFocalProbGradient:
     def test_matches_finite_differences(self, gamma, target):
         step = 1e-7
         for f in (0.05, 0.3, 0.5, 0.7, 0.95):
-            analytic = focal_prob_gradient([target], [f], gamma)[0]
+            analytic = focal_loss([target], [f], gamma)[1][0]
             fd = (
-                focal_conf_loss([target], [f + step], gamma)
-                - focal_conf_loss([target], [f - step], gamma)
+                focal_loss([target], [f + step], gamma)[0]
+                - focal_loss([target], [f - step], gamma)[0]
             ) / (2 * step)
             assert analytic == pytest.approx(fd, rel=1e-5)
 
@@ -346,8 +345,8 @@ class TestFocalProbGradient:
 class TestTrainEpoch:
     def test_capacity_validation(self):
         dataset = {"obj": [line_path(i * 0.1) for i in range(5)]}
-        with pytest.raises(ValueError):
-            init_state(dataset, tiny_config(slots=4))
+        with pytest.raises(ValueError, match="^object 'obj' has 5 paths, more than the 4 prediction slots$"):
+            fit(dataset, tiny_config(slots=4))
 
     def test_loss_decreases_and_stays_finite(self, fitted):
         dataset, config, state = fitted
@@ -445,7 +444,7 @@ def reference_set_loss(gt, preds, svals, gamma) -> tuple[float, float]:
         gap = unit[0] - unit[1]
         total += float((dist + 0.5 * (gap * gap).sum(axis=1)).sum())
         count += tgt.shape[0]
-    conf = focal_conf_loss(real.astype(float), [p.confidence for p in preds], gamma)
+    conf = focal_loss(real.astype(float), [p.confidence for p in preds], gamma)[0]
     return (total / count if count else 0.0), conf
 
 
