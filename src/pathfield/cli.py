@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .dataio import (
     ObjectRecord,
@@ -23,12 +24,12 @@ from .dataio import (
     save_report,
 )
 from .metrics import DEFAULT_DELTA, DEFAULT_RESAMPLE_T, DEFAULT_THETA_DEG, dtw_align, evaluate_dataset
-from .paths import ParamSamplingConfig, PredictedPath, _check_integer, resample, sample_params
+from .paths import _SAMPLES_MAX, ParamSamplingConfig, PredictedPath, _check_integer, resample, sample_params
 from .trainer import TrainConfig, fit, load_checkpoint, predict, save_checkpoint
 
 
 def _cmd_evaluate(args) -> int:
-    _check_integer("--resample-t", args.resample_t, 2 if args.resample_t > 0 else 0)  # 0 scores the paths as given
+    _check_integer("--resample-t", args.resample_t, 2 if args.resample_t > 0 else 0, _SAMPLES_MAX)  # 0 = as given
     gt_records = load_dataset(args.gt)
     pred_records = load_dataset(args.pred)
     gt_map = {r.object_id: r for r in gt_records}
@@ -49,6 +50,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    if not args.config and not args.resume:
+        raise ValidationError("fit needs --config (or --resume)")
     records = load_dataset(args.dataset)
     dataset = {r.object_id: r.gt_paths for r in records}
     state = load_checkpoint(args.checkpoint) if args.resume else None
@@ -68,7 +71,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     if args.samples is not None:
-        _check_integer("--samples", args.samples, 2)
+        _check_integer("--samples", args.samples, 2, _SAMPLES_MAX)
     state = load_checkpoint(args.checkpoint)
     if args.object == "all":
         object_ids = sorted(state.codewords)
@@ -85,14 +88,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    config = SyntheticConfig(
-        strokes=args.strokes,
-        waypoints_per_stroke=args.waypoints,
-        jitter_sigma=args.jitter,
-        curvature=args.curvature,
-        cloud_points=args.cloud_points,
-        seed=args.seed,
-    )
+    config = SyntheticConfig(**{f.name: getattr(args, f.name) for f in fields(SyntheticConfig)})
     records = gen_dataset(config, args.objects)
     save_dataset(records, args.out)
     print(f"wrote {len(records)} objects to {args.out}")
@@ -110,7 +106,7 @@ def _cmd_dtw(args) -> int:
 
 
 def _cmd_resample(args) -> int:
-    _check_integer("--t", args.t, 2)
+    _check_integer("--t", args.t, 2, _SAMPLES_MAX)
     doc = load_json(args.infile)
     params = sample_params(ParamSamplingConfig(args.strategy, args.t, args.noise_sigma, args.seed))
     if isinstance(doc, dict) and "poses" in doc:
@@ -165,13 +161,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("gen", help="generate a synthetic raster dataset")
-    p.add_argument("--strokes", type=int, default=4)
-    p.add_argument("--waypoints", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--strokes", type=int, default=SyntheticConfig.strokes, dest="strokes")
+    p.add_argument("--waypoints", type=int, default=SyntheticConfig.waypoints_per_stroke, dest="waypoints_per_stroke")
+    p.add_argument("--seed", type=int, default=SyntheticConfig.seed, dest="seed")
     p.add_argument("--objects", type=int, default=1)
-    p.add_argument("--jitter", type=float, default=0.0)
-    p.add_argument("--curvature", type=float, default=0.0)
-    p.add_argument("--cloud-points", type=int, default=256, dest="cloud_points")
+    p.add_argument("--jitter", type=float, default=SyntheticConfig.jitter_sigma, dest="jitter_sigma")
+    p.add_argument("--curvature", type=float, default=SyntheticConfig.curvature, dest="curvature")
+    p.add_argument("--cloud-points", type=int, default=SyntheticConfig.cloud_points, dest="cloud_points")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
 
@@ -183,9 +179,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resample", help="resample a path document or dataset")
     p.add_argument("--in", required=True, dest="infile")
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--strategy", default="equispaced")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise-sigma", type=float, default=None, dest="noise_sigma")
+    p.add_argument("--strategy", default=ParamSamplingConfig.strategy)
+    p.add_argument("--seed", type=int, default=ParamSamplingConfig.seed)
+    p.add_argument("--noise-sigma", type=float, default=ParamSamplingConfig.noise_sigma, dest="noise_sigma")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_resample)
 
@@ -194,12 +190,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "fit" and not args.resume and not args.config:
-        print("error: fit needs --config (or --resume)", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
-    except (ValidationError, ValueError) as exc:
+    except ValueError as exc:  # ValidationError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .metrics import EvalReport
-from .paths import Path, PredictedPath, _check_integer, _check_number, normalize_scene
+from .paths import Path, PredictedPath, _check_fields, _check_integer, normalize_scene
 
 __all__ = [
     "ValidationError",
@@ -81,10 +81,8 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, minimum in (("strokes", 1), ("waypoints_per_stroke", 2), ("cloud_points", 1), ("seed", 0)):
-            _check_integer(name, getattr(self, name), minimum)
-        for name, interval in (("jitter_sigma", (0, np.inf, "[)")), ("curvature", (-np.inf, np.inf, "()"))):
-            _check_number(name, getattr(self, name), interval)
+        _check_fields(self, (("strokes", 1), ("waypoints_per_stroke", 2), ("cloud_points", 1), ("seed", 0)),
+                      (("jitter_sigma", (0, np.inf, "[)")), ("curvature", (-np.inf, np.inf, "()"))))
 
 
 def gen_raster_object(config: SyntheticConfig, object_id: str = "object-000") -> ObjectRecord:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .paths import _check_integer, _check_number, _path_params
+from .paths import _check_fields, _path_params
 
 ACTIVATIONS = ("relu", "siren", "finer")
 CONDITIONING = ("modulation", "concat")
@@ -82,17 +82,11 @@ class HeadConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, minimum in (("depth", 1), ("width", 1), ("code_dim", 0), ("seed", 0)):
-            _check_integer(name, getattr(self, name), minimum)
-        _check_integer("conf_hidden", self.conf_width, 1)  # conf_width is conf_hidden unless that is None
-        for name, interval in (("omega0", (0, np.inf, "()")), ("finer_bias_scale", (0, np.inf, "[)"))):
-            _check_number(name, getattr(self, name), interval)
-        if not isinstance(self.use_bias, bool):  # "false" is truthy: only true and false say what they mean
+        _check_fields(self, (("depth", 1), ("width", 1), ("code_dim", 0), ("conf_hidden", 1), ("seed", 0)),
+                      (("omega0", (0, np.inf, "()")), ("finer_bias_scale", (0, np.inf, "[)"))),
+                      (("activation", ACTIVATIONS), ("conditioning", CONDITIONING)))
+        if not isinstance(self.use_bias, bool):  # "false" is truthy; no choice row, as 1 in (True, False)
             raise ValueError(f"use_bias must be true or false, not {self.use_bias!r}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.conditioning not in CONDITIONING:
-            raise ValueError(f"unknown conditioning {self.conditioning!r}")
 
     @property
     def conf_width(self) -> int:

@@ -17,6 +17,7 @@ import numpy as np
 
 ORIENTATION_TOL = 1e-6
 _INDEX_MAX = int(np.iinfo(np.intp).max)  # the largest count numpy can index or allocate
+_SAMPLES_MAX = _INDEX_MAX // 8  # the most float64 values numpy can size: the bound of every sample count
 
 SAMPLING_STRATEGIES = ("equispaced", "noisy-equispaced", "uniform")
 
@@ -45,15 +46,28 @@ def _check_number(name: str, value, interval: tuple = (-np.inf, np.inf, "()")) -
         raise ValueError(f"{name} must lie in {ends[0]}{low}, {high}{ends[1]}, not {value!r}")
 
 
-def _check_integer(name: str, value, minimum: int | None = None) -> None:
+def _check_integer(name: str, value, minimum: int | None = None, maximum: int = _INDEX_MAX) -> None:
     """The rule of every count: a ValueError naming it unless it is an integer, not a bool, at least minimum
-    and within numpy's index range."""
+    and at most maximum, by default numpy's index range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, not {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, not {value!r}")
-    if value > _INDEX_MAX:
-        raise ValueError(f"{name} must be <= {_INDEX_MAX}, not {value!r}")
+    if value > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, not {value!r}")
+
+
+def _check_fields(config, integers=(), reals=(), choices=()) -> None:
+    """The rule of every config's fields: (name, minimum[, maximum]) rows pass _check_integer, (name, interval) rows
+    _check_number, and a (name, options) row's value must be one of options; a field defaulting to None may be None."""
+    for check, rows in ((_check_integer, integers), (_check_number, reals)):
+        for name, *bounds in rows:
+            value = getattr(config, name)
+            if value is not None or config.__dataclass_fields__[name].default is not None:
+                check(name, value, *bounds)
+    for name, options in choices:
+        if (value := getattr(config, name)) not in options:
+            raise ValueError(f"{name} must be one of {', '.join(options)}, not {value!r}")
 
 
 def _unit_rows(vectors: np.ndarray, message: str) -> tuple[np.ndarray, np.ndarray]:
@@ -138,13 +152,9 @@ class ParamSamplingConfig:
     noise_sigma: float | None = None
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        if self.strategy not in SAMPLING_STRATEGIES:
-            raise ValueError(f"unknown sampling strategy {self.strategy!r}")
-        _check_integer("count", self.count, 2)  # a path needs at least two poses
-        _check_integer("seed", self.seed, 0)
-        if self.noise_sigma is not None:
-            _check_number("noise_sigma", self.noise_sigma, (0, np.inf, "[)"))
+    def __post_init__(self) -> None:  # a path needs at least two poses
+        _check_fields(self, (("count", 2, _SAMPLES_MAX), ("seed", 0)), (("noise_sigma", (0, np.inf, "[)")),),
+                      (("strategy", SAMPLING_STRATEGIES),))
 
 
 def sample_params(config: ParamSamplingConfig) -> np.ndarray:

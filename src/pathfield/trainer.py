@@ -36,7 +36,7 @@ from .neural_field import (
     named_parameters,
 )
 from .paths import ParamSamplingConfig, Path, PredictedPath, SAMPLING_STRATEGIES, sample_params
-from .paths import _check_integer, _check_number, _unit_rows
+from .paths import _SAMPLES_MAX, _check_fields, _check_integer, _check_number, _unit_rows
 
 CHECKPOINT_FORMAT = "pathfield.checkpoint.v2"
 _ADAM_BLOCK = 1 << 15  # floats per Adam update call: its five arrays (1.25 MB) stay in cache
@@ -99,38 +99,28 @@ class TrainConfig:
     head: HeadConfig = field(default_factory=HeadConfig)
 
     def __post_init__(self) -> None:
-        for name, minimum in (("slots", 1), ("train_samples", 2), ("test_samples", 2), ("epochs", 0), ("seed", 0)):
-            _check_integer(name, getattr(self, name), minimum)
-        for name, interval in _REAL_FIELDS:
-            if name != "sampling_noise" or self.sampling_noise is not None:  # unset, it is 0.5 / count
-                _check_number(name, getattr(self, name), interval)
-        if self.sampling not in SAMPLING_STRATEGIES:
-            raise ValueError(f"unknown sampling strategy {self.sampling!r}")
-        if self.lr_schedule not in ("constant", "cosine"):
-            raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
+        _check_fields(self, (("slots", 1), ("train_samples", 2, _SAMPLES_MAX), ("test_samples", 2, _SAMPLES_MAX),
+                             ("epochs", 0), ("seed", 0)), _REAL_FIELDS,
+                      (("sampling", SAMPLING_STRATEGIES), ("lr_schedule", ("constant", "cosine"))))
 
     def to_document(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_document(cls, doc: dict) -> "TrainConfig":
-        if not isinstance(doc, dict):
-            raise ValueError("train config document must be a JSON object")
-        data = dict(doc)
-        head_doc = data.pop("head", None)
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(f"unknown train config keys: {unknown}")
+        def keys_checked(config_class, what: str, value) -> dict:  # the rule of both levels of the document
+            if not isinstance(value, dict):
+                raise ValueError(f"{what} must be a JSON object, not {type(value).__name__}")
+            if unknown := sorted(set(value) - {f.name for f in fields(config_class)}):
+                raise ValueError(f"unknown {what} keys: {unknown}")
+            return dict(value)
+
+        data = keys_checked(cls, "train config", doc)
         try:
-            if head_doc is not None:
-                head_known = {f.name for f in fields(HeadConfig)}
-                head_unknown = sorted(set(head_doc) - head_known)
-                if head_unknown:
-                    raise ValueError(f"unknown head config keys: {head_unknown}")
-                data["head"] = HeadConfig(**head_doc)
+            if "head" in data:
+                data["head"] = HeadConfig(**keys_checked(HeadConfig, "head config", data["head"]))
             return cls(**data)
-        except (AttributeError, TypeError) as exc:
+        except TypeError as exc:
             raise ValueError(f"malformed train config: {exc}") from exc
 
 

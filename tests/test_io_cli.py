@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pathfield.cli as cli_module
 from pathfield.cli import main
 from pathfield.dataio import (
     ObjectRecord,
@@ -123,6 +125,22 @@ class TestGenerator:
         out = tmp_path / "data.json"
         assert run_cli("gen", *flags, "--out", out) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_gen_defaults_are_the_synthetic_config_defaults(self, tmp_path):
+        out, library = tmp_path / "cli.json", tmp_path / "library.json"
+        assert run_cli("gen", "--out", out) == 0
+        save_dataset(gen_dataset(SyntheticConfig()), library)
+        assert out.read_bytes() == library.read_bytes()
+
+    @pytest.mark.parametrize("flag,field,value", [
+        ("--strokes", "strokes", 3), ("--waypoints", "waypoints_per_stroke", 7), ("--seed", "seed", 5),
+        ("--jitter", "jitter_sigma", 0.01), ("--curvature", "curvature", 0.2), ("--cloud-points", "cloud_points", 32),
+    ], ids=["strokes", "waypoints", "seed", "jitter", "curvature", "cloud-points"])
+    def test_each_gen_flag_sets_its_own_field(self, tmp_path, monkeypatch, flag, field, value):
+        configs = []
+        monkeypatch.setattr(cli_module, "gen_dataset", lambda config, objects: configs.append(config) or [])
+        assert run_cli("gen", flag, value, "--out", tmp_path / "data.json") == 0
+        assert configs == [dataclasses.replace(SyntheticConfig(), **{field: value})]
 
 
 class TestDatasetDocuments:
@@ -462,8 +480,12 @@ class TestCli:
     @pytest.mark.parametrize("config,named", [
         ({"slots": "many"}, "slots must be an integer, not 'many'"),
         ({"head": {"depth": "two"}}, "depth must be an integer, not 'two'"),
-        ({"head": []}, "malformed train config"),
-    ], ids=["slots-str", "head-depth-str", "head-list"])
+        ({"head": []}, "head config must be a JSON object, not list"),
+        ({"head": None}, "head config must be a JSON object, not NoneType"),
+        ({"head": 5}, "head config must be a JSON object, not int"),
+        ({"head": "abc"}, "head config must be a JSON object, not str"),
+        ([], "train config must be a JSON object, not list"),
+    ], ids=["slots-str", "head-depth-str", "head-list", "head-null", "head-number", "head-string", "config-list"])
     def test_wrong_typed_config_is_validation_error(self, tmp_path, capsys, config, named):
         data = tmp_path / "data.json"
         run_cli("gen", "--strokes", 2, "--waypoints", 6, "--seed", 0, "--out", data)
@@ -574,6 +596,41 @@ class TestCli:
         assert f"error: {flag} must be >= 2, not 1\n" == capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,flag,count", [("predict", "--samples", 2**60), ("resample", "--t", 2**62),
+                                                    ("evaluate", "--resample-t", 2**62)],
+                             ids=["predict", "resample", "evaluate"])
+    def test_requested_sample_count_past_the_float64_limit_is_validation_error(self, tmp_path, capsys, command,
+                                                                                 flag, count):
+        # numpy can size at most intp's maximum in bytes, so 2**60 float64 values are already too many
+        data, config, _ = self.small_fit_files(tmp_path, epochs=1)
+        ckpt, out = tmp_path / "ckpt.json", tmp_path / "out.json"
+        assert run_cli("fit", "--dataset", data, "--config", config, "--checkpoint", ckpt) == 0
+        argv = {
+            "predict": ["predict", "--checkpoint", ckpt, "--object", "all", "--samples", count],
+            "resample": ["resample", "--in", data, "--t", count],
+            "evaluate": ["evaluate", "--gt", data, "--pred", data, "--resample-t", count],
+        }[command]
+        capsys.readouterr()
+        assert run_cli(*argv, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {flag} must be <= {np.iinfo(np.intp).max // 8}, not {count}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["sampling", "lr_schedule", "head.activation", "head.conditioning", "strategy"])
+    def test_unknown_choice_is_validation_error_naming_the_field(self, tmp_path, capsys, field):
+        data, config, doc = self.small_fit_files(tmp_path)
+        out = tmp_path / "out.json"
+        name = field.removeprefix("head.")
+        if field == "strategy":
+            argv = ["resample", "--in", data, "--t", 4, "--strategy", "bogus", "--out", out]
+        else:
+            override = {"head": doc["head"] | {name: "bogus"}} if field.startswith("head.") else {field: "bogus"}
+            config.write_text(json.dumps(doc | override))
+            argv = ["fit", "--dataset", data, "--config", config, "--checkpoint", out]
+        capsys.readouterr()
+        assert run_cli(*argv) == 1
+        assert re.fullmatch(f"error: {name} must be one of [a-z, -]+, not 'bogus'\n", capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags,message", [
         (["--delta", -3, "--theta", 999, "--resample-t", -7], "--resample-t must be >= 0, not -7"),
         (["--delta", -3], "delta must lie in (0, inf), not -3.0"),
@@ -652,6 +709,12 @@ class TestCli:
         assert run_cli(*argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {target}: Exceeds the limit (4300 digits)")
 
+    def test_fit_without_config_or_resume_is_validation_error(self, tmp_path, capsys):
+        data, _, _ = self.small_fit_files(tmp_path)
+        capsys.readouterr()
+        assert run_cli("fit", "--dataset", data, "--checkpoint", tmp_path / "ckpt.json") == 1
+        assert capsys.readouterr().err == "error: fit needs --config (or --resume)\n"
+
     def test_resume_without_config_keeps_the_checkpoint_config(self, tmp_path):
         data, config, _ = self.small_fit_files(tmp_path, epochs=2)
         ckpt = tmp_path / "ckpt.json"
@@ -664,6 +727,7 @@ class TestCli:
         ("adam_beta1", 1.0), ("adam_beta2", 1.0), ("adam_eps", 0), ("lr_min", -1),
         ("codeword_sigma", -0.01), ("conf_threshold", 2), ("sampling_noise", -0.1),
         ("test_samples", 10**30), ("slots", 10**30), ("train_samples", 10**30),
+        ("test_samples", 2**62), ("train_samples", 2**62),
     ])
     def test_out_of_range_config_field_is_validation_error(self, tmp_path, capsys, field, value):
         data, config, _ = self.small_fit_files(tmp_path, **{field: value})

@@ -42,6 +42,7 @@ from pathfield.trainer import (
 )
 
 Z = np.array([0.0, 0.0, 1.0])
+SAMPLE_COUNTS = ("train_samples", "test_samples", "count")  # the integer fields that size a float64 array
 
 
 def tiny_head(**overrides):
@@ -1069,9 +1070,20 @@ class TestTrainConfigDocument:
         for field in typed_fields(config_class, int)
     ], ids=lambda item: item if isinstance(item, str) else item.__name__)
     def test_every_integer_field_rejects_a_count_beyond_numpy_indices(self, config_class, field):
-        # numpy can neither index nor allocate 10**30 of anything
-        with pytest.raises(ValueError, match=f"^{field} must be <= {np.iinfo(np.intp).max}, not {10**30}$"):
+        # numpy can neither index nor allocate 10**30 of anything; a sample count has the lower float64 bound
+        bound = np.iinfo(np.intp).max // (8 if field in SAMPLE_COUNTS else 1)
+        with pytest.raises(ValueError, match=f"^{field} must be <= {bound}, not {10**30}$"):
             config_class(**{field: 10**30})
+
+    @pytest.mark.parametrize("config_class,field", [(TrainConfig, "train_samples"), (TrainConfig, "test_samples"),
+                                                    (ParamSamplingConfig, "count")],
+                             ids=["train_samples", "test_samples", "count"])
+    def test_sample_count_is_bounded_by_the_float64_values_numpy_can_size(self, config_class, field):
+        # a sample count sizes one float64 array, of at most intp's maximum in bytes
+        bound = np.iinfo(np.intp).max // 8
+        assert getattr(config_class(**{field: bound}), field) == bound
+        with pytest.raises(ValueError, match=f"^{field} must be <= {bound}, not {bound + 1}$"):
+            config_class(**{field: bound + 1})
 
     @pytest.mark.parametrize("value,message", [
         (True, "must be a number, not True"), ("0.5", "must be a number, not '0.5'"),
