@@ -131,9 +131,7 @@ def load_json(path) -> dict:
         ) from exc
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8: {exc}") from exc
-    except ValueError as exc:  # after its two subclasses above; e.g. an integer past Python's digit limit
-        raise ValidationError(f"{path}: {exc}") from exc
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ValueError after its subclasses above: e.g. an integer past the digit limit
         raise ValidationError(f"{path}: {exc}") from exc
 
 

@@ -12,7 +12,8 @@ The N codewords of an object run as one batch: block activations are
 (width, N, T) arrays, and each weight gradient sums over slots and
 samples inside one matmul. In modulation mode block 0 sees x alone, so
 it runs once per sample grid, over (width, 1, T), for the slots of a
-training cache and a decode of the slots one at a time alike. Every
+training cache and a decode of the slots one at a time alike. The
+tensors' names, shapes and order are written once, in _layout, and every
 head array is a view into one vector, which a deep copy copies as one,
 so the optimizer updates the whole head at once; a gradient is laid out
 the same way, as a HeadParams whose vector is the whole gradient.
@@ -53,7 +54,6 @@ __all__ = [
     "confidence_forward",
     "head_backward",
     "named_parameters",
-    "parameter_count",
 ]
 
 
@@ -100,36 +100,35 @@ class HeadParams:
     """All learnable arrays of one head, shapes fixed by the config, views into `vector`."""
 
     config: HeadConfig
-    vector: np.ndarray  # every array below, in named_parameters order
-    block_w: list[np.ndarray]
-    block_b: list[np.ndarray]
-    out_w: np.ndarray
-    out_b: np.ndarray
-    mod_w: list[np.ndarray]
-    mod_b: list[np.ndarray]
-    conf_w1: np.ndarray
-    conf_b1: np.ndarray
-    conf_w2: np.ndarray
-    conf_b2: np.ndarray
+    vector: np.ndarray  # every tensor, in _layout order
+    tensors: dict[str, np.ndarray]  # name -> view into vector, as named_parameters gives it
 
     def __deepcopy__(self, memo) -> "HeadParams":
         return _allocate(self.config, self.vector.copy())
 
 
-def _allocate(config: HeadConfig, vector: np.ndarray | None = None) -> HeadParams:
-    """Parameters as views into one vector in named_parameters order: `vector`, or a new zero one."""
-    width, code, depth, hc = config.width, config.code_dim, config.depth, config.conf_width
+def _layout(config: HeadConfig) -> dict[str, tuple[int, ...]]:
+    """The head's tensor layout, written once: name -> shape, in the order of its one vector. Each weight
+    comes right before its bias, whose shape drops the weight's last (fan-in) axis; concat has no mod_*."""
+    width, code, depth = config.width, config.code_dim, config.depth
     modulated = config.conditioning == "modulation"
-    weights = [(width, (1 if l == 0 else width) + (0 if modulated else code)) for l in range(depth)] + [(6, width)]
-    weights += [(width, code if l == 0 else width + code) for l in range(depth)] if modulated else []
-    shapes = [shape for rows, cols in weights for shape in ((rows, cols), (rows,))] + [(hc, code), (hc,), (hc,), ()]
-    sizes = [math.prod(shape) for shape in shapes]
+    weights = [("block", l, (width, (1 if l == 0 else width) + (0 if modulated else code))) for l in range(depth)]
+    weights += [("out", "", (6, width))]
+    weights += [("mod", l, (width, code if l == 0 else width + code)) for l in range(depth)] if modulated else []
+    weights += [("conf", 1, (config.conf_width, code)), ("conf", 2, (config.conf_width,))]
+    return {name: shape for part, index, w_shape in weights
+            for name, shape in ((f"{part}_w{index}", w_shape), (f"{part}_b{index}", w_shape[:-1]))}
+
+
+def _allocate(config: HeadConfig, vector: np.ndarray | None = None) -> HeadParams:
+    """Parameters as views into one vector in _layout order: `vector`, or a new zero one."""
+    layout = _layout(config)
+    sizes = [math.prod(shape) for shape in layout.values()]
     vector = np.zeros(sum(sizes)) if vector is None else vector
     ends = itertools.accumulate(sizes)  # Python ints: numpy integers slice slower
-    arrays = [vector[end - size : end].reshape(shape) for end, size, shape in zip(ends, sizes, shapes)]
-    block, mod = arrays[: 2 * depth], arrays[2 * depth + 2 : -4]
-    out_w, out_b = arrays[2 * depth : 2 * depth + 2]
-    return HeadParams(config, vector, block[::2], block[1::2], out_w, out_b, mod[::2], mod[1::2], *arrays[-4:])
+    tensors = {name: vector[end - size : end].reshape(shape)
+               for (name, shape), end, size in zip(layout.items(), ends, sizes)}
+    return HeadParams(config, vector, tensors)
 
 
 def _is_bias(name: str) -> bool:
@@ -231,10 +230,11 @@ def _flat(arr: np.ndarray) -> np.ndarray:
 
 def _modulator(params: HeadParams, codes: np.ndarray) -> list[np.ndarray]:
     """The (N, width) modulation vector of every block, the ReLU branch's outputs."""
+    tensors = params.tensors
     hs: list[np.ndarray] = []
     for layer in range(params.config.depth):
         inp = codes if layer == 0 else np.concatenate([hs[-1], codes], axis=1)
-        hs.append(np.maximum(inp @ params.mod_w[layer].T + params.mod_b[layer], 0.0))
+        hs.append(np.maximum(inp @ tensors[f"mod_w{layer}"].T + tensors[f"mod_b{layer}"], 0.0))
     return hs
 
 
@@ -262,7 +262,7 @@ def _head_pass(params: HeadParams, codes: np.ndarray, xs, cache: _ForwardCache |
     Arrays are kept only into a given cache. In modulation mode block 0 runs over one slot's worth of
     samples, once for all passes at xs given one list `block0`: the first leaves its activation there,
     and the rest reuse it."""
-    cfg = params.config
+    cfg, tensors = params.config, params.tensors
     x_arr = _path_params(xs)
     shape = (codes.shape[0], x_arr.size)
     modulated = cfg.conditioning == "modulation"
@@ -281,8 +281,8 @@ def _head_pass(params: HeadParams, codes: np.ndarray, xs, cache: _ForwardCache |
         if first and block0:
             act = block0[0]
         else:
-            z = params.block_w[layer] @ (x_arr[None] if first else _flat(inp))
-            z += params.block_b[layer][:, None]
+            z = tensors[f"block_w{layer}"] @ (x_arr[None] if first else _flat(inp))
+            z += tensors[f"block_b{layer}"][:, None]
             z = z.reshape(cfg.width, -1, x_arr.size)  # one slot's worth at block 0 when modulated
             act = _activation_value(z, cfg.activation, cfg.omega0)
             if first and block0 is not None:
@@ -294,13 +294,14 @@ def _head_pass(params: HeadParams, codes: np.ndarray, xs, cache: _ForwardCache |
             cache.acts.append(np.broadcast_to(act, (cfg.width, *shape)))
         out = None if first or cache is not None else act  # modulate in place, unless act is one slot's or kept
         x = np.multiply(mod_hs[layer].T[:, :, None], act, out=out) if modulated else act
-    return (params.out_w @ _flat(x) + params.out_b[:, None]).reshape(6, *shape).transpose(1, 2, 0)
+    return (tensors["out_w"] @ _flat(x) + tensors["out_b"][:, None]).reshape(6, *shape).transpose(1, 2, 0)
 
 
 def _confidence(params: HeadParams, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The confidence branch's hidden outputs (N, conf_width) and confidences (N,) of a bank."""
-    hidden = np.maximum(codes @ params.conf_w1.T + params.conf_b1, 0.0)
-    logit = hidden @ params.conf_w2 + params.conf_b2
+    tensors = params.tensors
+    hidden = np.maximum(codes @ tensors["conf_w1"].T + tensors["conf_b1"], 0.0)
+    logit = hidden @ tensors["conf_w2"] + tensors["conf_b2"]
     # logistic sigmoid with exp only ever seeing -|logit|, so it cannot overflow
     e = np.exp(-np.abs(logit))
     return hidden, np.where(logit >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
@@ -346,7 +347,7 @@ def _backward_from_cache(
     are dropped once read; pre-activations read whole (every slot, or block 0's one
     slot) are differentiated uncopied.
     """
-    cfg = params.config
+    cfg, tensors = params.config, params.tensors
     d_raw = np.asarray(upstream, dtype=float)
     expected = (len(rows), *cache.raw.shape[1:])
     if d_raw.shape != expected:
@@ -375,7 +376,7 @@ def _backward_from_cache(
     d_y = _flat(d_raw.transpose(2, 0, 1))  # (6, R*T)
     grads["out_w"] = d_y @ _flat(block_output(cfg.depth - 1)).T
     grads["out_b"] = d_y.sum(axis=1)
-    d_x = (params.out_w.T @ d_y).reshape(cfg.width, *shape)
+    d_x = (tensors["out_w"].T @ d_y).reshape(cfg.width, *shape)
 
     d_mod_h = [np.zeros((len(rows), cfg.width)) for _ in range(cfg.depth)]
     for layer in reversed(range(cfg.depth)):
@@ -392,7 +393,7 @@ def _backward_from_cache(
         grads[f"block_b{layer}"] = d_z.sum(axis=1)
         if modulated and layer == 0:
             break  # block 0's input is x alone, which takes no gradient
-        d_x = (params.block_w[layer].T @ d_z).reshape(inp.shape)
+        d_x = (tensors[f"block_w{layer}"].T @ d_z).reshape(inp.shape)
         d_z = inp = None  # freed before the next layer's activation derivative
         if not modulated:
             split = d_x.shape[0] - cfg.code_dim
@@ -406,19 +407,19 @@ def _backward_from_cache(
             grads[f"mod_b{layer}"] = d_pre.sum(axis=0)
             inp = codes if layer == 0 else np.concatenate([cache.mod_hs[layer - 1][rows], codes], axis=1)
             grads[f"mod_w{layer}"] = d_pre.T @ inp
-            d_inp = d_pre @ params.mod_w[layer]
+            d_inp = d_pre @ tensors[f"mod_w{layer}"]
             split = d_inp.shape[1] - cfg.code_dim
             if layer > 0:
                 carry = d_mod_h[layer - 1] + d_inp[:, :split]
             d_codes += d_inp[:, split:]
 
     d_logit = d_prob * cache.prob * (1.0 - cache.prob)
-    d_pre = np.outer(d_logit, params.conf_w2) * (cache.hidden > 0)
+    d_pre = np.outer(d_logit, tensors["conf_w2"]) * (cache.hidden > 0)
     grads |= {"conf_w1": d_pre.T @ cache.codes, "conf_b1": d_pre.sum(axis=0)}
     grads |= {"conf_w2": d_logit @ cache.hidden, "conf_b2": d_logit.sum()}
     code_grads = np.zeros_like(cache.codes)
     code_grads[rows] = d_codes
-    code_grads += d_pre @ params.conf_w1
+    code_grads += d_pre @ tensors["conf_w1"]
 
     grad = _allocate(cfg)  # after the cache's large arrays are gone
     for name, arr in named_parameters(grad).items():
@@ -442,23 +443,6 @@ def head_backward(params: HeadParams, codewords, xs, upstream, d_prob) -> tuple[
 
 
 def named_parameters(params: HeadParams) -> dict[str, np.ndarray]:
-    """Stable name -> array view of every learnable tensor."""
-    named: dict[str, np.ndarray] = {}
-    for layer, (w, b) in enumerate(zip(params.block_w, params.block_b)):
-        named[f"block_w{layer}"] = w
-        named[f"block_b{layer}"] = b
-    named["out_w"] = params.out_w
-    named["out_b"] = params.out_b
-    for layer, (w, b) in enumerate(zip(params.mod_w, params.mod_b)):
-        named[f"mod_w{layer}"] = w
-        named[f"mod_b{layer}"] = b
-    named["conf_w1"] = params.conf_w1
-    named["conf_b1"] = params.conf_b1
-    named["conf_w2"] = params.conf_w2
-    named["conf_b2"] = params.conf_b2
-    return named
-
-
-def parameter_count(params: HeadParams) -> int:
-    return params.vector.size
+    """Stable name -> array view of every learnable tensor, in _layout order."""
+    return params.tensors
 

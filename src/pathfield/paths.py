@@ -46,6 +46,16 @@ def _check_number(name: str, value, interval: tuple = (-np.inf, np.inf, "()")) -
         raise ValueError(f"{name} must lie in {ends[0]}{low}, {high}{ends[1]}, not {value!r}")
 
 
+def _check_object(what: str, value, keys=None) -> dict:
+    """The rule of every JSON object taken in: a ValueError naming it unless it is a dict whose keys, given the
+    allowed `keys`, are among them; a shallow copy of it."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(value).__name__}")
+    if keys is not None and (unknown := sorted(set(value) - set(keys))):
+        raise ValueError(f"unknown {what} keys: {unknown}")
+    return dict(value)
+
+
 def _check_integer(name: str, value, minimum: int | None = None, maximum: int = _INDEX_MAX) -> None:
     """The rule of every count: a ValueError naming it unless it is an integer, not a bool, at least minimum
     and at most maximum, by default numpy's index range."""
@@ -164,7 +174,8 @@ def sample_params(config: ParamSamplingConfig) -> np.ndarray:
     at -1 + 2/T, not -1, so the very first waypoint is never addressed
     exactly; the asymmetry is kept on purpose.
     """
-    t = np.arange(1, config.count + 1, dtype=float)
+    t = np.empty(config.count)  # sized in integers; np.arange sizes in float64, rounding a count near 2**60 up
+    t[:] = np.arange(1, config.count + 1)
     grid = np.minimum(t * (2.0 / config.count) - 1.0, 1.0)
     if config.strategy == "equispaced":
         return grid

@@ -17,7 +17,7 @@ import math
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -36,7 +36,7 @@ from .neural_field import (
     named_parameters,
 )
 from .paths import ParamSamplingConfig, Path, PredictedPath, SAMPLING_STRATEGIES, sample_params
-from .paths import _SAMPLES_MAX, _check_fields, _check_integer, _check_number, _unit_rows
+from .paths import _SAMPLES_MAX, _check_fields, _check_integer, _check_number, _check_object, _unit_rows
 
 CHECKPOINT_FORMAT = "pathfield.checkpoint.v2"
 _ADAM_BLOCK = 1 << 15  # floats per Adam update call: its five arrays (1.25 MB) stay in cache
@@ -108,17 +108,10 @@ class TrainConfig:
 
     @classmethod
     def from_document(cls, doc: dict) -> "TrainConfig":
-        def keys_checked(config_class, what: str, value) -> dict:  # the rule of both levels of the document
-            if not isinstance(value, dict):
-                raise ValueError(f"{what} must be a JSON object, not {type(value).__name__}")
-            if unknown := sorted(set(value) - {f.name for f in fields(config_class)}):
-                raise ValueError(f"unknown {what} keys: {unknown}")
-            return dict(value)
-
-        data = keys_checked(cls, "train config", doc)
+        data = _check_object("train config", doc, cls.__dataclass_fields__)
         try:
             if "head" in data:
-                data["head"] = HeadConfig(**keys_checked(HeadConfig, "head config", data["head"]))
+                data["head"] = HeadConfig(**_check_object("head config", data["head"], HeadConfig.__dataclass_fields__))
             return cls(**data)
         except TypeError as exc:
             raise ValueError(f"malformed train config: {exc}") from exc
@@ -406,12 +399,16 @@ def checkpoint_from_document(doc: dict) -> TrainState:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} checkpoint document (format {found!r})")
     try:
         config = TrainConfig.from_document(doc["config"])
-        arrays = doc["parameters"]
+        arrays = _check_object("parameters", doc["parameters"])
         codewords = {
             name.removeprefix("codewords."): np.zeros((config.slots, config.head.code_dim))
             for name in arrays
             if name.startswith("codewords.")
         }
+        if "" in codewords:  # the dataset's rule: an object id is a nonempty string
+            raise ValueError("checkpoint array 'codewords.' names an empty object id")
+        if type(doc["loss_history"]) is not list:
+            raise ValueError(f"loss_history must be a list of rows, not {type(doc['loss_history']).__name__}")
         for k, row in enumerate(doc["loss_history"]):
             if not (type(row) is list and len(row) == 3):
                 raise ValueError(f"loss_history[{k}] must hold three finite numbers")
@@ -428,11 +425,11 @@ def checkpoint_from_document(doc: dict) -> TrainState:
             if name not in arrays:
                 raise ValueError(f"checkpoint is missing array {name!r}")
             arr[...] = _decode(arrays[name], arr.shape, name)
-        moments = doc["moments"]
+        moments = _check_object("moments", doc["moments"])
         for name, slot in moments.items():
             if name not in registry:
                 raise ValueError(f"checkpoint has moments for unknown parameter {name!r}")
-            _check_integer(f"{name}.step", slot["step"], 0)
+            _check_integer(f"{name}.step", _check_object(f"moments[{name!r}]", slot).get("step"), 0)
             key, param = ("head", state.head.vector) if name.startswith("head.") else (name, registry[name])
             if key not in state.moments:  # the head's step is its first tensor's
                 state.moments[key] = {"m": np.zeros_like(param), "v": np.zeros_like(param), "step": slot["step"]}
@@ -440,11 +437,9 @@ def checkpoint_from_document(doc: dict) -> TrainState:
             if moments.get(name, {}).get("step") != slot["step"]:
                 raise ValueError(f"checkpoint moments of {name!r} are missing or off the head's step {slot['step']}")
             for key in ("m", "v"):
-                slot[key][...] = _decode(moments[name][key], registry[name].shape, f"{name}.{key}")
+                slot[key][...] = _decode(moments[name].get(key), registry[name].shape, f"{name}.{key}")
     except KeyError as exc:
         raise ValueError(f"checkpoint document is missing key {exc}") from exc
-    except (AttributeError, TypeError) as exc:
-        raise ValueError(f"malformed checkpoint document: {exc}") from exc
     return state
 
 

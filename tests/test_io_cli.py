@@ -795,8 +795,17 @@ class TestCli:
         (lambda doc: doc.update(epoch=10**30), f"epoch must be <= {np.iinfo(np.intp).max}, not {10**30}"),
         (lambda doc: doc["moments"]["head.out_b"].update(step=7), "'head.out_b' are missing or off the head's step 2"),
         (lambda doc: doc["config"]["head"].update(use_bias="false"), "use_bias must be true or false, not 'false'"),
+        (lambda doc: doc["moments"].update({"head.out_w": 3}), "moments['head.out_w'] must be a JSON object, not int"),
+        (lambda doc: doc.update(moments=[]), "moments must be a JSON object, not list"),
+        (lambda doc: doc.update(parameters=[]), "parameters must be a JSON object, not list"),
+        (lambda doc: doc.update(loss_history=3), "loss_history must be a list of rows, not int"),
+        (lambda doc: doc["moments"]["head.out_w"].pop("step"), "head.out_w.step must be an integer, not None"),
+        (lambda doc: doc["moments"]["head.out_w"].pop("m"), "checkpoint array 'head.out_w.m' is not base64 text"),
+        (lambda doc: doc["parameters"].update({"codewords.": doc["parameters"]["codewords.object-000"]}),
+         "checkpoint array 'codewords.' names an empty object id"),
     ], ids=["epoch-1.7", "epoch-str", "step-negative", "row-of-two", "row-huge-int", "epoch-huge", "head-steps-differ",
-            "use-bias-str"])
+            "use-bias-str", "moment-int", "moments-list", "parameters-list", "history-int", "step-missing", "m-missing",
+            "empty-object-id"])
     def test_edited_checkpoint_is_validation_error(self, tmp_path, capsys, edit, message):
         data, config, _ = self.small_fit_files(tmp_path, epochs=2)
         ckpt = tmp_path / "ckpt.json"
@@ -838,17 +847,15 @@ _DROP = "<dropped>"
 _OTHER_TYPES = [0, 3, 0.5, True, "0.5", None, [1.0], {"x": 1}]
 
 
-def _has_leaf(doc) -> bool:
-    return not isinstance(doc, (dict, list)) or any(map(_has_leaf, doc.values() if isinstance(doc, dict) else doc))
-
-
-def _leaf_paths(doc):
-    """The key path to one scalar of a parsed JSON document, drawn key by key from the root, so
-    that a short list of fields (a checkpoint's loss_history) is drawn as often as a long one."""
-    if not isinstance(doc, (dict, list)):
+def _node_paths(doc, root: bool = True):
+    """The key path to one node below the root of a parsed JSON document: a scalar, or an object or
+    list that the draw stops at. Drawn key by key from the root, so that a short list of fields (a
+    checkpoint's loss_history) is drawn as often as a long one."""
+    if not isinstance(doc, (dict, list)) or not doc:
         return st.just(())
-    keys = [key for key in (doc if isinstance(doc, dict) else range(len(doc))) if _has_leaf(doc[key])]
-    return st.sampled_from(keys).flatmap(lambda key: _leaf_paths(doc[key]).map(lambda path: (key, *path)))
+    keys = list(doc) if isinstance(doc, dict) else list(range(len(doc)))
+    deeper = st.sampled_from(keys).flatmap(lambda key: _node_paths(doc[key], False).map(lambda path: (key, *path)))
+    return deeper if root else st.one_of(st.just(()), deeper)
 
 
 def _config_with_defaults(doc: dict) -> dict:
@@ -909,7 +916,7 @@ class TestOneChangedLeaf:
     def test_exits_1_naming_the_field_or_loads_as_written(self, documents, kind, data):
         kinds, base = documents
         valid, argv, loaded, written = kinds[kind]
-        path = data.draw(_leaf_paths(valid), label="leaf")
+        path = data.draw(_node_paths(valid), label="node")
         doc = copy.deepcopy(valid)
         *parents, last = path
         holder = reduce(getitem, parents, doc)
@@ -931,6 +938,6 @@ class TestOneChangedLeaf:
                 assert loaded(tmp, target) == written(doc)
         assert code in (0, 1), err.getvalue()
         if code == 1:
-            # the message names a key on the leaf's path; every dataset leaf shares "objects"
-            names = {key for key in path if isinstance(key, str)} - {"objects"}
+            # the message names a key on the node's path; every dataset node below objects[i] shares "objects"
+            names = {key for key in path if isinstance(key, str)} - ({"objects"} if len(path) > 2 else set())
             assert any(name in err.getvalue() for name in names), (path, value, err.getvalue())

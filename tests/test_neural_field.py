@@ -20,26 +20,25 @@ from pathfield.neural_field import (
     head_forward_batch,
     init_head,
     named_parameters,
-    parameter_count,
 )
 
 
 def naive_forward(params: HeadParams, code, x: float) -> np.ndarray:
     """Loop-based re-derivation of the forward pass, written independently
     of the batched implementation and used as its oracle."""
-    cfg = params.config
+    cfg, t = params.config, named_parameters(params)
     code = np.asarray(code, dtype=float)
     if cfg.conditioning == "modulation":
         hs = []
-        h = np.maximum(params.mod_w[0] @ code + params.mod_b[0], 0.0)
+        h = np.maximum(t["mod_w0"] @ code + t["mod_b0"], 0.0)
         hs.append(h)
         for layer in range(1, cfg.depth):
-            pre = params.mod_w[layer] @ np.concatenate([hs[-1], code]) + params.mod_b[layer]
+            pre = t[f"mod_w{layer}"] @ np.concatenate([hs[-1], code]) + t[f"mod_b{layer}"]
             hs.append(np.maximum(pre, 0.0))
     vec = np.array([float(x)])
     for layer in range(cfg.depth):
         inp = vec if cfg.conditioning == "modulation" else np.concatenate([vec, code])
-        z = params.block_w[layer] @ inp + params.block_b[layer]
+        z = t[f"block_w{layer}"] @ inp + t[f"block_b{layer}"]
         if cfg.activation == "relu":
             act = np.maximum(z, 0.0)
         elif cfg.activation == "siren":
@@ -47,7 +46,7 @@ def naive_forward(params: HeadParams, code, x: float) -> np.ndarray:
         else:
             act = np.sin(cfg.omega0 * (np.abs(z) + 1.0) * z)
         vec = hs[layer] * act if cfg.conditioning == "modulation" else act
-    return params.out_w @ vec + params.out_b
+    return t["out_w"] @ vec + t["out_b"]
 
 
 def fd_gradient_check(config: HeadConfig, seed: int, step=1e-5, tol=1e-4):
@@ -105,7 +104,20 @@ class TestInit:
             + (h * c + h) + 3 * (h * (h + c) + h)  # modulator
             + (c * c + c) + (c + 1)  # confidence branch
         )
-        assert parameter_count(params) == expected
+        assert params.vector.size == expected
+
+    @pytest.mark.parametrize("use_bias", [True, False])
+    @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
+    def test_names_shapes_and_order_are_pinned(self, conditioning, use_bias):
+        params = init_head(HeadConfig(depth=2, width=5, code_dim=3, conditioning=conditioning, use_bias=use_bias,
+                                      conf_hidden=4))
+        fan_in = (1, 5) if conditioning == "modulation" else (4, 8)  # concat appends the codeword to each input
+        block = [("block_w0", (5, fan_in[0])), ("block_b0", (5,)), ("block_w1", (5, fan_in[1])), ("block_b1", (5,)),
+                 ("out_w", (6, 5)), ("out_b", (6,))]
+        mod = [("mod_w0", (5, 3)), ("mod_b0", (5,)), ("mod_w1", (5, 8)), ("mod_b1", (5,))]
+        conf = [("conf_w1", (4, 3)), ("conf_b1", (4,)), ("conf_w2", (4,)), ("conf_b2", ())]
+        expected = block + (mod if conditioning == "modulation" else []) + conf
+        assert [(name, arr.shape) for name, arr in named_parameters(params).items()] == expected
 
     def test_same_seed_bit_identical(self):
         cfg = HeadConfig(depth=2, width=8, code_dim=4, activation="finer", seed=42)
@@ -118,21 +130,21 @@ class TestInit:
         cfg = HeadConfig(depth=3, width=16, code_dim=4, activation="siren", omega0=30.0)
         params = init_head(cfg)
         bound = np.sqrt(6.0 / 16) / 30.0
-        for layer in (1, 2):
-            assert np.all(np.abs(params.block_w[layer]) <= bound)
-        assert np.all(np.abs(params.out_w) <= bound)
+        named = named_parameters(params)
+        for name in ("block_w1", "block_w2", "out_w"):
+            assert np.all(np.abs(named[name]) <= bound), name
 
     def test_finer_first_layer_bias_range(self):
         cfg = HeadConfig(depth=2, width=64, code_dim=4, activation="finer", finer_bias_scale=2.5)
-        params = init_head(cfg)
-        assert np.max(np.abs(params.block_b[0])) > 1.0  # wider than the 1/sqrt(fan) draw
-        assert np.all(np.abs(params.block_b[0]) <= 2.5)
+        bias = named_parameters(init_head(cfg))["block_b0"]
+        assert np.max(np.abs(bias)) > 1.0  # wider than the 1/sqrt(fan) draw
+        assert np.all(np.abs(bias) <= 2.5)
 
     def test_no_bias_initializes_zero(self):
         cfg = HeadConfig(depth=2, width=8, code_dim=4, use_bias=False)
-        params = init_head(cfg)
-        assert not params.block_b[0].any()
-        assert not params.out_b.any()
+        named = named_parameters(init_head(cfg))
+        assert not named["block_b0"].any()
+        assert not named["out_b"].any()
 
     @pytest.mark.parametrize("field,value", [
         ("conf_hidden", 0), ("conf_hidden", -1), ("omega0", float("nan")),
@@ -145,16 +157,17 @@ class TestInit:
             HeadConfig(**{field: value})
 
     def test_zero_finer_bias_scale_draws_zero_first_bias(self):
-        params = init_head(HeadConfig(depth=2, width=8, code_dim=4, activation="finer", finer_bias_scale=0.0))
-        assert not params.block_b[0].any()
-        assert params.block_b[1].any()
+        named = named_parameters(init_head(HeadConfig(depth=2, width=8, code_dim=4, activation="finer",
+                                                      finer_bias_scale=0.0)))
+        assert not named["block_b0"].any()
+        assert named["block_b1"].any()
 
     @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
     def test_arrays_are_views_of_one_vector_in_named_order(self, conditioning):
         params = init_head(HeadConfig(depth=3, width=5, code_dim=4, conditioning=conditioning, conf_hidden=3))
         named = named_parameters(params)
         vector = params.vector
-        assert vector.shape == (parameter_count(params),)
+        assert vector.shape == (sum(arr.size for arr in named.values()),)
         assert all(arr.base is vector for arr in named.values())
         assert np.array_equal(vector, np.concatenate([arr.ravel() for arr in named.values()]))
         vector[...] = np.arange(vector.size)
@@ -170,8 +183,8 @@ class TestInit:
         assert not np.shares_memory(copied.vector, params.vector)
         assert_same_bits(copied.vector, params.vector)
         assert all(arr.base is copied.vector for arr in named_parameters(copied).values())
-        copied.out_b[...] = 7.0
-        assert not np.any(params.out_b == 7.0) and np.all(copied.out_b == 7.0)
+        named_parameters(copied)["out_b"][...] = 7.0
+        assert not np.any(named_parameters(params)["out_b"] == 7.0) and np.all(named_parameters(copied)["out_b"] == 7.0)
 
     def test_arrays_match_pinned_digest(self):
         # sha256 of every array init_head draws over 192 option combinations,
@@ -248,10 +261,9 @@ class TestModulator:
     def test_zero_parameters_give_zero(self):
         cfg = HeadConfig(depth=3, width=4, code_dim=2)
         params = init_head(cfg)
-        for w in params.mod_w:
-            w[...] = 0.0
-        for b in params.mod_b:
-            b[...] = 0.0
+        for name, arr in named_parameters(params).items():
+            if name.startswith("mod_"):
+                arr[...] = 0.0
         hs = _forward_with_cache(params, np.ones(2), [0.0]).mod_hs
         assert all(not h.any() for h in hs)
 
@@ -266,10 +278,9 @@ class TestModulator:
         # depth 2, width 2, code 1, all weights and biases one
         cfg = HeadConfig(depth=2, width=2, code_dim=1)
         params = init_head(cfg)
-        params.mod_w[0][...] = 1.0
-        params.mod_b[0][...] = 1.0
-        params.mod_w[1][...] = 1.0
-        params.mod_b[1][...] = 1.0
+        named = named_parameters(params)
+        for name in ("mod_w0", "mod_b0", "mod_w1", "mod_b1"):
+            named[name][...] = 1.0
         hs = _forward_with_cache(params, [2.0], [0.0]).mod_hs
         # h0 = relu(1*2 + 1) = 3; h1 = relu(3 + 3 + 2 + 1) = 9
         assert hs[0].tolist() == [[3.0, 3.0]]
@@ -278,7 +289,7 @@ class TestModulator:
     def test_concat_mode_has_no_modulator(self):
         cfg = HeadConfig(depth=2, width=4, code_dim=2, conditioning="concat")
         params = init_head(cfg)
-        assert params.mod_w == [] and params.mod_b == []
+        assert not any(name.startswith("mod_") for name in named_parameters(params))
         assert _forward_with_cache(params, np.zeros(2), [0.0]).mod_hs == []
 
 
@@ -369,13 +380,12 @@ class TestDegenerateEquivalence:
         concat = init_head(concat_cfg)
         mod_cfg = HeadConfig(depth=2, width=6, code_dim=0, conditioning="modulation", seed=9)
         mod = init_head(mod_cfg)
-        for layer in range(2):
-            mod.block_w[layer][...] = concat.block_w[layer]
-            mod.block_b[layer][...] = concat.block_b[layer]
-            mod.mod_w[layer][...] = 0.0
-            mod.mod_b[layer][...] = 1.0  # relu(1) = 1: all-ones modulators
-        mod.out_w[...] = concat.out_w
-        mod.out_b[...] = concat.out_b
+        shared = named_parameters(concat)
+        for name, arr in named_parameters(mod).items():
+            if name.startswith("mod_"):
+                arr[...] = 1.0 if "_b" in name else 0.0  # relu(1) = 1: all-ones modulators
+            elif not name.startswith("conf_"):
+                arr[...] = shared[name]
         code = np.zeros(0)
         xs = np.linspace(-1, 1, 17)
         assert np.allclose(
@@ -387,10 +397,8 @@ class TestConfidence:
     def test_zero_weights_give_half(self):
         cfg = HeadConfig(depth=1, width=4, code_dim=3)
         params = init_head(cfg)
-        params.conf_w1[...] = 0.0
-        params.conf_b1[...] = 0.0
-        params.conf_w2[...] = 0.0
-        params.conf_b2[...] = 0.0
+        for name in ("conf_w1", "conf_b1", "conf_w2", "conf_b2"):
+            named_parameters(params)[name][...] = 0.0
         assert confidence_forward(params, np.ones(3)) == 0.5
 
     def test_output_in_open_interval(self):
@@ -404,10 +412,9 @@ class TestConfidence:
     def test_hand_case_unit_weights(self):
         cfg = HeadConfig(depth=1, width=4, code_dim=2, conf_hidden=2)
         params = init_head(cfg)
-        params.conf_w1[...] = 1.0
-        params.conf_b1[...] = 0.0
-        params.conf_w2[...] = 1.0
-        params.conf_b2[...] = 0.0
+        for name, arr in named_parameters(params).items():
+            if name.startswith("conf_"):
+                arr[...] = 1.0 if "_w" in name else 0.0
         # hidden = relu([3, 3]) -> logit = 6
         value = confidence_forward(params, [1.0, 2.0])
         assert value == pytest.approx(1.0 / (1.0 + np.exp(-6.0)), rel=1e-15)

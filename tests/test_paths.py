@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pathfield.paths import (
+    _SAMPLES_MAX,
+    SAMPLING_STRATEGIES,
     ParamSamplingConfig,
     Path,
     PredictedPath,
@@ -264,6 +266,17 @@ class TestSampleParams:
         noisy = sample_params(ParamSamplingConfig("noisy-equispaced", 7, noise_sigma=0.0, seed=5))
         plain = sample_params(ParamSamplingConfig("equispaced", 7))
         assert np.array_equal(noisy, plain)
+
+    def test_equispaced_is_the_written_out_grid(self):
+        for count in range(2, 300):
+            want = np.minimum(np.arange(1, count + 1, dtype=float) * (2.0 / count) - 1.0, 1.0)
+            assert sample_params(ParamSamplingConfig("equispaced", count)).tobytes() == want.tobytes(), count
+
+    @pytest.mark.parametrize("strategy", SAMPLING_STRATEGIES)
+    def test_count_at_the_bound_is_a_memory_error(self, strategy):
+        # sized in integers, 8 EiB: numpy refuses it at once, so nothing is allocated
+        with pytest.raises(MemoryError):
+            sample_params(ParamSamplingConfig(strategy, _SAMPLES_MAX))
 
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError):
