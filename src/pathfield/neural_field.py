@@ -138,7 +138,7 @@ def _is_bias(name: str) -> bool:
 def init_head(config: HeadConfig) -> HeadParams:
     """Draw fresh parameters, deterministic given the config seed.
 
-    The whole rule is one walk over named_parameters, which lists each
+    The whole rule is one walk over the layout's tensors, which lists each
     weight right before its bias. A weight and its bias are drawn from
     +-1/sqrt(fan_in), fan_in being the weight's last axis (at least 1).
     Sine-family heads draw block_w0 from +-1/fan_in and the later block
@@ -148,7 +148,7 @@ def init_head(config: HeadConfig) -> HeadParams:
     params = _allocate(config)
     rng = np.random.default_rng(config.seed)
     sinusoidal = config.activation in ("siren", "finer")
-    for name, arr in named_parameters(params).items():
+    for name, arr in params.tensors.items():
         if _is_bias(name):
             if not config.use_bias:
                 continue
@@ -422,7 +422,7 @@ def _backward_from_cache(
     code_grads += d_pre @ tensors["conf_w1"]
 
     grad = _allocate(cfg)  # after the cache's large arrays are gone
-    for name, arr in named_parameters(grad).items():
+    for name, arr in grad.tensors.items():
         if cfg.use_bias or not _is_bias(name):  # a bias-free head keeps its biases at zero
             arr[...] = grads[name]
     return grad, code_grads

@@ -437,7 +437,9 @@ def checkpoint_from_document(doc: dict) -> TrainState:
             if moments.get(name, {}).get("step") != slot["step"]:
                 raise ValueError(f"checkpoint moments of {name!r} are missing or off the head's step {slot['step']}")
             for key in ("m", "v"):
-                slot[key][...] = _decode(moments[name].get(key), registry[name].shape, f"{name}.{key}")
+                if key not in moments[name]:
+                    raise ValueError(f"checkpoint is missing array '{name}.{key}'")
+                slot[key][...] = _decode(moments[name][key], registry[name].shape, f"{name}.{key}")
     except KeyError as exc:
         raise ValueError(f"checkpoint document is missing key {exc}") from exc
     return state

@@ -800,7 +800,7 @@ class TestCli:
         (lambda doc: doc.update(parameters=[]), "parameters must be a JSON object, not list"),
         (lambda doc: doc.update(loss_history=3), "loss_history must be a list of rows, not int"),
         (lambda doc: doc["moments"]["head.out_w"].pop("step"), "head.out_w.step must be an integer, not None"),
-        (lambda doc: doc["moments"]["head.out_w"].pop("m"), "checkpoint array 'head.out_w.m' is not base64 text"),
+        (lambda doc: doc["moments"]["head.out_w"].pop("m"), "checkpoint is missing array 'head.out_w.m'"),
         (lambda doc: doc["parameters"].update({"codewords.": doc["parameters"]["codewords.object-000"]}),
          "checkpoint array 'codewords.' names an empty object id"),
     ], ids=["epoch-1.7", "epoch-str", "step-negative", "row-of-two", "row-huge-int", "epoch-huge", "head-steps-differ",
@@ -847,15 +847,26 @@ _DROP = "<dropped>"
 _OTHER_TYPES = [0, 3, 0.5, True, "0.5", None, [1.0], {"x": 1}]
 
 
-def _node_paths(doc, root: bool = True):
-    """The key path to one node below the root of a parsed JSON document: a scalar, or an object or
-    list that the draw stops at. Drawn key by key from the root, so that a short list of fields (a
-    checkpoint's loss_history) is drawn as often as a long one."""
-    if not isinstance(doc, (dict, list)) or not doc:
+def _has_leaf(doc) -> bool:
+    return not isinstance(doc, (dict, list)) or any(map(_has_leaf, doc.values() if isinstance(doc, dict) else doc))
+
+
+def _leaf_paths(doc):
+    """The key path to one scalar of a parsed JSON document, drawn key by key from the root, so
+    that a short list of fields (a checkpoint's loss_history) is drawn as often as a long one."""
+    if not isinstance(doc, (dict, list)):
         return st.just(())
-    keys = list(doc) if isinstance(doc, dict) else list(range(len(doc)))
-    deeper = st.sampled_from(keys).flatmap(lambda key: _node_paths(doc[key], False).map(lambda path: (key, *path)))
-    return deeper if root else st.one_of(st.just(()), deeper)
+    keys = [key for key in (doc if isinstance(doc, dict) else range(len(doc))) if _has_leaf(doc[key])]
+    return st.sampled_from(keys).flatmap(lambda key: _leaf_paths(doc[key]).map(lambda path: (key, *path)))
+
+
+def _node_path(data, doc) -> tuple:
+    """A scalar's key path, or on half the draws that path cut to a proper prefix: an object or
+    list that holds the scalar. The scalars keep the depth spread of _leaf_paths."""
+    path = data.draw(_leaf_paths(doc), label="leaf")
+    if len(path) > 1 and data.draw(st.booleans(), label="container"):
+        path = path[:data.draw(st.integers(1, len(path) - 1), label="depth")]
+    return path
 
 
 def _config_with_defaults(doc: dict) -> dict:
@@ -868,7 +879,10 @@ def _dataset_as_loaded(tmp, target) -> dict:
 
 
 def _dataset_as_written(doc: dict) -> dict:
-    return {"objects": [{"gt_paths": []} | entry for entry in doc["objects"]]}
+    """The writer's form of a loaded document: gt_paths always, predictions only when there are some."""
+    return {"objects": [{"gt_paths": []} | {key: value for key, value in entry.items()
+                                            if key != "predictions" or value != []}
+                        for entry in doc["objects"]]}
 
 
 class TestOneChangedLeaf:
@@ -916,7 +930,7 @@ class TestOneChangedLeaf:
     def test_exits_1_naming_the_field_or_loads_as_written(self, documents, kind, data):
         kinds, base = documents
         valid, argv, loaded, written = kinds[kind]
-        path = data.draw(_node_paths(valid), label="node")
+        path = _node_path(data, valid)
         doc = copy.deepcopy(valid)
         *parents, last = path
         holder = reduce(getitem, parents, doc)
