@@ -21,9 +21,15 @@ Inference (head_forward_batch) computes activation values only; the
 training forward runs both branches and also keeps each block's output
 and pre-activation, which one backward through both branches
 differentiates for the slots it reads, dropping each block's arrays
-once read. The ReLU branches keep only their outputs, which are positive exactly
+once read and writing each gradient into its view of one gradient vector.
+The ReLU branches keep only their outputs, which are positive exactly
 where their pre-activations are and so are also the backward's masks.
 The initialisation rule lives in init_head's one walk over the tensors.
+
+Independent work of one large call runs through _parallel on the usable
+CPUs: the activations' row halves, the backward's two matmuls of each
+block, and predict's slot decodes. Each piece is the numpy call a serial
+run makes, so the bits do not depend on the thread it runs on.
 
 Everything is plain float64 numpy. Backward passes are exact
 reverse-mode differentiation of the forward graph; the test suite checks
@@ -31,9 +37,14 @@ them against central finite differences.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,6 +53,10 @@ from .paths import _check_fields, _path_params
 ACTIVATIONS = ("relu", "siren", "finer")
 CONDITIONING = ("modulation", "concat")
 DEFAULT_OMEGA0 = 30.0
+# Cells (array elements; width x samples for a decoded block) from which _parallel runs a call's pieces on
+# threads: on 2 CPUs every head measured (widths 64-512) decoded faster so from 2^15 cells, some slower at 2^14;
+# a finer wave was faster from 2^15, its derivative and a backward matmul pair only from 2^16.
+PARALLEL_CELLS = 1 << 15
 
 __all__ = [
     "ACTIVATIONS",
@@ -107,9 +122,11 @@ class HeadParams:
         return _allocate(self.config, self.vector.copy())
 
 
+@functools.cache
 def _layout(config: HeadConfig) -> dict[str, tuple[int, ...]]:
     """The head's tensor layout, written once: name -> shape, in the order of its one vector. Each weight
-    comes right before its bias, whose shape drops the weight's last (fan-in) axis; concat has no mod_*."""
+    comes right before its bias, whose shape drops the weight's last (fan-in) axis; concat has no mod_*.
+    Built once per config and shared, so it is only read."""
     width, code, depth = config.width, config.code_dim, config.depth
     modulated = config.conditioning == "modulation"
     weights = [("block", l, (width, (1 if l == 0 else width) + (0 if modulated else code))) for l in range(depth)]
@@ -166,36 +183,124 @@ def init_head(config: HeadConfig) -> HeadParams:
     return params
 
 
+_pool_share = threading.local()  # .active: this thread runs a share of a _parallel call
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@functools.cache
+def _blas_thread_getter(symbol: str = "scipy_openblas_get_num_threads64_") -> Callable[[], int] | None:
+    """numpy's bundled OpenBLAS's thread-count getter, found through ctypes in numpy.libs; None where it is missing."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "*openblas*")
+    for path in sorted(glob.glob(libs)):
+        try:
+            return getattr(ctypes.CDLL(path), symbol)
+        except (OSError, AttributeError):  # not loadable here, or another build
+            continue
+    return None
+
+
+def _blas_threads() -> int:
+    """The threads BLAS runs each call on, read and never set; 1 where numpy's OpenBLAS getter is missing."""
+    getter = _blas_thread_getter()
+    return 1 if getter is None else max(getter(), 1)
+
+
+def _threads(count: int, cells: int) -> int:
+    """How many threads _parallel runs `count` calls of `cells` work on; below 2 is serially, on the caller.
+
+    Serial below PARALLEL_CELLS cells (checked first, so small calls make no system call), for fewer
+    than 2 calls, on a thread that already runs a share of a _parallel call (no nested pools), and
+    when usable CPUs // BLAS threads < 2, so that a pool never competes with BLAS's own threads.
+    """
+    if cells < PARALLEL_CELLS or count < 2 or getattr(_pool_share, "active", False):
+        return 1
+    return min(_usable_cpus() // _blas_threads(), count)
+
+
+def _parallel(calls: Sequence[Callable[[], object]], cells: int) -> list:
+    """The results of independent calls, in call order, on _threads(len(calls), cells) threads: the
+    caller and a pool of one thread fewer each take the next call as they finish the last, so none
+    sits idle. An exception in a call reaches the caller once the pool is shut down."""
+    threads = _threads(len(calls), cells)
+    if threads < 2:
+        return [call() for call in calls]
+    results: list = [None] * len(calls)
+    order = iter(range(len(calls)))  # shared; next() on it is atomic
+
+    def share() -> None:
+        _pool_share.active = True
+        try:
+            for index in order:
+                results[index] = calls[index]()
+        finally:
+            _pool_share.active = False
+
+    with ThreadPoolExecutor(threads - 1) as pool:
+        futures = [pool.submit(share) for _ in range(threads - 1)]
+        share()
+    for future in futures:
+        future.result()
+    return results
+
+
+def _row_halves(fn: Callable[..., None], z: np.ndarray, out: np.ndarray, *args) -> None:
+    """fn(z, out, *args) once, or over each half of the arrays' rows through _parallel when it has 2 threads."""
+    if _threads(2, z.size) < 2:
+        fn(z, out, *args)
+        return
+    half = (len(z) + 1) // 2
+    _parallel([lambda: fn(z[:half], out[:half], *args), lambda: fn(z[half:], out[half:], *args)], z.size)
+
+
 def _activation_value(z: np.ndarray, kind: str, omega0: float, wave=np.sin) -> np.ndarray:
-    """The activation of an array as a new array with the written-out bits (wave=np.cos: its argument's cosine)."""
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    if kind == "siren":
-        scaled = omega0 * z
-    elif kind == "finer":
-        scaled = np.abs(z)
-        scaled += 1.0
-        scaled *= z
-        scaled *= omega0
-    else:
+    """The activation of an array as a new array with the written-out bits (wave=np.cos: its argument's cosine).
+    Row halves of a large array run through _parallel; the work is elementwise, so the bits are the same."""
+    if kind not in ACTIVATIONS:
         raise ValueError(f"unknown activation {kind!r}")
-    return wave(scaled, out=scaled)
+    out = np.empty_like(z)
+    _row_halves(_value_rows, z, out, kind, omega0, wave)
+    return out
+
+
+def _value_rows(z: np.ndarray, out: np.ndarray, kind: str, omega0: float, wave) -> None:
+    if kind == "relu":
+        np.maximum(z, 0.0, out=out)
+        return
+    if kind == "siren":
+        np.multiply(omega0, z, out=out)
+    else:
+        np.abs(z, out=out)
+        out += 1.0
+        out *= z
+        out *= omega0
+    wave(out, out=out)
 
 
 def _activation_derivative(z: np.ndarray, kind: str, omega0: float) -> np.ndarray:
-    """The activation's derivative at an array, with the written-out formula's bits; z may be overwritten."""
+    """The activation's derivative at an array, with the written-out formula's bits; z may be overwritten.
+    Like the value, row halves of a large array run through _parallel."""
     if kind == "relu":
         return np.greater(z, 0.0, out=z)
     deriv = _activation_value(z, kind, omega0, np.cos)
+    _row_halves(_derivative_rows, z, deriv, kind, omega0)
+    return deriv if kind == "siren" else z
+
+
+def _derivative_rows(z: np.ndarray, deriv: np.ndarray, kind: str, omega0: float) -> None:
     if kind == "siren":
         deriv *= omega0
-        return deriv
+        return
     factor = np.abs(z, out=z)
     factor *= 2.0
     factor += 1.0
     factor *= omega0
     factor *= deriv
-    return factor
 
 
 def activation(z, kind: str, omega0: float = DEFAULT_OMEGA0):
@@ -360,7 +465,8 @@ def _backward_from_cache(
     shape = expected[:2]
     codes = cache.codes[rows]
     d_codes = np.zeros_like(codes)
-    grads: dict[str, np.ndarray] = {}
+    grad = _allocate(cfg)  # zero pages, each touched as its gradient is written
+    grads = grad.tensors
     modulated = cfg.conditioning == "modulation"
     every_slot = len(rows) == len(cache.codes) and np.array_equal(rows, np.arange(len(rows)))
 
@@ -374,8 +480,8 @@ def _backward_from_cache(
         return cache.mod_hs[layer][rows].T[:, :, None] * act if modulated else act
 
     d_y = _flat(d_raw.transpose(2, 0, 1))  # (6, R*T)
-    grads["out_w"] = d_y @ _flat(block_output(cfg.depth - 1)).T
-    grads["out_b"] = d_y.sum(axis=1)
+    np.matmul(d_y, _flat(block_output(cfg.depth - 1)).T, out=grads["out_w"])
+    grads["out_b"][...] = d_y.sum(axis=1)  # a sum given out= may round otherwise
     d_x = (tensors["out_w"].T @ d_y).reshape(cfg.width, *shape)
 
     d_mod_h = [np.zeros((len(rows), cfg.width)) for _ in range(cfg.depth)]
@@ -389,11 +495,14 @@ def _backward_from_cache(
             d_z = _flat(d_x * act_deriv)
         inp = block_output(layer - 1) if modulated and layer > 0 else take(cache.inputs[layer])
         del cache.pres[layer], cache.acts[layer], cache.inputs[layer:], pre, act_deriv  # spent
-        grads[f"block_w{layer}"] = d_z @ _flat(inp).T
-        grads[f"block_b{layer}"] = d_z.sum(axis=1)
+        grads[f"block_b{layer}"][...] = d_z.sum(axis=1)
+        weight = functools.partial(np.matmul, d_z, _flat(inp).T, out=grads[f"block_w{layer}"])
         if modulated and layer == 0:
+            weight()
             break  # block 0's input is x alone, which takes no gradient
-        d_x = (tensors[f"block_w{layer}"].T @ d_z).reshape(inp.shape)
+        # the weight's and the input's gradients side by side, each one whole matmul
+        d_x = _parallel([weight, functools.partial(np.matmul, tensors[f"block_w{layer}"].T, d_z)], d_z.size)[1]
+        d_x = d_x.reshape(inp.shape)
         d_z = inp = None  # freed before the next layer's activation derivative
         if not modulated:
             split = d_x.shape[0] - cfg.code_dim
@@ -404,9 +513,9 @@ def _backward_from_cache(
         carry = d_mod_h[cfg.depth - 1]
         for layer in reversed(range(cfg.depth)):
             d_pre = carry * (cache.mod_hs[layer][rows] > 0)
-            grads[f"mod_b{layer}"] = d_pre.sum(axis=0)
+            grads[f"mod_b{layer}"][...] = d_pre.sum(axis=0)
             inp = codes if layer == 0 else np.concatenate([cache.mod_hs[layer - 1][rows], codes], axis=1)
-            grads[f"mod_w{layer}"] = d_pre.T @ inp
+            np.matmul(d_pre.T, inp, out=grads[f"mod_w{layer}"])
             d_inp = d_pre @ tensors[f"mod_w{layer}"]
             split = d_inp.shape[1] - cfg.code_dim
             if layer > 0:
@@ -415,16 +524,17 @@ def _backward_from_cache(
 
     d_logit = d_prob * cache.prob * (1.0 - cache.prob)
     d_pre = np.outer(d_logit, tensors["conf_w2"]) * (cache.hidden > 0)
-    grads |= {"conf_w1": d_pre.T @ cache.codes, "conf_b1": d_pre.sum(axis=0)}
-    grads |= {"conf_w2": d_logit @ cache.hidden, "conf_b2": d_logit.sum()}
+    np.matmul(d_pre.T, cache.codes, out=grads["conf_w1"])
+    grads["conf_b1"][...] = d_pre.sum(axis=0)
+    np.matmul(d_logit, cache.hidden, out=grads["conf_w2"])
+    grads["conf_b2"][...] = d_logit.sum()
     code_grads = np.zeros_like(cache.codes)
     code_grads[rows] = d_codes
     code_grads += d_pre @ tensors["conf_w1"]
-
-    grad = _allocate(cfg)  # after the cache's large arrays are gone
-    for name, arr in grad.tensors.items():
-        if cfg.use_bias or not _is_bias(name):  # a bias-free head keeps its biases at zero
-            arr[...] = grads[name]
+    if not cfg.use_bias:  # a bias-free head keeps its biases at zero
+        for name, arr in grads.items():
+            if _is_bias(name):
+                arr[...] = 0.0
     return grad, code_grads
 
 

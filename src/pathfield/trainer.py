@@ -12,11 +12,10 @@ with every array as base64, keyed by the per-tensor parameter registry.
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import math
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from typing import Callable, Mapping, Sequence
 
@@ -30,6 +29,7 @@ from .neural_field import (
     _allocate,
     _backward_from_cache,
     _forward_with_cache,
+    _parallel,
     confidence_forward,
     head_forward_batch,
     init_head,
@@ -40,9 +40,6 @@ from .paths import _SAMPLES_MAX, _check_fields, _check_integer, _check_number, _
 
 CHECKPOINT_FORMAT = "pathfield.checkpoint.v2"
 _ADAM_BLOCK = 1 << 15  # floats per Adam update call: its five arrays (1.25 MB) stay in cache
-# Cells (width x samples) of one decoded block from which predict decodes slots on a thread pool: on
-# 2 CPUs every head measured (widths 64-512) decoded faster so from 2^15 cells, some slower at 2^14.
-PARALLEL_DECODE_CELLS = 1 << 15
 
 __all__ = [
     "TrainingError",
@@ -306,15 +303,9 @@ def predict(
     breaks ties. The pose view normalizes orientations.
 
     Every kept slot decodes on its own through the same numpy calls, so
-    the bytes do not depend on where it runs. When one block holds at
-    least PARALLEL_DECODE_CELLS cells (width x samples) and more than one
-    CPU is usable, the first kept slot decodes alone and the rest on a
-    pool of min(usable CPUs, kept slots) threads, which run numpy's
-    matmuls and sines without the GIL; results are read in slot order.
-    On 2 Xeon vCPUs, 160 slots of a width-512 head at T = 384 took a
-    median 2.24 s against 3.79 s serially with one OpenBLAS thread, and
-    3.29 s against 3.13 s with OpenBLAS's default 2 threads, which the
-    pool's threads compete with (10 alternating runs each).
+    the bytes do not depend on where it runs: the first alone, the rest
+    through neural_field._parallel, one block's cells (width x samples)
+    being the work.
     """
     if object_id not in state.codewords:
         raise ValueError(f"unknown object {object_id!r}")
@@ -327,34 +318,19 @@ def predict(
     confidences = confidence_forward(state.head, codes).tolist()
     slots = [slot for slot, confidence in enumerate(confidences) if confidence >= threshold]
     block0: list[np.ndarray] = []  # block 0 sees x alone when modulated, so it runs once per grid
-    kept: list[PredictedPath] = []
 
-    def decode(slot: int) -> np.ndarray:
+    def decode(slot: int) -> PredictedPath:
         # one slot at a time: BLAS rounds a multi-slot matmul differently, so
         # a batched decode would not give these prediction bytes
-        return head_forward_batch(state.head, codes[slot], grid, _block0=block0)
-
-    def keep(slot: int, raw: np.ndarray) -> None:
+        raw = head_forward_batch(state.head, codes[slot], grid, _block0=block0)
         try:
             units = _unit_rows(raw[:, 3:], "degenerate predicted orientation")[0]
         except ValueError as exc:
             raise TrainingError(f"{exc} for object {object_id!r}") from exc
-        poses = np.concatenate([raw[:, :3], units], axis=1)
-        kept.append(PredictedPath(Path(poses), confidences[slot]))
+        return PredictedPath(Path(np.concatenate([raw[:, :3], units], axis=1)), confidences[slot])
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(cpus, len(slots))
-    if workers < 2 or state.head.config.width * grid.size < PARALLEL_DECODE_CELLS:
-        for slot in slots:
-            keep(slot, decode(slot))
-    else:
-        keep(slots[0], decode(slots[0]))  # fills block0, which the later decodes only read
-        pool = ThreadPoolExecutor(workers)
-        try:
-            for slot, raw in zip(slots[1:], pool.map(decode, slots[1:])):
-                keep(slot, raw)
-        finally:
-            pool.shutdown(cancel_futures=True)
+    kept = [decode(slot) for slot in slots[:1]]  # fills block0, which the later decodes only read
+    kept += _parallel([functools.partial(decode, slot) for slot in slots[1:]], state.head.config.width * grid.size)
     kept.sort(key=lambda p: -p.confidence)
     return kept
 

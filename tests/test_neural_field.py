@@ -1,6 +1,11 @@
 import copy
+import functools
 import hashlib
 import itertools
+import os
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from pathfield.neural_field import (
     _activation_derivative,
     _activation_value,
     _backward_from_cache,
+    _blas_thread_getter,
     _ForwardCache,
     _forward_with_cache,
     HeadConfig,
@@ -674,3 +680,112 @@ class TestSharedBlock0:
             assert_same_bits(head_forward_batch(params, code, xs, _block0=shared), raw)
         assert len(calls) == (1 + 2 * 3 if conditioning == "modulation" else 3 * 3)
         assert len(shared) == (conditioning == "modulation")
+
+
+
+def blas_reporting(threads):
+    """A stand-in for _blas_thread_getter: a getter that reports `threads`, or none at all."""
+    return lambda: None if threads is None else (lambda: threads)
+
+
+class TestParallel:
+    """_parallel runs independent calls on the caller and a pool when the work is large, more
+    than one CPU per BLAS thread is usable and no share of another call runs on this thread;
+    otherwise serially on the caller. Results come back in call order either way."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Every pool _parallel builds, each with its thread count and whether it was shut down.
+        2 usable CPUs, one BLAS thread and no cell bound are patched in."""
+        built = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, workers):
+                super().__init__(workers)
+                self.workers, self.closed = workers, False
+                built.append(self)
+
+            def shutdown(self, *args, **kwargs):
+                super().shutdown(*args, **kwargs)
+                self.closed = True
+
+        monkeypatch.setattr(neural_field_module, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(neural_field_module, "_blas_thread_getter", blas_reporting(1))
+        monkeypatch.setattr(neural_field_module, "PARALLEL_CELLS", 0)
+        return built
+
+    @staticmethod
+    def meeting(threads: int):
+        """A call that returns the thread it ran on once `threads` calls run at once, so that
+        each thread takes one."""
+        barrier = threading.Barrier(threads, timeout=30)
+
+        def meet() -> int:
+            barrier.wait()
+            return threading.get_ident()
+
+        return meet
+
+    def test_results_come_back_in_call_order(self, pools):
+        # the first calls finish last
+        calls = [functools.partial(lambda k: time.sleep(0.002 * (8 - k)) or k * k, k) for k in range(8)]
+        assert neural_field_module._parallel(calls, 1) == [k * k for k in range(8)]
+        assert [(pool.workers, pool.closed) for pool in pools] == [(1, True)]
+
+    def test_caller_runs_one_share_and_the_pool_the_rest(self, pools, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+        threads = neural_field_module._parallel([self.meeting(3)] * 3, 1)
+        assert threading.get_ident() in threads and len(set(threads)) == 3
+        assert [(pool.workers, pool.closed) for pool in pools] == [(2, True)]  # min(16 CPUs, 3 calls) - 1
+
+    @pytest.mark.parametrize("case", ["one-cpu", "no-affinity-call", "one-call", "below-bound", "blas-per-cpu"])
+    def test_serial_on_the_caller(self, pools, monkeypatch, case):
+        calls, cells = [threading.get_ident] * 2, 1
+        if case == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        elif case == "no-affinity-call":
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        elif case == "one-call":
+            calls = calls[:1]
+        elif case == "below-bound":  # checked first, so neither the CPUs nor BLAS are asked
+            monkeypatch.setattr(neural_field_module, "PARALLEL_CELLS", 1 << 15)
+            monkeypatch.setattr(os, "sched_getaffinity", None, raising=False)
+            monkeypatch.setattr(neural_field_module, "_blas_thread_getter", None)
+            cells = (1 << 15) - 1
+        else:  # 2 CPUs, and BLAS runs a thread on each
+            monkeypatch.setattr(neural_field_module, "_blas_thread_getter", blas_reporting(2))
+        assert neural_field_module._parallel(calls, cells) == [threading.get_ident()] * len(calls)
+        assert pools == []
+
+    @pytest.mark.parametrize("where", ["caller", "worker"])
+    def test_nested_call_runs_serially_in_its_share(self, pools, where):
+        caller, meet, inner = threading.get_ident(), self.meeting(2), []
+
+        def outer():
+            here = meet()
+            if (here == caller) == (where == "caller"):
+                inner.append((here, neural_field_module._parallel([threading.get_ident] * 2, 1)))
+
+        neural_field_module._parallel([outer, outer], 1)
+        assert [(here == caller, threads) for here, threads in inner] == [(where == "caller", [inner[0][0]] * 2)]
+        assert [(pool.workers, pool.closed) for pool in pools] == [(1, True)]  # the outer call's only
+
+    def test_missing_blas_getter_counts_one_thread(self, pools, monkeypatch):
+        assert _blas_thread_getter.__wrapped__("no_such_symbol") is None
+        monkeypatch.setattr(neural_field_module, "_blas_thread_getter", blas_reporting(None))
+        assert neural_field_module._blas_threads() == 1
+        assert neural_field_module._parallel([self.meeting(2)] * 2, 1)
+        assert [(pool.workers, pool.closed) for pool in pools] == [(1, True)]  # 2 CPUs // 1 BLAS thread
+
+    def test_worker_exception_reaches_the_caller(self, pools):
+        caller, meet = threading.get_ident(), self.meeting(2)
+
+        def call():
+            if meet() != caller:
+                raise ZeroDivisionError("raised on a pool thread")
+
+        with pytest.raises(ZeroDivisionError, match="raised on a pool thread"):
+            neural_field_module._parallel([call, call], 1)
+        assert [(pool.workers, pool.closed) for pool in pools] == [(1, True)]

@@ -642,9 +642,9 @@ class TestPredict:
 
 
 class TestPoolDecode:
-    """predict decodes the slots after the first on a thread pool when a block holds at
-    least PARALLEL_DECODE_CELLS cells and more than one CPU is usable; the bytes stay those
-    of a serial decode of each slot."""
+    """predict decodes the slots after the first through neural_field._parallel, on the caller
+    and a thread pool, when a block holds at least PARALLEL_CELLS cells and more than one CPU
+    is usable; the bytes stay those of a serial decode of each slot."""
 
     SLOTS = 8
 
@@ -654,8 +654,9 @@ class TestPoolDecode:
 
     @pytest.fixture
     def pools(self, monkeypatch):
-        """Every pool predict builds, each with whether it was shut down. With 16 usable CPUs patched
-        in, a pool may run more threads than there are cores, and the switch interval is short."""
+        """Every pool predict builds, each with whether it was shut down. With 16 usable CPUs and one
+        BLAS thread patched in, a pool may run more threads than there are cores, and the switch
+        interval is short."""
         built = []
 
         class RecordingPool(ThreadPoolExecutor):
@@ -668,8 +669,9 @@ class TestPoolDecode:
                 super().shutdown(*args, **kwargs)
                 self.closed = True
 
-        monkeypatch.setattr(trainer_module, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(neural_field_module, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+        monkeypatch.setattr(neural_field_module, "_blas_threads", lambda: 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -683,7 +685,7 @@ class TestPoolDecode:
         ({"width": 64, "conditioning": "concat"}, 1024, True),
     ], ids=["above-rule", "below-rule", "concat"])
     def test_equals_serial_decode_of_each_slot(self, pools, monkeypatch, head, samples, pooled):
-        assert (head["width"] * samples >= trainer_module.PARALLEL_DECODE_CELLS) == pooled
+        assert (head["width"] * samples >= neural_field_module.PARALLEL_CELLS) == pooled
         state = self.state(**head)
         blocks = []
         original = neural_field_module._activation_value
@@ -691,9 +693,12 @@ class TestPoolDecode:
         preds = predict(state, "obj", samples, conf_threshold=0.0)
         # depth 2: a modulated block 0 runs once per call, on the first slot, before any pool decode
         assert len(blocks) == (2 * self.SLOTS if head.get("conditioning") == "concat" else 1 + self.SLOTS)
+        # the first slot alone, each of its 2 blocks' waves over row halves on the caller and 1 pool
+        # thread; then the caller and one pool share the other 7 slots, min(usable CPUs, 7) - 1 pool
+        # threads. Every pool is closed before predict returns.
+        expected = [(1, True), (1, True), (self.SLOTS - 2, True)]
+        assert [(pool.workers, pool.closed) for pool in pools] == (expected if pooled else [])
         assert_equals_serial_decode(state, preds, samples)
-        # one pool of min(usable CPUs, kept slots) threads, closed before predict returns
-        assert [(pool.workers, pool.closed) for pool in pools] == ([(self.SLOTS, True)] if pooled else [])
 
     def test_degenerate_orientation_on_the_pool_path(self, pools):
         # bias-free, so a zero codeword decodes a zero path; slot 0 decodes serially, slot 5 on the
@@ -703,14 +708,14 @@ class TestPoolDecode:
         state.codewords["obj"][5] = 0.0
         with pytest.raises(TrainingError, match="degenerate predicted orientation for object 'obj'"):
             predict(state, "obj", 1025, conf_threshold=0.0)
-        assert [pool.closed for pool in pools] == [True, True]
+        assert [pool.closed for pool in pools] == [True] * 6  # per call: slot 0's 2 blocks, then the slots
 
     @pytest.mark.parametrize("affinity", ["one-cpu", "no-affinity-call"])
     def test_one_usable_cpu_builds_no_pool(self, monkeypatch, affinity):
         def no_pool(*args, **kwargs):
             raise AssertionError("predict built a thread pool with one usable CPU")
 
-        monkeypatch.setattr(trainer_module, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(neural_field_module, "ThreadPoolExecutor", no_pool)
         if affinity == "one-cpu":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         else:
@@ -718,6 +723,36 @@ class TestPoolDecode:
             monkeypatch.setattr(os, "cpu_count", lambda: 1)
         state = self.state(width=64)
         assert_equals_serial_decode(state, predict(state, "obj", 1024, conf_threshold=0.0), 1024)
+
+
+class TestParallelBytes:
+    """With every piece of work above the cell bound and 2 CPUs per BLAS thread, the waves, the
+    backward's matmul pairs and the decodes run through neural_field._parallel's pools; a fit's
+    checkpoint and its predictions stay byte for byte those of the serial route."""
+
+    @staticmethod
+    def fit_and_predict(path, head):
+        dataset = {"a": [line_path(0.0), line_path(0.5)], "b": [line_path(-0.4)], "c": []}
+        state = fit(dataset, tiny_config(epochs=3, head=head))
+        save_checkpoint(state, path)
+        preds = [pred for oid in sorted(dataset) for pred in predict(state, oid, 25, conf_threshold=0.0)]
+        return path.read_bytes(), [(pred.path.poses.tobytes(), pred.confidence) for pred in preds]
+
+    @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
+    @pytest.mark.parametrize("kind", ["relu", "siren", "finer"])
+    def test_equal_to_the_serial_route(self, tmp_path, monkeypatch, kind, conditioning):
+        head = tiny_head(activation=kind, conditioning=conditioning, width=15)  # odd, so the row halves differ
+        monkeypatch.setattr(neural_field_module, "PARALLEL_CELLS", 0)
+        monkeypatch.setattr(neural_field_module, "_blas_thread_getter", lambda: lambda: 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        serial = self.fit_and_predict(tmp_path / "serial.json", head)
+
+        pools = []
+        monkeypatch.setattr(neural_field_module, "ThreadPoolExecutor", lambda workers: pools.append(workers) or
+                            ThreadPoolExecutor(workers))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert self.fit_and_predict(tmp_path / "parallel.json", head) == serial
+        assert len(pools) > 9 * 3 and set(pools) == {1}  # each of the 9 steps: 2 waves and a matmul pair, at least
 
 
 class TestTraceBindings:
