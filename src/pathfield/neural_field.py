@@ -186,10 +186,6 @@ def init_head(config: HeadConfig) -> HeadParams:
 _pool_share = threading.local()  # .active: this thread runs a share of a _parallel call
 
 
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 @functools.cache
 def _blas_thread_getter(symbol: str = "scipy_openblas_get_num_threads64_") -> Callable[[], int] | None:
     """numpy's bundled OpenBLAS's thread-count getter, found through ctypes in numpy.libs; None where it is missing."""
@@ -220,7 +216,8 @@ def _threads(count: int, cells: int) -> int:
     """
     if cells < PARALLEL_CELLS or count < 2 or getattr(_pool_share, "active", False):
         return 1
-    return min(_usable_cpus() // _blas_threads(), count)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus // _blas_threads(), count)
 
 
 def _parallel(calls: Sequence[Callable[[], object]], cells: int) -> list:

@@ -743,7 +743,7 @@ class TestParallelBytes:
     def test_equal_to_the_serial_route(self, tmp_path, monkeypatch, kind, conditioning):
         head = tiny_head(activation=kind, conditioning=conditioning, width=15)  # odd, so the row halves differ
         monkeypatch.setattr(neural_field_module, "PARALLEL_CELLS", 0)
-        monkeypatch.setattr(neural_field_module, "_blas_thread_getter", lambda: lambda: 1)
+        monkeypatch.setattr(neural_field_module, "_blas_threads", lambda: 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         serial = self.fit_and_predict(tmp_path / "serial.json", head)
 
