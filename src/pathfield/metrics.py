@@ -5,15 +5,22 @@ scores respect point order while staying agnostic to the sampling rate.
 On top of the alignment sit a thresholded pose F-score (distance delta,
 angle theta), a detection-style average-precision family, and a
 set-to-set chamfer distance on positions.
+
+An evaluation's DTW batches, and its objects' chamfer distances, are
+independent calls that run through neural_field._parallel on the usable
+CPUs; each is the numpy work a serial run does, so every score has the
+same bits wherever it runs.
 """
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .neural_field import _parallel
 from .paths import ParamSamplingConfig, Path, PredictedPath, _check_number, _unit_rows, resample, sample_params
 
 DEFAULT_DELTA = 0.025
@@ -85,12 +92,20 @@ def _position_array(obj) -> np.ndarray:
     return arr[:, :3]
 
 
-# Traceback move codes, one uint8 per DP cell. Their order is the tie rule:
-# 0 is the diagonal step, then the step advancing the first sequence, then the other.
-_ADVANCE_FIRST, _ADVANCE_SECOND, _START = 1, 2, 3
+# Traceback move codes, 2 bits a DP cell in two bit-planes: 0 is the diagonal step;
+# the low bit marks any other step, the high bit with it the step advancing the
+# second sequence, and alone the start. The tie rule prefers the diagonal, then
+# the step advancing the first sequence, then the other.
+_ADVANCE_FIRST, _START, _ADVANCE_SECOND = 1, 2, 3
 
-# Cells of one batched DP, so its move codes take at most 32 MiB.
+# Cells of one batched DP, so its move codes take at most 8 MiB.
 DTW_BATCH_CELLS = 1 << 25
+
+
+def _code_bits(code: int) -> list[list[bool]]:
+    """A move code's (low, high) plane bits, as a column that fills one cell of every pair."""
+    return [[bool(code & 1)], [bool(code & 2)]]
+
 
 # Cells per block of pcd's distance table, so each float64 temporary (256 KiB) stays in L2.
 PCD_BLOCK_CELLS = 1 << 15
@@ -107,8 +122,8 @@ def dtw_align(a, b) -> AlignmentResult:
     Takes one pair, (K, D) and (M, D), or a batch of equal-shape pairs,
     (B, K, D) and (B, M, D), aligned by one dynamic program in O(B*K*M):
     it fills anti-diagonals for the whole batch at once, keeps three of
-    them, and stores a move code per cell, which the traceback follows
-    for every pair in step.
+    them, and stores a 2-bit move code per cell, in two bit-planes packed
+    along the batch, which the traceback follows for every pair in step.
     """
     first = np.asarray(a, dtype=float)
     second = np.asarray(b, dtype=float)
@@ -129,50 +144,60 @@ def dtw_align(a, b) -> AlignmentResult:
     # Costs of diagonals s, s - 1 and s - 2, at row i + 1; row 0 and rows
     # never written hold the inf that closes off the grid's edges.
     diagonals = np.full((3, k + 1, n), np.inf)
-    moves = np.empty((k, m, n), dtype=np.uint8)  # at (i, m - 1 - j)
-    cells = moves.reshape(k * m, n)
+    # The two code planes, cell (i, j) at row i * m + m - 1 - j, pair q at bit q % 8 of byte q // 8.
+    planes = np.empty((2, k * m, -(-n // 8)), dtype=np.uint8)
+    # One diagonal's scratch, allocated once: distances, a coordinate step, the better single step, code bits.
+    dist_buf, step_buf, other_buf = np.empty((3, min(k, m), n))
+    bits_buf = np.empty((2, min(k, m), n), dtype=bool)
     for s in range(k + m - 1):
         lo, hi = max(0, s - m + 1), min(k - 1, s)
         r = lo + m - 1 - s
         width = hi - lo + 1
+        dist, step, other, bits = dist_buf[:width], step_buf[:width], other_buf[:width], bits_buf[:, :width]
         # squared coordinate differences summed in index order, as np.linalg.norm does
-        step = fx[0, lo : hi + 1] - rx[0, r : r + width]
-        dist = step * step
+        np.subtract(fx[0, lo : hi + 1], rx[0, r : r + width], out=dist)
+        dist *= dist
         for c in range(1, dim):
             np.subtract(fx[c, lo : hi + 1], rx[c, r : r + width], out=step)
             step *= step
             dist += step
         np.sqrt(dist, out=dist)
         cur, prev, prev2 = diagonals[s % 3], diagonals[(s - 1) % 3], diagonals[(s - 2) % 3]
-        start = lo * m + r
-        code = cells[start : start + (width - 1) * (m + 1) + 1 : m + 1]
         if s == 0:
             cur[1] = dist[0]
-            code[0] = _START
-            continue
-        diag, up, left = prev2[lo : hi + 1], prev[lo : hi + 1], prev[lo + 1 : hi + 2]
-        other = np.minimum(up, left)
-        np.add(dist, np.minimum(diag, other), out=cur[lo + 1 : hi + 2])
-        skip = other < diag
-        np.add(skip, skip & (left < up), out=code, dtype=np.uint8)
-        # on the grid's edges one move is the only one, also when costs are inf
+        else:
+            diag, up, left = prev2[lo : hi + 1], prev[lo : hi + 1], prev[lo + 1 : hi + 2]
+            np.minimum(up, left, out=other)
+            np.less(other, diag, out=bits[0])
+            np.less(left, up, out=bits[1])
+            bits[1] &= bits[0]
+            np.minimum(diag, other, out=other)
+            np.add(dist, other, out=cur[lo + 1 : hi + 2])
+            # on the grid's edges one move is the only one, also when costs are inf
+            if hi == s:
+                bits[:, -1] = _code_bits(_ADVANCE_FIRST)
         if lo == 0:
-            code[0] = _ADVANCE_SECOND
-        if hi == s:
-            code[-1] = _ADVANCE_FIRST
+            bits[:, 0] = _code_bits(_ADVANCE_SECOND if s else _START)
+        start = lo * m + r
+        planes[:, start : start + (width - 1) * (m + 1) + 1 : m + 1] = np.packbits(bits, axis=-1, bitorder="little")
 
-    flat = moves.reshape(-1)
-    shift = np.array([n - m * n, -m * n, n, 0])  # flat-index step of each move code
-    pos = (k - 1) * m * n + np.arange(n)
-    trail = [pos]
+    lanes = planes.shape[2]
+    low, high = planes.reshape(2, -1)
+    pairs = np.arange(n)
+    byte, bit = pairs >> 3, (pairs & 7).astype(np.uint8)
+    # flat-index step of each code, by (low bit, high bit): [[diagonal, start], [first, second]];
+    # only the start's is 0 (a diagonal's is 0 at m = 1, where every cell lies on an edge)
+    shift = np.array([[1 - m, 0], [-m, 1]]) * lanes
+    at = (k - 1) * m * lanes + byte  # cell (k - 1, m - 1)
+    trail = [at]
     while True:
-        code = flat[pos]
-        if (code == _START).all():
+        move = shift[(low[at] >> bit) & 1, (high[at] >> bit) & 1]
+        if not move.any():
             break
-        pos = pos + shift[code]  # a finished walk stays on (0, 0)
-        trail.append(pos)
-    trail = np.array(trail[::-1]).T
-    warp = np.stack([trail // (m * n), m - 1 - (trail // n) % m], axis=-1)
+        at = at + move  # a finished walk stays on (0, 0)
+        trail.append(at)
+    cells = np.array(trail[::-1]).T // lanes
+    warp = np.stack([cells // m, m - 1 - cells % m], axis=-1)
     cost = diagonals[(k + m - 2) % 3][k].copy()
     if pair:
         return AlignmentResult(float(cost[0]), warp[0])
@@ -203,36 +228,47 @@ def _pose_fscores(pairs: Sequence[_PosePair], delta: float, theta_deg: float) ->
     """(precision, recall, F-score) of each pair, as an (n, 3) array.
 
     Pairs of equal shape are aligned together by dtw_align, in batches
-    of at most DTW_BATCH_CELLS cells. The thresholds are checked even
-    when there is no pair to score.
+    of at most DTW_BATCH_CELLS cells, which run through
+    neural_field._parallel. The thresholds are checked even when there
+    is no pair to score.
     """
     _check_number("delta", delta, (0, np.inf, "()"))
     _check_number("theta", theta_deg, (0, 180, "()"))
     by_shape: dict[tuple[int, int], list[int]] = {}
     for index, (gt_arr, _, pred_arr, _) in enumerate(pairs):
         by_shape.setdefault((len(gt_arr), len(pred_arr)), []).append(index)
-    scores = np.empty((len(pairs), 3))
+    batches = []
     for (k, m), members in by_shape.items():
-        batches = -(-len(members) // max(1, DTW_BATCH_CELLS // (k * m)))
-        for batch in np.array_split(np.array(members), batches):
-            gt_arr, gt_unit, pred_arr, pred_unit = (np.stack(a) for a in zip(*(pairs[t] for t in batch)))
-            warp = dtw_align(gt_arr[:, :, :3], pred_arr[:, :, :3]).warp
-            rows = np.broadcast_to(np.arange(len(batch))[:, None], warp.shape[:2])
-            g, p = warp[..., 0], warp[..., 1]
-            # a warp's (0, 0) padding repeats its first pair, which changes no flag
-            dist_ok = np.linalg.norm(gt_arr[rows, g, :3] - pred_arr[rows, p, :3], axis=-1) < delta
-            cosines = np.clip((gt_unit[rows, g] * pred_unit[rows, p]).sum(axis=-1), -1.0, 1.0)
-            ok = dist_ok & (np.degrees(np.arccos(cosines)) < theta_deg)
-            recalled = np.zeros((len(batch), k), dtype=bool)
-            recalled[rows[ok], g[ok]] = True
-            precise = np.zeros((len(batch), m), dtype=bool)
-            precise[rows[ok], p[ok]] = True
-            recall = recalled.mean(axis=1)
-            precision = precise.mean(axis=1)
-            total = precision + recall
-            fscore = np.divide(2.0 * precision * recall, total, out=np.zeros(len(batch)), where=total > 0)
-            scores[batch] = np.stack([precision, recall, fscore], axis=1)
+        count = -(-len(members) // max(1, DTW_BATCH_CELLS // (k * m)))
+        batches += np.array_split(np.array(members), count)
+    calls = [functools.partial(_batch_fscores, [pairs[t] for t in batch], delta, theta_deg) for batch in batches]
+    cells = sum(len(gt_arr) * len(pred_arr) for gt_arr, _, pred_arr, _ in pairs)
+    scores = np.empty((len(pairs), 3))
+    for batch, batch_scores in zip(batches, _parallel(calls, cells)):
+        scores[batch] = batch_scores
     return scores
+
+
+def _batch_fscores(batch: Sequence[_PosePair], delta: float, theta_deg: float) -> np.ndarray:
+    """(precision, recall, F-score) of each of a batch of equal-shape pairs, aligned by one dtw_align call."""
+    gt_arr, gt_unit, pred_arr, pred_unit = (np.stack(a) for a in zip(*batch))
+    n, k, m = len(batch), gt_arr.shape[1], pred_arr.shape[1]
+    warp = dtw_align(gt_arr[:, :, :3], pred_arr[:, :, :3]).warp
+    rows = np.broadcast_to(np.arange(n)[:, None], warp.shape[:2])
+    g, p = warp[..., 0], warp[..., 1]
+    # a warp's (0, 0) padding repeats its first pair, which changes no flag
+    dist_ok = np.linalg.norm(gt_arr[rows, g, :3] - pred_arr[rows, p, :3], axis=-1) < delta
+    cosines = np.clip((gt_unit[rows, g] * pred_unit[rows, p]).sum(axis=-1), -1.0, 1.0)
+    ok = dist_ok & (np.degrees(np.arccos(cosines)) < theta_deg)
+    recalled = np.zeros((n, k), dtype=bool)
+    recalled[rows[ok], g[ok]] = True
+    precise = np.zeros((n, m), dtype=bool)
+    precise[rows[ok], p[ok]] = True
+    recall = recalled.mean(axis=1)
+    precision = precise.mean(axis=1)
+    total = precision + recall
+    fscore = np.divide(2.0 * precision * recall, total, out=np.zeros(n), where=total > 0)
+    return np.stack([precision, recall, fscore], axis=1)
 
 
 def pose_fscore(gt, pred, delta: float = DEFAULT_DELTA, theta_deg: float = DEFAULT_THETA_DEG) -> FScoreResult:
@@ -405,6 +441,11 @@ def pcd(pred_poses, gt_poses) -> float:
     return float((pred_min.mean() + gt_min.mean()) * 1e4)
 
 
+def _object_pcd(gt_paths: Sequence[Path], preds: Sequence[PredictedPath]) -> float:
+    """pcd of one object's pooled prediction poses against its pooled ground-truth poses."""
+    return pcd(np.concatenate([p.path.positions for p in preds]), np.concatenate([g.positions for g in gt_paths]))
+
+
 @dataclass(frozen=True)
 class EvalReport:
     """Aggregate and per-object scores for one prediction set."""
@@ -450,25 +491,23 @@ def evaluate_dataset(
     scored, n_gt = _score_dataset(work, delta, theta_deg)
     ap50, ap, ap_easy = _ap_family(scored, n_gt)
 
+    # pcd of each object with both ground truth and predictions, the objects through neural_field._parallel
+    scorable = {oid: work[oid] for oid in scored if all(work[oid])}
+    calls = [functools.partial(_object_pcd, *pair) for pair in scorable.values()]
+    cells = sum(sum(map(len, gts)) * sum(len(p.path) for p in preds) for gts, preds in scorable.values())
+    object_pcds = dict(zip(scorable, _parallel(calls, cells)))
     per_object: dict[str, dict] = {}
-    object_pcds = []
     for object_id, (_, fscores) in scored.items():
         gt_paths, preds = work[object_id]
-        obj_pcd = None
-        if gt_paths and preds:
-            gt_pool = np.concatenate([g.positions for g in gt_paths])
-            pred_pool = np.concatenate([p.path.positions for p in preds])
-            obj_pcd = pcd(pred_pool, gt_pool)
-            object_pcds.append(obj_pcd)
         per_object[object_id] = {
             # F-scores are >= 0, so the initial 0.0 only shows for an object without ground truth
             "fscores": fscores.max(axis=1, initial=0.0).tolist(),
             "n_gt": len(gt_paths),
             "n_predictions": len(preds),
-            "pcd": obj_pcd,
+            "pcd": object_pcds.get(object_id),
         }
 
-    aggregate_pcd = float(np.mean(object_pcds)) if object_pcds else None
+    aggregate_pcd = float(np.mean(list(object_pcds.values()))) if object_pcds else None
     return EvalReport(
         pcd=aggregate_pcd,
         ap50=ap50,

@@ -1,11 +1,13 @@
+import os
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathfield import metrics
+from pathfield import metrics, neural_field
 from pathfield.metrics import (
     DEFAULT_DELTA,
     DEFAULT_THETA_DEG,
@@ -227,6 +229,36 @@ class TestBatchedDtw:
             assert batch.cost[q] == single.cost
             assert batch.warp[q][pad:].tolist() == single.warp.tolist()
             assert not batch.warp[q][:pad].any()
+
+    @given(st.sampled_from([1, 7, 8, 9, 16, 17]), st.integers(1, 12), st.integers(1, 12),
+           st.sampled_from(["uniform", "tie-heavy"]), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_batches_across_packed_bytes_match_reference(self, size, k, m, points, seed):
+        # pair q's move codes are bit q % 8 of byte q // 8, so from 9 pairs a batch spans two bytes
+        rng = np.random.default_rng(seed)
+        draw = tie_heavy_points if points == "tie-heavy" else uniform_points
+        firsts = np.stack([draw(rng, k) for _ in range(size)])
+        seconds = np.stack([draw(rng, m) for _ in range(size)])
+        batch = dtw_align(firsts, seconds)
+        for q in range(size):
+            cost, warp = reference_dtw_align(firsts[q], seconds[q])
+            pad = len(batch.warp[q]) - len(warp)
+            assert batch.cost[q] == cost
+            assert batch.warp[q][pad:].tolist() == warp
+            assert not batch.warp[q][:pad].any()
+
+    def test_move_codes_take_two_bits_a_cell(self):
+        # 128 pairs at T = 384, an evaluation batch's shape: a byte per cell would take K*M*B bytes alone
+        rng = np.random.default_rng(0)
+        firsts = rng.uniform(-1, 1, (128, 384, 3))
+        seconds = rng.uniform(-1, 1, (128, 384, 3))
+        tracemalloc.start()
+        try:
+            dtw_align(firsts, seconds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * 128 * 384 * 384
 
     @pytest.mark.parametrize("k,m", [(1, 1), (1, 6), (6, 1)])
     def test_single_point_sequences(self, k, m):
@@ -621,6 +653,29 @@ class TestScoreDataset:
         assert sorted(sizes) == [4] * 4 + [5] * 4
         for oid, (_, table) in uncapped.items():
             assert capped[oid][1].tolist() == table.tolist()
+
+
+class TestParallelEvaluation:
+    """With every call above the cell bound and 2 CPUs per BLAS thread, the DTW batches and the
+    per-object pcd calls run through neural_field._parallel's pools; the report stays byte for
+    byte that of the serial route."""
+
+    @pytest.mark.parametrize("resample_t", [None, 16])
+    def test_equal_to_the_serial_route(self, monkeypatch, resample_t):
+        dataset = mixed_dataset(7)
+        pools = []
+        monkeypatch.setattr(metrics, "DTW_BATCH_CELLS", 5 * 16 * 16)  # several batches per shape at T = 16
+        monkeypatch.setattr(neural_field, "PARALLEL_CELLS", 0)
+        monkeypatch.setattr(neural_field, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(neural_field, "ThreadPoolExecutor", lambda workers: pools.append(workers) or
+                            ThreadPoolExecutor(workers))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        serial = evaluate_dataset(dataset, resample_t=resample_t).to_document()
+        assert pools == []
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert evaluate_dataset(dataset, resample_t=resample_t).to_document() == serial
+        assert pools == [1, 1]  # the DTW batches, then the pcd calls
 
 
 class TestScoringValidation:
