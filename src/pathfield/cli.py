@@ -23,8 +23,8 @@ from .dataio import (
     save_path_document,
     save_report,
 )
-from .metrics import DEFAULT_DELTA, DEFAULT_RESAMPLE_T, DEFAULT_THETA_DEG, dtw_align, evaluate_dataset
-from .paths import _SAMPLES_MAX, ParamSamplingConfig, PredictedPath, _check_integer, resample, sample_params
+from .metrics import DEFAULT_DELTA, DEFAULT_RESAMPLE_T, DEFAULT_THETA_DEG, _resample_object, dtw_align, evaluate_dataset
+from .paths import _SAMPLES_MAX, ParamSamplingConfig, _check_integer, resample, sample_params
 from .trainer import TrainConfig, fit, load_checkpoint, predict, save_checkpoint
 
 
@@ -116,14 +116,8 @@ def _cmd_resample(args) -> int:
     if isinstance(doc, dict) and "objects" in doc:
         out = []
         for record in dataset_from_document(doc):
-            out.append(
-                ObjectRecord(
-                    record.object_id,
-                    [resample(p, params) for p in record.gt_paths],
-                    record.point_cloud,
-                    [PredictedPath(resample(p.path, params), p.confidence) for p in record.predictions],
-                )
-            )
+            gt_paths, preds = _resample_object(record.gt_paths, record.predictions, params)
+            out.append(ObjectRecord(record.object_id, gt_paths, record.point_cloud, preds))
         save_dataset(out, args.out)
         print(f"resampled {len(out)} objects to {args.out}")
         return 0

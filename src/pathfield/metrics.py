@@ -441,6 +441,11 @@ def pcd(pred_poses, gt_poses) -> float:
     return float((pred_min.mean() + gt_min.mean()) * 1e4)
 
 
+def _resample_object(gt_paths: Sequence[Path], preds: Sequence[PredictedPath], params) -> tuple[list, list]:
+    """One object's ground-truth paths and predictions, each resampled at the path parameters `params`."""
+    return [resample(g, params) for g in gt_paths], [PredictedPath(resample(p.path, params), p.confidence) for p in preds]
+
+
 def _object_pcd(gt_paths: Sequence[Path], preds: Sequence[PredictedPath]) -> float:
     """pcd of one object's pooled prediction poses against its pooled ground-truth poses."""
     return pcd(np.concatenate([p.path.positions for p in preds]), np.concatenate([g.positions for g in gt_paths]))
@@ -478,13 +483,7 @@ def evaluate_dataset(
     """
     if resample_t is not None:
         grid = sample_params(ParamSamplingConfig("equispaced", resample_t))
-        work: dict[str, tuple[list[Path], list[PredictedPath]]] = {}
-        for object_id in sorted(dataset):
-            gt_paths, preds = dataset[object_id]
-            work[object_id] = (
-                [resample(g, grid) for g in gt_paths],
-                [PredictedPath(resample(p.path, grid), p.confidence) for p in preds],
-            )
+        work = {object_id: _resample_object(*dataset[object_id], grid) for object_id in sorted(dataset)}
     else:
         work = {oid: (list(g), list(p)) for oid, (g, p) in dataset.items()}
 

@@ -26,10 +26,11 @@ The ReLU branches keep only their outputs, which are positive exactly
 where their pre-activations are and so are also the backward's masks.
 The initialisation rule lives in init_head's one walk over the tensors.
 
-Independent work of one large call runs through _parallel on the usable
-CPUs: the activations' row halves, the backward's two matmuls of each
-block, and predict's slot decodes. Each piece is the numpy call a serial
-run makes, so the bits do not depend on the thread it runs on.
+Independent work of one large call runs through _parallel on a pool of
+threads that the process builds once and shares, one per usable CPU per
+BLAS thread: the activations' row halves, the backward's two matmuls of
+each block, and predict's slot decodes. Each piece is the numpy call a
+serial run makes, so the bits do not depend on the thread it runs on.
 
 Everything is plain float64 numpy. Backward passes are exact
 reverse-mode differentiation of the forward graph; the test suite checks
@@ -42,7 +43,7 @@ import itertools
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -54,8 +55,8 @@ ACTIVATIONS = ("relu", "siren", "finer")
 CONDITIONING = ("modulation", "concat")
 DEFAULT_OMEGA0 = 30.0
 # Cells (array elements; width x samples for a decoded block) from which _parallel runs a call's pieces on
-# threads: on 2 CPUs every head measured (widths 64-512) decoded faster so from 2^15 cells, some slower at 2^14;
-# a finer wave was faster from 2^15, its derivative and a backward matmul pair only from 2^16.
+# the shared pool: on 2 CPUs, against serial, a finer wave took 0.96-1.11x the time at 2^14 cells and 0.76-0.83x
+# at 2^15; its derivative 1.03-1.12x at 2^15 and 0.75-0.81x at 2^16; a backward matmul pair 1.5-1.9x at 2^15.
 PARALLEL_CELLS = 1 << 15
 
 __all__ = [
@@ -183,11 +184,12 @@ def init_head(config: HeadConfig) -> HeadParams:
     return params
 
 
-_pool_share = threading.local()  # .active: this thread runs a share of a _parallel call
+_pool_thread = threading.local()  # .active: this thread is one of a shared pool's
+BLAS_THREADS_SYMBOL = "scipy_openblas_get_num_threads64_"  # the bundled OpenBLAS's thread-count getter
 
 
 @functools.cache
-def _blas_thread_getter(symbol: str = "scipy_openblas_get_num_threads64_") -> Callable[[], int] | None:
+def _blas_thread_getter() -> Callable[[], int] | None:
     """numpy's bundled OpenBLAS's thread-count getter, found through ctypes in numpy.libs; None where it is missing."""
     import ctypes
     import glob
@@ -195,7 +197,7 @@ def _blas_thread_getter(symbol: str = "scipy_openblas_get_num_threads64_") -> Ca
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "*openblas*")
     for path in sorted(glob.glob(libs)):
         try:
-            return getattr(ctypes.CDLL(path), symbol)
+            return getattr(ctypes.CDLL(path), BLAS_THREADS_SYMBOL)
         except (OSError, AttributeError):  # not loadable here, or another build
             continue
     return None
@@ -208,42 +210,38 @@ def _blas_threads() -> int:
 
 
 def _threads(count: int, cells: int) -> int:
-    """How many threads _parallel runs `count` calls of `cells` work on; below 2 is serially, on the caller.
+    """The size of the pool _parallel runs `count` calls of `cells` work on; below 2 is serially, on the caller.
 
     Serial below PARALLEL_CELLS cells (checked first, so small calls make no system call), for fewer
-    than 2 calls, on a thread that already runs a share of a _parallel call (no nested pools), and
-    when usable CPUs // BLAS threads < 2, so that a pool never competes with BLAS's own threads.
+    than 2 calls, on a pool thread (no nested pools), and when usable CPUs // BLAS threads, the pool's
+    size, is below 2, so that a pool never competes with BLAS's own threads.
     """
-    if cells < PARALLEL_CELLS or count < 2 or getattr(_pool_share, "active", False):
+    if cells < PARALLEL_CELLS or count < 2 or getattr(_pool_thread, "active", False):
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(cpus // _blas_threads(), count)
+    return cpus // _blas_threads()
+
+
+@functools.cache
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """The process's one pool of `threads` threads, built on first use; each of its threads marks itself."""
+    return ThreadPoolExecutor(threads, initializer=setattr, initargs=(_pool_thread, "active", True))
+
+
+if hasattr(os, "register_at_fork"):  # a forked child inherits the pool but none of its threads; Windows has no fork
+    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def _parallel(calls: Sequence[Callable[[], object]], cells: int) -> list:
-    """The results of independent calls, in call order, on _threads(len(calls), cells) threads: the
-    caller and a pool of one thread fewer each take the next call as they finish the last, so none
-    sits idle. An exception in a call reaches the caller once the pool is shut down."""
+    """The results of independent calls, in call order. With _threads(len(calls), cells) >= 2 the
+    shared pool of that size runs every call while the caller waits; an exception in a call reaches
+    the caller once every call has finished."""
     threads = _threads(len(calls), cells)
     if threads < 2:
         return [call() for call in calls]
-    results: list = [None] * len(calls)
-    order = iter(range(len(calls)))  # shared; next() on it is atomic
-
-    def share() -> None:
-        _pool_share.active = True
-        try:
-            for index in order:
-                results[index] = calls[index]()
-        finally:
-            _pool_share.active = False
-
-    with ThreadPoolExecutor(threads - 1) as pool:
-        futures = [pool.submit(share) for _ in range(threads - 1)]
-        share()
-    for future in futures:
-        future.result()
-    return results
+    futures = [_pool(threads).submit(call) for call in calls]
+    wait(futures)
+    return [future.result() for future in futures]
 
 
 def _row_halves(fn: Callable[..., None], z: np.ndarray, out: np.ndarray, *args) -> None:
@@ -498,8 +496,8 @@ def _backward_from_cache(
             weight()
             break  # block 0's input is x alone, which takes no gradient
         # the weight's and the input's gradients side by side, each one whole matmul
-        d_x = _parallel([weight, functools.partial(np.matmul, tensors[f"block_w{layer}"].T, d_z)], d_z.size)[1]
-        d_x = d_x.reshape(inp.shape)
+        d_x = np.empty(inp.shape)  # allocated here, not on a pool thread, whose malloc arena would keep it once freed
+        _parallel([weight, functools.partial(np.matmul, tensors[f"block_w{layer}"].T, d_z, out=_flat(d_x))], d_z.size)
         d_z = inp = None  # freed before the next layer's activation derivative
         if not modulated:
             split = d_x.shape[0] - cfg.code_dim

@@ -1,6 +1,5 @@
 import os
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -657,25 +656,29 @@ class TestScoreDataset:
 
 class TestParallelEvaluation:
     """With every call above the cell bound and 2 CPUs per BLAS thread, the DTW batches and the
-    per-object pcd calls run through neural_field._parallel's pools; the report stays byte for
+    per-object pcd calls run through neural_field._parallel's pool; the report stays byte for
     byte that of the serial route."""
 
     @pytest.mark.parametrize("resample_t", [None, 16])
-    def test_equal_to_the_serial_route(self, monkeypatch, resample_t):
+    def test_equal_to_the_serial_route(self, monkeypatch, pools, resample_t):
         dataset = mixed_dataset(7)
-        pools = []
+        aligned = []
+        original = metrics.dtw_align
+        monkeypatch.setattr(metrics, "dtw_align", lambda a, b: aligned.append(len(a)) or original(a, b))
         monkeypatch.setattr(metrics, "DTW_BATCH_CELLS", 5 * 16 * 16)  # several batches per shape at T = 16
         monkeypatch.setattr(neural_field, "PARALLEL_CELLS", 0)
         monkeypatch.setattr(neural_field, "_blas_threads", lambda: 1)
-        monkeypatch.setattr(neural_field, "ThreadPoolExecutor", lambda workers: pools.append(workers) or
-                            ThreadPoolExecutor(workers))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         serial = evaluate_dataset(dataset, resample_t=resample_t).to_document()
-        assert pools == []
+        batches = len(aligned)
+        assert pools == [] and batches > 1
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert evaluate_dataset(dataset, resample_t=resample_t).to_document() == serial
-        assert pools == [1, 1]  # the DTW batches, then the pcd calls
+        # one pool of 2 threads runs the DTW batches, then the pcd calls of the 3 objects
+        # with both ground truth and predictions
+        assert [(pool.workers, len(pool.ran)) for pool in pools] == [(2, batches + 3)]
+        assert set(pools[0].ran) <= pools[0].started
 
 
 class TestScoringValidation:

@@ -3,12 +3,15 @@ import functools
 import hashlib
 import itertools
 import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from conftest import checkout_env
 
 import pathfield.neural_field as neural_field_module
 from pathfield.neural_field import (
@@ -689,31 +692,18 @@ def blas_reporting(threads):
 
 
 class TestParallel:
-    """_parallel runs independent calls on the caller and a pool when the work is large, more
-    than one CPU per BLAS thread is usable and no share of another call runs on this thread;
-    otherwise serially on the caller. Results come back in call order either way."""
+    """_parallel runs independent calls on the process's one shared pool when the work is large,
+    more than one CPU per BLAS thread is usable and the caller is not a pool thread; otherwise
+    serially on the caller. The caller runs none of a pooled call's calls. Results come back in
+    call order either way."""
 
     @pytest.fixture
-    def pools(self, monkeypatch):
-        """Every pool _parallel builds, each with its thread count and whether it was shut down.
-        2 usable CPUs, one BLAS thread and no cell bound are patched in."""
-        built = []
-
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, workers):
-                super().__init__(workers)
-                self.workers, self.closed = workers, False
-                built.append(self)
-
-            def shutdown(self, *args, **kwargs):
-                super().shutdown(*args, **kwargs)
-                self.closed = True
-
-        monkeypatch.setattr(neural_field_module, "ThreadPoolExecutor", RecordingPool)
+    def pools(self, pools, monkeypatch):
+        """The recorded pools, with 2 usable CPUs, one BLAS thread and no cell bound patched in."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(neural_field_module, "_blas_thread_getter", blas_reporting(1))
         monkeypatch.setattr(neural_field_module, "PARALLEL_CELLS", 0)
-        return built
+        return pools
 
     @staticmethod
     def meeting(threads: int):
@@ -731,13 +721,21 @@ class TestParallel:
         # the first calls finish last
         calls = [functools.partial(lambda k: time.sleep(0.002 * (8 - k)) or k * k, k) for k in range(8)]
         assert neural_field_module._parallel(calls, 1) == [k * k for k in range(8)]
-        assert [(pool.workers, pool.closed) for pool in pools] == [(1, True)]
+        assert [pool.workers for pool in pools] == [2]  # 2 CPUs // 1 BLAS thread
+        assert len(pools[0].ran) == 8 and set(pools[0].ran) <= pools[0].started
 
-    def test_caller_runs_one_share_and_the_pool_the_rest(self, pools, monkeypatch):
+    def test_pool_threads_run_every_call(self, pools, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
         threads = neural_field_module._parallel([self.meeting(3)] * 3, 1)
-        assert threading.get_ident() in threads and len(set(threads)) == 3
-        assert [(pool.workers, pool.closed) for pool in pools] == [(2, True)]  # min(16 CPUs, 3 calls) - 1
+        assert len(set(threads)) == 3 and set(threads) <= pools[0].started
+        assert threading.get_ident() not in threads  # the caller ran none
+        assert [pool.workers for pool in pools] == [16]  # 16 CPUs, whatever the number of calls
+
+    def test_consecutive_calls_share_one_pool(self, pools):
+        first = neural_field_module._parallel([self.meeting(2)] * 2, 1)
+        second = neural_field_module._parallel([self.meeting(2)] * 2, 1)
+        assert set(first) == set(second) == pools[0].started and len(set(first)) == 2
+        assert [pool.workers for pool in pools] == [2]  # built once
 
     @pytest.mark.parametrize("case", ["one-cpu", "no-affinity-call", "one-call", "below-bound", "blas-per-cpu"])
     def test_serial_on_the_caller(self, pools, monkeypatch, case):
@@ -759,33 +757,85 @@ class TestParallel:
         assert neural_field_module._parallel(calls, cells) == [threading.get_ident()] * len(calls)
         assert pools == []
 
-    @pytest.mark.parametrize("where", ["caller", "worker"])
-    def test_nested_call_runs_serially_in_its_share(self, pools, where):
-        caller, meet, inner = threading.get_ident(), self.meeting(2), []
+    def test_nested_call_runs_serially_on_its_pool_thread(self, pools):
+        meet, inner = self.meeting(2), []
 
         def outer():
             here = meet()
-            if (here == caller) == (where == "caller"):
-                inner.append((here, neural_field_module._parallel([threading.get_ident] * 2, 1)))
+            inner.append((here, neural_field_module._parallel([threading.get_ident] * 2, 1)))
 
         neural_field_module._parallel([outer, outer], 1)
-        assert [(here == caller, threads) for here, threads in inner] == [(where == "caller", [inner[0][0]] * 2)]
-        assert [(pool.workers, pool.closed) for pool in pools] == [(1, True)]  # the outer call's only
+        assert sorted(inner) == sorted((here, [here] * 2) for here in pools[0].started)
+        assert [(pool.workers, len(pool.ran)) for pool in pools] == [(2, 2)]  # the outer calls only
 
     def test_missing_blas_getter_counts_one_thread(self, pools, monkeypatch):
-        assert _blas_thread_getter.__wrapped__("no_such_symbol") is None
+        monkeypatch.setattr(neural_field_module, "BLAS_THREADS_SYMBOL", "no_such_symbol")
+        assert _blas_thread_getter.__wrapped__() is None
         monkeypatch.setattr(neural_field_module, "_blas_thread_getter", blas_reporting(None))
         assert neural_field_module._blas_threads() == 1
         assert neural_field_module._parallel([self.meeting(2)] * 2, 1)
-        assert [(pool.workers, pool.closed) for pool in pools] == [(1, True)]  # 2 CPUs // 1 BLAS thread
+        assert [pool.workers for pool in pools] == [2]  # 2 CPUs // 1 BLAS thread
 
     def test_worker_exception_reaches_the_caller(self, pools):
-        caller, meet = threading.get_ident(), self.meeting(2)
+        meet = self.meeting(2)
 
         def call():
-            if meet() != caller:
-                raise ZeroDivisionError("raised on a pool thread")
+            meet()
+            raise ZeroDivisionError("raised on a pool thread")
 
         with pytest.raises(ZeroDivisionError, match="raised on a pool thread"):
-            neural_field_module._parallel([call, call], 1)
-        assert [(pool.workers, pool.closed) for pool in pools] == [(1, True)]
+            neural_field_module._parallel([call, meet], 1)
+        assert [pool.workers for pool in pools] == [2]
+        assert len(set(pools[0].ran)) == 2 and set(pools[0].ran) <= pools[0].started
+
+    def test_exception_waits_for_every_sibling(self, pools):
+        finished = []
+
+        def fail():
+            raise ZeroDivisionError("raised first")
+
+        def slow():
+            time.sleep(0.2)
+            finished.append(True)
+
+        with pytest.raises(ZeroDivisionError, match="raised first"):
+            neural_field_module._parallel([fail, slow], 1)
+        assert finished == [True]
+
+    def test_forked_child_builds_its_own_pool(self):
+        # the child inherits the parent's cached pool but none of its threads: without the fork
+        # hook its pooled call would wait forever, so the parent kills it after the timeout
+        script = textwrap.dedent("""
+            import os, sys, threading, time
+            import pathfield.neural_field as neural_field
+
+            os.sched_getaffinity = lambda pid: {0, 1}
+            neural_field._blas_threads = lambda: 1
+            neural_field.PARALLEL_CELLS = 0
+
+            def pooled_threads():
+                barrier = threading.Barrier(2, timeout=10)
+
+                def meet():
+                    barrier.wait()
+                    return threading.get_ident()
+
+                return len(set(neural_field._parallel([meet, meet], 1)))
+
+            assert pooled_threads() == 2  # both pool threads have started
+            pid = os.fork()
+            if pid == 0:
+                os._exit(0 if pooled_threads() == 2 else 3)
+            deadline = time.monotonic() + 20
+            while time.monotonic() < deadline:
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    sys.exit(os.waitstatus_to_exitcode(status))
+                time.sleep(0.05)
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            sys.exit("the forked child's pooled call did not finish")
+        """)
+        result = subprocess.run([sys.executable, "-c", script], env=checkout_env(OPENBLAS_NUM_THREADS="1"),
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr

@@ -6,8 +6,8 @@ import importlib
 import json
 import os
 import sys
+import threading
 import typing
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -642,9 +642,9 @@ class TestPredict:
 
 
 class TestPoolDecode:
-    """predict decodes the slots after the first through neural_field._parallel, on the caller
-    and a thread pool, when a block holds at least PARALLEL_CELLS cells and more than one CPU
-    is usable; the bytes stay those of a serial decode of each slot."""
+    """predict decodes the slots after the first through neural_field._parallel, on the shared
+    thread pool, when a block holds at least PARALLEL_CELLS cells and more than one CPU is
+    usable; the bytes stay those of a serial decode of each slot."""
 
     SLOTS = 8
 
@@ -653,29 +653,15 @@ class TestPoolDecode:
         return init_state({"obj": []}, tiny_config(slots=TestPoolDecode.SLOTS, head=tiny_head(**head)))
 
     @pytest.fixture
-    def pools(self, monkeypatch):
-        """Every pool predict builds, each with whether it was shut down. With 16 usable CPUs and one
-        BLAS thread patched in, a pool may run more threads than there are cores, and the switch
-        interval is short."""
-        built = []
-
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, workers):
-                super().__init__(workers)
-                self.workers, self.closed = workers, False
-                built.append(self)
-
-            def shutdown(self, *args, **kwargs):
-                super().shutdown(*args, **kwargs)
-                self.closed = True
-
-        monkeypatch.setattr(neural_field_module, "ThreadPoolExecutor", RecordingPool)
+    def pools(self, pools, monkeypatch):
+        """The recorded pools, with 16 usable CPUs and one BLAS thread patched in, so that the pool may
+        run more threads than there are cores, and a short switch interval."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
         monkeypatch.setattr(neural_field_module, "_blas_threads", lambda: 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            yield built
+            yield pools
         finally:
             sys.setswitchinterval(interval)
 
@@ -687,17 +673,20 @@ class TestPoolDecode:
     def test_equals_serial_decode_of_each_slot(self, pools, monkeypatch, head, samples, pooled):
         assert (head["width"] * samples >= neural_field_module.PARALLEL_CELLS) == pooled
         state = self.state(**head)
-        blocks = []
+        blocks = []  # the thread each block's activation ran on
         original = neural_field_module._activation_value
-        monkeypatch.setattr(neural_field_module, "_activation_value", lambda *args: blocks.append(1) or original(*args))
+        monkeypatch.setattr(neural_field_module, "_activation_value",
+                            lambda *args: blocks.append(threading.get_ident()) or original(*args))
         preds = predict(state, "obj", samples, conf_threshold=0.0)
         # depth 2: a modulated block 0 runs once per call, on the first slot, before any pool decode
         assert len(blocks) == (2 * self.SLOTS if head.get("conditioning") == "concat" else 1 + self.SLOTS)
-        # the first slot alone, each of its 2 blocks' waves over row halves on the caller and 1 pool
-        # thread; then the caller and one pool share the other 7 slots, min(usable CPUs, 7) - 1 pool
-        # threads. Every pool is closed before predict returns.
-        expected = [(1, True), (1, True), (self.SLOTS - 2, True)]
-        assert [(pool.workers, pool.closed) for pool in pools] == (expected if pooled else [])
+        # the first slot alone on the caller, each of its 2 blocks' waves over row halves on the pool;
+        # then the pool decodes the other 7 slots and the caller none. One pool of 16 threads (one
+        # per usable CPU) serves them all.
+        started = pools[0].started if pooled else set()
+        assert [thread in started for thread in blocks] == [False] * 2 + [pooled] * (len(blocks) - 2)
+        assert [(pool.workers, len(pool.ran)) for pool in pools] == ([(16, 2 * 2 + self.SLOTS - 1)] if pooled else [])
+        assert all(set(pool.ran) <= pool.started for pool in pools)
         assert_equals_serial_decode(state, preds, samples)
 
     def test_degenerate_orientation_on_the_pool_path(self, pools):
@@ -708,7 +697,7 @@ class TestPoolDecode:
         state.codewords["obj"][5] = 0.0
         with pytest.raises(TrainingError, match="degenerate predicted orientation for object 'obj'"):
             predict(state, "obj", 1025, conf_threshold=0.0)
-        assert [pool.closed for pool in pools] == [True] * 6  # per call: slot 0's 2 blocks, then the slots
+        assert [pool.workers for pool in pools] == [16]  # one pool for both calls, the failed one too
 
     @pytest.mark.parametrize("affinity", ["one-cpu", "no-affinity-call"])
     def test_one_usable_cpu_builds_no_pool(self, monkeypatch, affinity):
@@ -716,6 +705,7 @@ class TestPoolDecode:
             raise AssertionError("predict built a thread pool with one usable CPU")
 
         monkeypatch.setattr(neural_field_module, "ThreadPoolExecutor", no_pool)
+        neural_field_module._pool.cache_clear()  # so that no pool cached before the test can stand in
         if affinity == "one-cpu":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         else:
@@ -727,7 +717,7 @@ class TestPoolDecode:
 
 class TestParallelBytes:
     """With every piece of work above the cell bound and 2 CPUs per BLAS thread, the waves, the
-    backward's matmul pairs and the decodes run through neural_field._parallel's pools; a fit's
+    backward's matmul pairs and the decodes run through neural_field._parallel's pool; a fit's
     checkpoint and its predictions stay byte for byte those of the serial route."""
 
     @staticmethod
@@ -740,19 +730,19 @@ class TestParallelBytes:
 
     @pytest.mark.parametrize("conditioning", ["modulation", "concat"])
     @pytest.mark.parametrize("kind", ["relu", "siren", "finer"])
-    def test_equal_to_the_serial_route(self, tmp_path, monkeypatch, kind, conditioning):
+    def test_equal_to_the_serial_route(self, tmp_path, monkeypatch, pools, kind, conditioning):
         head = tiny_head(activation=kind, conditioning=conditioning, width=15)  # odd, so the row halves differ
         monkeypatch.setattr(neural_field_module, "PARALLEL_CELLS", 0)
         monkeypatch.setattr(neural_field_module, "_blas_threads", lambda: 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         serial = self.fit_and_predict(tmp_path / "serial.json", head)
+        assert pools == []
 
-        pools = []
-        monkeypatch.setattr(neural_field_module, "ThreadPoolExecutor", lambda workers: pools.append(workers) or
-                            ThreadPoolExecutor(workers))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert self.fit_and_predict(tmp_path / "parallel.json", head) == serial
-        assert len(pools) > 9 * 3 and set(pools) == {1}  # each of the 9 steps: 2 waves and a matmul pair, at least
+        # one pool of 2 threads; each of the 9 steps pools 2 waves and a matmul pair at least, 2 calls each
+        assert [pool.workers for pool in pools] == [2]
+        assert len(pools[0].ran) > 2 * 9 * 3 and set(pools[0].ran) <= pools[0].started
 
 
 class TestTraceBindings:
