@@ -689,15 +689,32 @@ class TestPoolDecode:
         assert all(set(pool.ran) <= pool.started for pool in pools)
         assert_equals_serial_decode(state, preds, samples)
 
-    def test_degenerate_orientation_on_the_pool_path(self, pools):
+    def test_degenerate_orientation_on_the_pool_path(self, pools, monkeypatch):
         # bias-free, so a zero codeword decodes a zero path; slot 0 decodes serially, slot 5 on the
         # pool (an odd count keeps x = 0, where every bias-free slot decodes a zero orientation, off the grid)
         state = self.state(width=64, use_bias=False)
         assert len(predict(state, "obj", 1025, conf_threshold=0.0)) == self.SLOTS
+        calls = 2 * 2 + self.SLOTS - 1  # slot 0's 2 blocks' row halves, then the other slots' decodes
+        assert [(pool.workers, len(pool.ran)) for pool in pools] == [(16, calls)]
         state.codewords["obj"][5] = 0.0
+        failed = []  # the thread each failed orientation check ran on
+        original = trainer_module._unit_rows
+
+        def spy(*args):
+            try:
+                return original(*args)
+            except ValueError:
+                failed.append(threading.get_ident())
+                raise
+
+        monkeypatch.setattr(trainer_module, "_unit_rows", spy)
         with pytest.raises(TrainingError, match="degenerate predicted orientation for object 'obj'"):
             predict(state, "obj", 1025, conf_threshold=0.0)
-        assert [pool.workers for pool in pools] == [16]  # one pool for both calls, the failed one too
+        # the failed predict pooled as many calls as the first, on the same pool's threads, and slot 5's
+        # check failed on one of them
+        assert [(pool.workers, len(pool.ran)) for pool in pools] == [(16, 2 * calls)]
+        assert set(pools[0].ran) <= pools[0].started
+        assert len(failed) == 1 and failed[0] in pools[0].started
 
     @pytest.mark.parametrize("affinity", ["one-cpu", "no-affinity-call"])
     def test_one_usable_cpu_builds_no_pool(self, monkeypatch, affinity):
