@@ -6,10 +6,12 @@ On top of the alignment sit a thresholded pose F-score (distance delta,
 angle theta), a detection-style average-precision family, and a
 set-to-set chamfer distance on positions.
 
-An evaluation's DTW batches, and its objects' chamfer distances, are
-independent calls that run through neural_field._parallel on the usable
-CPUs; each is the numpy work a serial run does, so every score has the
-same bits wherever it runs.
+An evaluation's DTW batches are independent calls that run through
+neural_field._parallel on the usable CPUs; each is the numpy work a
+serial run does, so every score has the same bits wherever it runs. The
+chamfer distance runs serially and skips the blocks of its distance
+table that bounding boxes around runs of consecutive points rule out;
+its minima are taken over the same computed cells, so it is exact.
 """
 from __future__ import annotations
 
@@ -109,6 +111,8 @@ def _code_bits(code: int) -> list[list[bool]]:
 
 # Cells per block of pcd's distance table, so each float64 temporary (256 KiB) stays in L2.
 PCD_BLOCK_CELLS = 1 << 15
+# Consecutive points per run of pcd's inputs; a run's bounding box rules out blocks far from it.
+PCD_RUN = 64
 
 
 def dtw_align(a, b) -> AlignmentResult:
@@ -417,28 +421,94 @@ def pcd(pred_poses, gt_poses) -> float:
 
     Order-agnostic set-to-set similarity; reported in normalized space
     scaled by 1e4 so desk-scale values are readable.
+
+    Exact, but the distance table is not filled whole. Each set is cut
+    into runs of PCD_RUN consecutive points; on a path these lie close
+    together, so a run's bounding box is small. Each run first meets the
+    run whose box lies nearest its own. Then a pair of runs is scanned
+    only while the gap between their boxes lies below the largest nearest
+    distance either run has so far: a farther block changes no minimum.
     """
     pred = _position_array(pred_poses)
     gt = _position_array(gt_poses)
     if pred.shape[0] == 0 or gt.shape[0] == 0:
         raise ValueError("pcd needs nonempty pose sets")
-    # Squared distances of at most PCD_BLOCK_CELLS cells at a time (one
-    # prediction row at least), the squares summed in coordinate order; a
-    # minimum of minima is exact.
-    rows = max(1, PCD_BLOCK_CELLS // gt.shape[0])
-    pred_min = np.empty(pred.shape[0])
-    gt_min = np.full(gt.shape[0], np.inf)
-    for lo in range(0, pred.shape[0], rows):
-        block = pred[lo : lo + rows]
-        step = block[:, :1] - gt[:, 0]
-        d2 = step * step
-        for c in (1, 2):
-            np.subtract(block[:, c : c + 1], gt[:, c], out=step)
-            step *= step
-            d2 += step
-        pred_min[lo : lo + rows] = d2.min(axis=1)
-        np.minimum(gt_min, d2.min(axis=0), out=gt_min)
+    # coordinates axis-first, so that a run of points is a contiguous slice of each axis
+    pred_t, gt_t = np.ascontiguousarray(pred.T), np.ascontiguousarray(gt.T)
+    pred_starts, gt_starts = np.arange(0, len(pred), PCD_RUN), np.arange(0, len(gt), PCD_RUN)
+    bound = _run_gap_bounds(pred_t, pred_starts, gt_t, gt_starts)
+    pred_min, gt_min = np.full(len(pred), np.inf), np.full(len(gt), np.inf)
+    nearest = np.zeros(bound.shape, dtype=bool)
+    nearest[np.arange(len(pred_starts)), bound.argmin(axis=1)] = True
+    nearest[bound.argmin(axis=0), np.arange(len(gt_starts))] = True
+    _scan_runs(pred_t, gt_t, nearest, pred_min, gt_min)
+    # Every distance of a pair of runs is at least its bound, so a pair whose bound is at least the
+    # largest nearest distance of both runs changes no minimum. The test fails for a nan, and a run
+    # holding a non-finite point has an inf or nan largest distance, which no clipped bound reaches:
+    # such pairs are always scanned, as the whole table would be.
+    worst = np.maximum(np.maximum.reduceat(pred_min, pred_starts)[:, None], np.maximum.reduceat(gt_min, gt_starts))
+    _scan_runs(pred_t, gt_t, ~(worst <= bound) & ~nearest, pred_min, gt_min)
     return float((pred_min.mean() + gt_min.mean()) * 1e4)
+
+
+def _run_gap_bounds(pred_t: np.ndarray, pred_starts: np.ndarray, gt_t: np.ndarray, gt_starts: np.ndarray) -> np.ndarray:
+    """(prediction runs, ground-truth runs) lower bounds on the squared distances between two runs' points.
+
+    Each bound is the squared gap between the runs' bounding boxes, summed as
+    the distances are, (x² + y²) + z². Rounding is monotone, so each computed
+    gap is at most every computed coordinate difference across it, and the
+    bound at most every squared distance of the two runs. Bounds beyond the
+    largest float are clipped to it, so that an infinite nearest distance
+    never lies within one.
+    """
+    pred_lo, pred_hi = (box.reduceat(pred_t, pred_starts, axis=1) for box in (np.minimum, np.maximum))
+    gt_lo, gt_hi = (box.reduceat(gt_t, gt_starts, axis=1) for box in (np.minimum, np.maximum))
+    bound = np.zeros((len(pred_starts), len(gt_starts)))
+    for c in range(3):
+        gap = gt_lo[c] - pred_hi[c, :, None]
+        np.maximum(gap, pred_lo[c, :, None] - gt_hi[c], out=gap)
+        np.maximum(gap, 0.0, out=gap)
+        gap *= gap
+        bound += gap
+    return np.minimum(bound, np.finfo(float).max, out=bound)
+
+
+def _scan_runs(
+    pred_t: np.ndarray, gt_t: np.ndarray, pairs: np.ndarray, pred_min: np.ndarray, gt_min: np.ndarray
+) -> None:
+    """Fold the squared distances of the (prediction run, ground-truth run) pairs marked in `pairs` into both minima.
+
+    A prediction run's marked runs are scanned as contiguous column ranges,
+    each in blocks of at most PCD_BLOCK_CELLS cells. A block takes as many of
+    the run's rows as fit beside the range's columns, one row at least:
+    numpy subtracts a few long rows faster than many short ones.
+    """
+    n_pred, n_gt = pred_t.shape[1], gt_t.shape[1]
+    runs, edges = np.nonzero(np.diff(pairs, axis=1, prepend=False, append=False))
+    for run, first, last in zip(runs[::2].tolist(), edges[::2].tolist(), edges[1::2].tolist()):
+        top, bottom = run * PCD_RUN, min((run + 1) * PCD_RUN, n_pred)
+        left, right = first * PCD_RUN, min(last * PCD_RUN, n_gt)
+        rows = max(1, min(bottom - top, PCD_BLOCK_CELLS // (right - left)))
+        cols = PCD_BLOCK_CELLS // rows
+        for r in range(top, bottom, rows):
+            for c in range(left, right, cols):
+                block = slice(r, min(r + rows, bottom)), slice(c, min(c + cols, right))
+                _pcd_block(pred_t, gt_t, *block, pred_min, gt_min)
+
+
+def _pcd_block(
+    pred_t: np.ndarray, gt_t: np.ndarray, rows: slice, cols: slice, pred_min: np.ndarray, gt_min: np.ndarray
+) -> None:
+    """Fold the squared distances, (x² + y²) + z², between prediction points `rows` and ground-truth
+    points `cols` into both minima; a minimum of minima is exact, so any cut into blocks gives the same bits."""
+    step = pred_t[0, rows, None] - gt_t[0, cols]
+    d2 = step * step
+    for c in (1, 2):
+        np.subtract(pred_t[c, rows, None], gt_t[c, cols], out=step)
+        step *= step
+        d2 += step
+    np.minimum(pred_min[rows], d2.min(axis=1), out=pred_min[rows])
+    np.minimum(gt_min[cols], d2.min(axis=0), out=gt_min[cols])
 
 
 def _resample_object(gt_paths: Sequence[Path], preds: Sequence[PredictedPath], params) -> tuple[list, list]:
@@ -490,11 +560,8 @@ def evaluate_dataset(
     scored, n_gt = _score_dataset(work, delta, theta_deg)
     ap50, ap, ap_easy = _ap_family(scored, n_gt)
 
-    # pcd of each object with both ground truth and predictions, the objects through neural_field._parallel
-    scorable = {oid: work[oid] for oid in scored if all(work[oid])}
-    calls = [functools.partial(_object_pcd, *pair) for pair in scorable.values()]
-    cells = sum(sum(map(len, gts)) * sum(len(p.path) for p in preds) for gts, preds in scorable.values())
-    object_pcds = dict(zip(scorable, _parallel(calls, cells)))
+    # pcd of each object with both ground truth and predictions
+    object_pcds = {oid: _object_pcd(*work[oid]) for oid in scored if all(work[oid])}
     per_object: dict[str, dict] = {}
     for object_id, (_, fscores) in scored.items():
         gt_paths, preds = work[object_id]

@@ -174,17 +174,16 @@ def sample_params(config: ParamSamplingConfig) -> np.ndarray:
     at -1 + 2/T, not -1, so the very first waypoint is never addressed
     exactly; the asymmetry is kept on purpose.
     """
-    t = np.empty(config.count)  # sized in integers; np.arange sizes in float64, rounding a count near 2**60 up
-    t[:] = np.arange(1, config.count + 1)
-    grid = np.minimum(t * (2.0 / config.count) - 1.0, 1.0)
-    if config.strategy == "equispaced":
-        return grid
-    rng = np.random.default_rng(config.seed)
-    if config.strategy == "noisy-equispaced":
-        sigma = config.noise_sigma if config.noise_sigma is not None else 0.5 / config.count
-        vals = np.clip(grid + rng.normal(0.0, sigma, config.count), -1.0, 1.0)
+    if config.strategy == "uniform":
+        vals = np.random.default_rng(config.seed).uniform(-1.0, 1.0, config.count)
     else:
-        vals = rng.uniform(-1.0, 1.0, config.count)
+        t = np.empty(config.count)  # sized in integers; np.arange sizes in float64, rounding a count near 2**60 up
+        t[:] = np.arange(1, config.count + 1)
+        grid = np.minimum(t * (2.0 / config.count) - 1.0, 1.0)
+        if config.strategy == "equispaced":
+            return grid
+        sigma = config.noise_sigma if config.noise_sigma is not None else 0.5 / config.count
+        vals = np.clip(grid + np.random.default_rng(config.seed).normal(0.0, sigma, config.count), -1.0, 1.0)
     vals.sort()
     return vals
 

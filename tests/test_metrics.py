@@ -1,5 +1,6 @@
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -582,6 +583,112 @@ class TestPcd:
         assert peak < 4e6
 
 
+def whole_table_pcd(pred, gt):
+    """pcd from the whole squared-distance table, the squares summed in coordinate order."""
+    d2 = ((pred[:, None, :] - gt[None, :, :]) ** 2).sum(axis=2)
+    return float((d2.min(axis=1).mean() + d2.min(axis=0).mean()) * 1e4)
+
+
+def pcd_and_scanned_cells(pred, gt, run, block_cells=metrics.PCD_BLOCK_CELLS):
+    """pcd(pred, gt) with runs of `run` points and blocks of at most `block_cells` cells, and a
+    (len(pred), len(gt)) mask of the distance-table cells its blocks computed."""
+    scanned = np.zeros((len(pred), len(gt)), dtype=bool)
+    block = metrics._pcd_block
+
+    def recording(pred_t, gt_t, rows, cols, pred_min, gt_min):
+        assert (rows.stop - rows.start) * (cols.stop - cols.start) <= block_cells
+        scanned[rows, cols] = True
+        block(pred_t, gt_t, rows, cols, pred_min, gt_min)
+
+    with mock.patch.multiple(metrics, PCD_RUN=run, PCD_BLOCK_CELLS=block_cells, _pcd_block=recording):
+        return pcd(pred, gt), scanned
+
+
+@st.composite
+def coherent_point_sets(draw):
+    """(prediction, ground truth, run): point sets as paths give them, and a run length for pcd.
+
+    Both sets open with one run of a far stroke, so that the blocks between it and the rest can
+    be skipped. Then come strokes of consecutive close points, each starting somewhere else:
+    random walks, or walks on the integer grid, whose box gaps equal cell distances exactly.
+    Each ground-truth stroke has a prediction stroke: a noisy, lifted, duplicated or reversed
+    copy, or a walk of its own.
+    """
+    run = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    grid = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def walk(n):
+        steps = rng.integers(-1, 2, (n, 3)) if grid else rng.normal(0.0, 0.05, (n, 3))
+        return np.round(rng.uniform(-5, 5, 3)) + np.cumsum(steps, axis=0)
+
+    def copy(stroke, how):
+        if how == "noisy":
+            return stroke + (rng.integers(-1, 2, stroke.shape) if grid else rng.normal(0.0, 0.02, stroke.shape))
+        if how == "lifted":
+            return stroke + [0.0, 0.0, draw(st.integers(1, 3))]
+        if how == "duplicated":
+            return np.repeat(stroke, rng.integers(1, 4, len(stroke)), axis=0)
+        return stroke[::-1] if how == "reversed" else walk(len(stroke))
+
+    far = walk(run) + 1000.0
+    gt, pred = [far], [copy(far, draw(st.sampled_from(["noisy", "lifted", "reversed"])))]
+    for _ in range(draw(st.integers(1, 3))):
+        gt.append(walk(draw(st.integers(1, 24))))
+        pred.append(copy(gt[-1], draw(st.sampled_from(["noisy", "lifted", "duplicated", "reversed", "own"]))))
+    return np.concatenate(pred), np.concatenate(gt), run
+
+
+class TestPrunedPcd:
+    """pcd's runs, box bounds and skipped blocks, with runs short enough that most blocks are skipped."""
+
+    @given(coherent_point_sets(), st.sampled_from([7, 64, 1 << 15]))
+    @settings(max_examples=150, deadline=None)
+    def test_coherent_inputs_match_whole_table(self, point_sets, block_cells):
+        pred, gt, run = point_sets
+        value, scanned = pcd_and_scanned_cells(pred, gt, run, block_cells)
+        assert value == whole_table_pcd(pred, gt) == pcd_and_scanned_cells(gt, pred, run, block_cells)[0]
+        # the far stroke's prediction run against the first ground-truth run after it
+        assert not scanned[:run, run : 2 * run].any()
+
+    @pytest.mark.parametrize("value,expected", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "inf")])
+    @pytest.mark.parametrize("side", ["pred", "gt"])
+    def test_non_finite_coordinates_scan_their_runs_whole(self, value, expected, side):
+        rng = np.random.default_rng(3)
+        gt = np.cumsum(rng.normal(0.0, 0.01, (80, 3)), axis=0)
+        gt[40:] += 5.0
+        pred = gt + rng.normal(0.0, 0.002, gt.shape)
+        (pred if side == "pred" else gt)[21, 1] = value
+        result, scanned = pcd_and_scanned_cells(pred, gt, 4)
+        assert repr(result) == repr(whole_table_pcd(pred, gt)) == expected
+        # the run of 4 holding the point meets every run of the other side. An infinite distance
+        # leaves the other side's minima finite, so blocks elsewhere are skipped; a nan one spreads
+        # to every minimum of the other side, and then no block is
+        assert (scanned[20:24] if side == "pred" else scanned[:, 20:24]).all()
+        assert scanned.all() == (expected == "nan")
+
+    def test_overflowing_bound_still_meets_a_nan_distance(self):
+        # Runs of 2, each beside the other side's run of the same index. Prediction 0 and ground
+        # truth 2 both lie at x = inf, so their distance is nan; the y gap between their runs
+        # overflows, so the bound is clipped below prediction 0's infinite nearest distance.
+        pred = np.array([[np.inf, 1e300, 0.0], [0.0, 1e300, 0.0], [0.0, -1e300, 0.0], [0.0, -1e300, 0.0]])
+        gt = np.array([[0.0, 1e300, 0.0], [0.0, 1e300, 0.0], [np.inf, -1e300, 0.0], [0.0, -1e300, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):  # as in the whole table
+            value, scanned = pcd_and_scanned_cells(pred, gt, 2)
+            assert repr(value) == repr(whole_table_pcd(pred, gt)) == "nan"
+        assert scanned[0, 2]
+
+    def test_random_walks_skip_most_blocks(self):
+        # 4 random walks of 384 poses, predicted as noisy copies: the default runs scan 23 % of the table
+        rng = np.random.default_rng(8)
+        walks = np.cumsum(rng.normal(0.0, 0.003, (4, 384, 3)), axis=1) + rng.uniform(-0.3, 0.3, (4, 1, 3))
+        gt = walks.reshape(-1, 3)
+        pred = gt + rng.normal(0.0, 0.002, gt.shape)
+        value, scanned = pcd_and_scanned_cells(pred, gt, metrics.PCD_RUN)
+        assert value == whole_table_pcd(pred, gt)
+        assert scanned.mean() < 0.3
+
+
 def mixed_dataset(seed):
     """Objects of mixed path lengths: noisy, reversed and unrelated predictions, one object
     without predictions and one without ground truth."""
@@ -655,9 +762,9 @@ class TestScoreDataset:
 
 
 class TestParallelEvaluation:
-    """With every call above the cell bound and 2 CPUs per BLAS thread, the DTW batches and the
-    per-object pcd calls run through neural_field._parallel's pool; the report stays byte for
-    byte that of the serial route."""
+    """With every call above the cell bound and 2 CPUs per BLAS thread, the DTW batches run
+    through neural_field._parallel's pool, and the per-object pcd calls on the caller; the report
+    stays byte for byte that of the serial route."""
 
     @pytest.mark.parametrize("resample_t", [None, 16])
     def test_equal_to_the_serial_route(self, monkeypatch, pools, resample_t):
@@ -675,9 +782,8 @@ class TestParallelEvaluation:
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert evaluate_dataset(dataset, resample_t=resample_t).to_document() == serial
-        # one pool of 2 threads runs the DTW batches, then the pcd calls of the 3 objects
-        # with both ground truth and predictions
-        assert [(pool.workers, len(pool.ran)) for pool in pools] == [(2, batches + 3)]
+        # one pool of 2 threads runs the DTW batches and nothing else
+        assert [(pool.workers, len(pool.ran)) for pool in pools] == [(2, batches)]
         assert set(pools[0].ran) <= pools[0].started
 
 
