@@ -8,6 +8,10 @@ the head's whole vector, and "codewords.<id>"), and Adam updates the
 head as one vector at one step counter; everything is float64 and fully
 deterministic given the config seed. A checkpoint is one JSON document
 with every array as base64, keyed by the per-tensor parameter registry.
+Loading reads it in bounded chunks: one pass splices each long base64
+value out of the text, json parses the few KB left, and each array is
+then read back from the file and decoded in turn, so the whole text is
+never held; a file this route cannot take loads through load_json.
 """
 from __future__ import annotations
 
@@ -40,6 +44,8 @@ from .paths import _SAMPLES_MAX, _check_fields, _check_integer, _check_number, _
 
 CHECKPOINT_FORMAT = "pathfield.checkpoint.v2"
 _ADAM_BLOCK = 1 << 15  # floats per Adam update call: its five arrays (1.25 MB) stay in cache
+_LOAD_CHUNK = 1 << 20  # bytes a checkpoint load reads at a time
+_LONG_VALUE = 1 << 12  # a string value at least this long is read from the file, not parsed by json
 
 __all__ = [
     "TrainingError",
@@ -367,9 +373,10 @@ def checkpoint_to_document(state: TrainState, encode: Callable[[np.ndarray], str
     }
 
 
-def checkpoint_from_document(doc: dict) -> TrainState:
+def checkpoint_from_document(doc: dict, read: Callable[[str], str | bytes] = lambda text: text) -> TrainState:
     """Rebuild a state; shapes come from the config, so every array must match its registry name.
-    Every array must be finite, every counter an integer >= 0, and the head's moments at one step."""
+    Every array must be finite, every counter an integer >= 0, and the head's moments at one step.
+    Each array's text goes through `read` before it is decoded; by default it is taken as it is."""
     found = doc.get("format") if isinstance(doc, dict) else None
     if found != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} checkpoint document (format {found!r})")
@@ -400,7 +407,7 @@ def checkpoint_from_document(doc: dict) -> TrainState:
         for name, arr in registry.items():
             if name not in arrays:
                 raise ValueError(f"checkpoint is missing array {name!r}")
-            arr[...] = _decode(arrays[name], arr.shape, name)
+            arr[...] = _decode(read(arrays[name]), arr.shape, name)
         moments = _check_object("moments", doc["moments"])
         for name, slot in moments.items():
             if name not in registry:
@@ -415,7 +422,7 @@ def checkpoint_from_document(doc: dict) -> TrainState:
             for key in ("m", "v"):
                 if key not in moments[name]:
                     raise ValueError(f"checkpoint is missing array '{name}.{key}'")
-                slot[key][...] = _decode(moments[name][key], registry[name].shape, f"{name}.{key}")
+                slot[key][...] = _decode(read(moments[name][key]), registry[name].shape, f"{name}.{key}")
     except KeyError as exc:
         raise ValueError(f"checkpoint document is missing key {exc}") from exc
     return state
@@ -440,5 +447,65 @@ def save_checkpoint(state: TrainState, path) -> None:
     _write_atomic(path, (_encode(arrays[int(p)]) if k % 2 else p for k, p in enumerate(pieces)))
 
 
+def _splice_long_values(fh) -> tuple[bytes, list[tuple[int, int]]]:
+    """One pass over a binary file in _LOAD_CHUNK reads. Returns its text with the body of each long value,
+    `:"` then at least _LONG_VALUE bytes up to the next `"`, replaced by the placeholder "\\u0000<index>",
+    and each body's (offset, length) in the file. Only a body shorter than _LONG_VALUE is held while it is
+    scanned. A body is not checked here: one that is not base64 text fails when it is read."""
+    kept: list[bytes] = []
+    spans: list[tuple[int, int]] = []
+    buf, base, i, start = b"", 0, 0, None  # buf is the file from offset base; buf[:i] is kept or dropped
+    while chunk := fh.read(_LOAD_CHUNK):
+        buf, base, i = buf[i:] + chunk, base + i, 0
+        while True:
+            if start is None:  # outside a body: find the next `:"`, which may straddle this read's end
+                j = buf.find(b':"', i)
+                if j < 0:
+                    kept.append(buf[i : len(buf) - 1])
+                    i = len(buf) - 1
+                    break
+                kept.append(buf[i : j + 2])
+                i, start = j + 2, base + j + 2
+                continue
+            end = buf.find(b'"', i)
+            if end < 0:
+                if base + len(buf) - start >= _LONG_VALUE:
+                    i = len(buf)  # drop what was read of a long body
+                break
+            if base + end - start >= _LONG_VALUE:
+                spans.append((start, base + end - start))
+                kept.append(b"\\u0000%d" % (len(spans) - 1))
+                i = end
+            start = None  # a short body is scanned on as text; nothing of it was dropped
+    kept.append(buf[i:])  # a file that ends in a body leaves an unterminated string or no checkpoint document
+    return b"".join(kept), spans
+
+
 def load_checkpoint(path) -> TrainState:
+    """The state of checkpoint_from_document(load_json(path)), read in bounded chunks.
+
+    One pass over the file splices each long base64 value out of the text and json parses the few KB
+    left; then each array is read back from the file and decoded one at a time, so the whole text is
+    never held. A body that is not an array's base64, a spliced value that no array reads, `\\u0000`
+    in the text outside the placeholders, or any other exception on this route loads the file through
+    load_json instead, and that route's state or exception is the one returned."""
+    try:
+        with open(path, "rb") as fh:
+            text, spans = _splice_long_values(fh)
+            if text.count(b"\\u0000") != len(spans):
+                raise ValueError("the checkpoint text holds \\u0000 of its own")
+            unread = dict(enumerate(spans))
+
+            def read(value):
+                if type(value) is str and value.startswith("\0"):
+                    offset, length = unread.pop(int(value[1:]))
+                    fh.seek(offset)
+                    return fh.read(length)
+                return value
+
+            state = checkpoint_from_document(json.loads(text.decode("utf-8")), read)
+            if not unread:
+                return state
+    except Exception:  # noqa: BLE001 - the plain route below gives the result or the error
+        pass
     return checkpoint_from_document(load_json(path))

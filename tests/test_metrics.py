@@ -864,3 +864,58 @@ class TestEvaluateDataset:
         assert report.per_object["a"]["fscores"] == [1.0]
         # both of b's predictions rank above a's hit and match nothing
         assert report.ap50 == 1 / 3
+
+
+def reference_angles(gt, pred):
+    """The angle in degrees of each (gt, pred) pose pair, as reference_fscore computes it."""
+    gt_unit = gt[:, 3:] / np.linalg.norm(gt[:, 3:], axis=1)[:, None]
+    pred_unit = pred[:, 3:] / np.linalg.norm(pred[:, 3:], axis=1)[:, None]
+    return np.degrees(np.arccos(np.clip((gt_unit * pred_unit).sum(axis=1), -1.0, 1.0)))
+
+
+class TestThresholdsAreStrict:
+    """A warp pair counts only strictly inside both thresholds, in _batch_fscores as in reference_fscore."""
+
+    @staticmethod
+    def scores(gt, pred, **thresholds):
+        one = pose_fscore(gt, pred, **thresholds)
+        reference = reference_fscore(gt.poses, pred.poses, thresholds.get("delta", DEFAULT_DELTA),
+                                     thresholds.get("theta_deg", DEFAULT_THETA_DEG))
+        assert (one.precision, one.recall, one.fscore) == reference
+        return reference
+
+    def test_distance_of_exactly_delta_is_out(self):
+        gt = make_path([[0.0, 0.0, 0.0], [0.0, 0.5, 0.0]])
+        pred = make_path([[0.025, 0.0, 0.0], [0.025, 0.5, 0.0]])
+        assert np.linalg.norm(gt.positions - pred.positions, axis=1).tolist() == [0.025, 0.025]
+        assert self.scores(gt, pred, delta=0.025) == (0.0, 0.0, 0.0)
+        assert self.scores(gt, pred, delta=float(np.nextafter(0.025, 1.0))) == (1.0, 1.0, 1.0)
+
+    def test_angle_of_exactly_theta_is_out(self):
+        gt = make_path([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+        pred = make_path([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]], orientation=rotated(Z, 20.0))
+        angle = float(reference_angles(gt.poses, pred.poses)[0])
+        assert reference_angles(gt.poses, pred.poses).tolist() == [angle, angle] and 19.9 < angle < 20.1
+        assert self.scores(gt, pred, theta_deg=angle) == (0.0, 0.0, 0.0)
+        assert self.scores(gt, pred, theta_deg=float(np.nextafter(angle, 180.0))) == (1.0, 1.0, 1.0)
+
+
+class TestApEnvelopeAndAggregate:
+    def test_precision_envelope(self):
+        # claims false, true, true over two ground-truth paths: recall 0, 1/2, 1 at precision 0, 1/2, 2/3.
+        # The envelope takes 2/3 at both recall steps (AP 2/3); the raw precision gives 1/2 + 2/3 halves (7/12)
+        gt = [make_path([[0, 0, 0], [0.5, 0, 0], [1, 0, 0]]), make_path([[0, 1, 0], [0.5, 1, 0], [1, 1, 0]])]
+        miss = make_path([[0, 0, 5.0], [0.5, 0, 5.0], [1, 0, 5.0]])
+        ds = one_object_dataset(gt, [PredictedPath(miss, 0.9), PredictedPath(gt[0], 0.8), PredictedPath(gt[1], 0.7)])
+        assert average_precision(ds, 0.5) == 2 / 3
+
+    def test_report_pcd_is_the_mean_over_objects(self):
+        gt = make_path(np.linspace([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 12))
+        lifts = (0.01, 0.02, 0.06)  # pcd 2 d^2 1e4: 2, 8 and 72, whose median is not their mean
+        ds = {f"o{k}": ([gt], [PredictedPath(make_path(gt.positions + [0.0, 0.0, lift]), 0.9)])
+              for k, lift in enumerate(lifts)}
+        report = evaluate_dataset(ds, resample_t=None)
+        pcds = [report.per_object[f"o{k}"]["pcd"] for k in range(3)]
+        assert pcds == [whole_table_pcd(gt.positions + [0.0, 0.0, lift], gt.positions) for lift in lifts]
+        assert pcds == pytest.approx([2.0, 8.0, 72.0])
+        assert report.pcd == float(np.mean(pcds)) == pytest.approx(82.0 / 3)
