@@ -23,13 +23,14 @@ from .dataio import (
     save_path_document,
     save_report,
 )
-from .metrics import DEFAULT_DELTA, DEFAULT_RESAMPLE_T, DEFAULT_THETA_DEG, _resample_object, dtw_align, evaluate_dataset
-from .paths import _SAMPLES_MAX, ParamSamplingConfig, _check_integer, resample, sample_params
+from .checks import SAMPLES_MAX, check_integer
+from .metrics import DEFAULT_DELTA, DEFAULT_RESAMPLE_T, DEFAULT_THETA_DEG, dtw_align, evaluate_dataset, resample_object
+from .paths import ParamSamplingConfig, resample, sample_params
 from .trainer import TrainConfig, fit, load_checkpoint, predict, save_checkpoint
 
 
 def _cmd_evaluate(args) -> int:
-    _check_integer("--resample-t", args.resample_t, 2 if args.resample_t > 0 else 0, _SAMPLES_MAX)  # 0 = as given
+    check_integer("--resample-t", args.resample_t, 2 if args.resample_t > 0 else 0, SAMPLES_MAX)  # 0 = as given
     gt_records = load_dataset(args.gt)
     pred_records = load_dataset(args.pred)
     gt_map = {r.object_id: r for r in gt_records}
@@ -71,7 +72,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     if args.samples is not None:
-        _check_integer("--samples", args.samples, 2, _SAMPLES_MAX)
+        check_integer("--samples", args.samples, 2, SAMPLES_MAX)
     state = load_checkpoint(args.checkpoint)
     if args.object == "all":
         object_ids = sorted(state.codewords)
@@ -106,7 +107,7 @@ def _cmd_dtw(args) -> int:
 
 
 def _cmd_resample(args) -> int:
-    _check_integer("--t", args.t, 2, _SAMPLES_MAX)
+    check_integer("--t", args.t, 2, SAMPLES_MAX)
     doc = load_json(args.infile)
     params = sample_params(ParamSamplingConfig(args.strategy, args.t, args.noise_sigma, args.seed))
     if isinstance(doc, dict) and "poses" in doc:
@@ -116,7 +117,7 @@ def _cmd_resample(args) -> int:
     if isinstance(doc, dict) and "objects" in doc:
         out = []
         for record in dataset_from_document(doc):
-            gt_paths, preds = _resample_object(record.gt_paths, record.predictions, params)
+            gt_paths, preds = resample_object(record.gt_paths, record.predictions, params)
             out.append(ObjectRecord(record.object_id, gt_paths, record.point_cloud, preds))
         save_dataset(out, args.out)
         print(f"resampled {len(out)} objects to {args.out}")

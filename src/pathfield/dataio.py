@@ -22,8 +22,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .metrics import EvalReport
-from .paths import Path, PredictedPath, _check_fields, _check_integer, normalize_scene
+from .checks import check_fields, check_integer
+from .paths import Path, PredictedPath, normalize_scene
 
 __all__ = [
     "ValidationError",
@@ -81,8 +81,8 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_fields(self, (("strokes", 1), ("waypoints_per_stroke", 2), ("cloud_points", 1), ("seed", 0)),
-                      (("jitter_sigma", (0, np.inf, "[)")), ("curvature", (-np.inf, np.inf, "()"))))
+        check_fields(self, (("strokes", 1), ("waypoints_per_stroke", 2), ("cloud_points", 1), ("seed", 0)),
+                     (("jitter_sigma", (0, np.inf, "[)")), ("curvature", (-np.inf, np.inf, "()"))))
 
 
 def gen_raster_object(config: SyntheticConfig, object_id: str = "object-000") -> ObjectRecord:
@@ -113,7 +113,7 @@ def gen_raster_object(config: SyntheticConfig, object_id: str = "object-000") ->
 
 def gen_dataset(config: SyntheticConfig, objects: int = 1) -> list[ObjectRecord]:
     """Several raster objects; object i draws from sub-seed (seed, i)."""
-    _check_integer("objects", objects, 1)
+    check_integer("objects", objects, 1)
     records = []
     for index in range(objects):
         sub_seed = int(np.random.SeedSequence([config.seed, index]).generate_state(1)[0])
@@ -135,7 +135,7 @@ def load_json(path) -> dict:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _write_atomic(path, chunks: Iterable[str]) -> None:
+def write_atomic(path, chunks: Iterable[str]) -> None:
     """Write the text chunks and a newline to a temp file beside `path`, fsync it, os.replace it over `path`."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
@@ -181,7 +181,7 @@ def _indented(value, indent: str, level: int = 0) -> Iterator[str]:
 
 def save_json(doc, path, indent: int = 1) -> None:
     """Write `doc` through _indented (keys sorted, ASCII, one closing newline), atomically."""
-    _write_atomic(path, _indented(doc, " " * indent))
+    write_atomic(path, _indented(doc, " " * indent))
 
 
 def _number_rows(rows, width: int, object_id: str, where: str) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .paths import Path, _path_params, _unit_rows, resample
+from .paths import Path, path_params, resample, unit_rows
 
 CONF_CLAMP = 1e-7
 
@@ -52,7 +52,7 @@ def pad_targets(gt: Sequence[Path], n_slots: int, params: Sequence[float]) -> np
     gt = list(gt)
     if n_slots < len(gt):
         raise ValueError(f"{len(gt)} ground-truth paths exceed the {n_slots} available slots")
-    vals = _path_params(params)
+    vals = path_params(params)
     targets = np.empty((len(gt), vals.size, 6))
     for count in {len(path) for path in gt}:
         rows = [row for row, path in enumerate(gt) if len(path) == count]
@@ -243,9 +243,9 @@ def objective(targets, permutation, raw, confs, gamma: float = 2.0):
     tgt = targets[perm[real]]
     delta_p = raw[real, :, :3] - tgt[:, :, :3]
     dist = np.linalg.norm(delta_p, axis=2)
-    tgt_unit = _unit_rows(tgt[:, :, 3:], "degenerate predicted orientation")[0]
+    tgt_unit = unit_rows(tgt[:, :, 3:], "degenerate predicted orientation")[0]
     pred_ori = raw[real, :, 3:]
-    pred_unit, ori_norm = _unit_rows(pred_ori, "degenerate predicted orientation")
+    pred_unit, ori_norm = unit_rows(pred_ori, "degenerate predicted orientation")
     cosine = (tgt_unit * pred_ori).sum(axis=2, keepdims=True) / ori_norm
     # 1 - cos computed as half the squared unit-vector gap: same value,
     # but exactly 0 for identical inputs and never negative

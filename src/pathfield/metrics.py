@@ -7,7 +7,7 @@ angle theta), a detection-style average-precision family, and a
 set-to-set chamfer distance on positions.
 
 An evaluation's DTW batches are independent calls that run through
-neural_field._parallel on the usable CPUs; each is the numpy work a
+pool.parallel on the usable CPUs; each is the numpy work a
 serial run does, so every score has the same bits wherever it runs. The
 chamfer distance runs serially and skips the blocks of its distance
 table that bounding boxes around runs of consecutive points rule out;
@@ -22,8 +22,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .neural_field import _parallel
-from .paths import ParamSamplingConfig, Path, PredictedPath, _check_number, _unit_rows, resample, sample_params
+from .checks import check_number
+from .paths import ParamSamplingConfig, Path, PredictedPath, resample, sample_params, unit_rows
+from .pool import parallel
 
 DEFAULT_DELTA = 0.025
 DEFAULT_THETA_DEG = 10.0
@@ -220,7 +221,7 @@ def _pose_pair(gt, pred) -> _PosePair:
     if gt_arr.shape[0] == 0 or pred_arr.shape[0] == 0:
         raise ValueError("pose lists must be nonempty")
     message = "zero orientation vector"
-    return gt_arr, _unit_rows(gt_arr[:, 3:], message)[0], pred_arr, _unit_rows(pred_arr[:, 3:], message)[0]
+    return gt_arr, unit_rows(gt_arr[:, 3:], message)[0], pred_arr, unit_rows(pred_arr[:, 3:], message)[0]
 
 
 def _reversed(pair: _PosePair) -> _PosePair:
@@ -233,11 +234,11 @@ def _pose_fscores(pairs: Sequence[_PosePair], delta: float, theta_deg: float) ->
 
     Pairs of equal shape are aligned together by dtw_align, in batches
     of at most DTW_BATCH_CELLS cells, which run through
-    neural_field._parallel. The thresholds are checked even when there
+    pool.parallel. The thresholds are checked even when there
     is no pair to score.
     """
-    _check_number("delta", delta, (0, np.inf, "()"))
-    _check_number("theta", theta_deg, (0, 180, "()"))
+    check_number("delta", delta, (0, np.inf, "()"))
+    check_number("theta", theta_deg, (0, 180, "()"))
     by_shape: dict[tuple[int, int], list[int]] = {}
     for index, (gt_arr, _, pred_arr, _) in enumerate(pairs):
         by_shape.setdefault((len(gt_arr), len(pred_arr)), []).append(index)
@@ -248,7 +249,7 @@ def _pose_fscores(pairs: Sequence[_PosePair], delta: float, theta_deg: float) ->
     calls = [functools.partial(_batch_fscores, [pairs[t] for t in batch], delta, theta_deg) for batch in batches]
     cells = sum(len(gt_arr) * len(pred_arr) for gt_arr, _, pred_arr, _ in pairs)
     scores = np.empty((len(pairs), 3))
-    for batch, batch_scores in zip(batches, _parallel(calls, cells)):
+    for batch, batch_scores in zip(batches, parallel(calls, cells)):
         scores[batch] = batch_scores
     return scores
 
@@ -403,7 +404,7 @@ def average_precision(
     a claim at F-score >= tau is a true positive. AP is the area under
     the monotone precision envelope over recall.
     """
-    _check_number("tau", tau, (0, 1, "(]"))
+    check_number("tau", tau, (0, 1, "(]"))
     return _ap_at(*_score_dataset(dataset, delta, theta_deg), (tau,))[0]
 
 
@@ -511,7 +512,7 @@ def _pcd_block(
     np.minimum(gt_min[cols], d2.min(axis=0), out=gt_min[cols])
 
 
-def _resample_object(gt_paths: Sequence[Path], preds: Sequence[PredictedPath], params) -> tuple[list, list]:
+def resample_object(gt_paths: Sequence[Path], preds: Sequence[PredictedPath], params) -> tuple[list, list]:
     """One object's ground-truth paths and predictions, each resampled at the path parameters `params`."""
     return [resample(g, params) for g in gt_paths], [PredictedPath(resample(p.path, params), p.confidence) for p in preds]
 
@@ -553,7 +554,7 @@ def evaluate_dataset(
     """
     if resample_t is not None:
         grid = sample_params(ParamSamplingConfig("equispaced", resample_t))
-        work = {object_id: _resample_object(*dataset[object_id], grid) for object_id in sorted(dataset)}
+        work = {object_id: resample_object(*dataset[object_id], grid) for object_id in sorted(dataset)}
     else:
         work = {oid: (list(g), list(p)) for oid, (g, p) in dataset.items()}
 

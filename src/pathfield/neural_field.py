@@ -26,12 +26,6 @@ The ReLU branches keep only their outputs, which are positive exactly
 where their pre-activations are and so are also the backward's masks.
 The initialisation rule lives in init_head's one walk over the tensors.
 
-Independent work of one large call runs through _parallel on a pool of
-threads that the process builds once and shares, one per usable CPU per
-BLAS thread: the activations' row halves, the backward's two matmuls of
-each block, and predict's slot decodes. Each piece is the numpy call a
-serial run makes, so the bits do not depend on the thread it runs on.
-
 Everything is plain float64 numpy. Backward passes are exact
 reverse-mode differentiation of the forward graph; the test suite checks
 them against central finite differences.
@@ -41,23 +35,17 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .paths import _check_fields, _path_params
+from .checks import check_fields
+from .paths import path_params
+from .pool import parallel, row_halves
 
 ACTIVATIONS = ("relu", "siren", "finer")
 CONDITIONING = ("modulation", "concat")
 DEFAULT_OMEGA0 = 30.0
-# Cells (array elements; width x samples for a decoded block) from which _parallel runs a call's pieces on
-# the shared pool: on 2 CPUs, against serial, a finer wave took 0.96-1.11x the time at 2^14 cells and 0.76-0.83x
-# at 2^15; its derivative 1.03-1.12x at 2^15 and 0.75-0.81x at 2^16; a backward matmul pair 1.5-1.9x at 2^15.
-PARALLEL_CELLS = 1 << 15
 
 __all__ = [
     "ACTIVATIONS",
@@ -98,9 +86,9 @@ class HeadConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_fields(self, (("depth", 1), ("width", 1), ("code_dim", 0), ("conf_hidden", 1), ("seed", 0)),
-                      (("omega0", (0, np.inf, "()")), ("finer_bias_scale", (0, np.inf, "[)"))),
-                      (("activation", ACTIVATIONS), ("conditioning", CONDITIONING)))
+        check_fields(self, (("depth", 1), ("width", 1), ("code_dim", 0), ("conf_hidden", 1), ("seed", 0)),
+                     (("omega0", (0, np.inf, "()")), ("finer_bias_scale", (0, np.inf, "[)"))),
+                     (("activation", ACTIVATIONS), ("conditioning", CONDITIONING)))
         if not isinstance(self.use_bias, bool):  # "false" is truthy; no choice row, as 1 in (True, False)
             raise ValueError(f"use_bias must be true or false, not {self.use_bias!r}")
 
@@ -120,7 +108,7 @@ class HeadParams:
     tensors: dict[str, np.ndarray]  # name -> view into vector, as named_parameters gives it
 
     def __deepcopy__(self, memo) -> "HeadParams":
-        return _allocate(self.config, self.vector.copy())
+        return allocate(self.config, self.vector.copy())
 
 
 @functools.cache
@@ -138,7 +126,7 @@ def _layout(config: HeadConfig) -> dict[str, tuple[int, ...]]:
             for name, shape in ((f"{part}_w{index}", w_shape), (f"{part}_b{index}", w_shape[:-1]))}
 
 
-def _allocate(config: HeadConfig, vector: np.ndarray | None = None) -> HeadParams:
+def allocate(config: HeadConfig, vector: np.ndarray | None = None) -> HeadParams:
     """Parameters as views into one vector in _layout order: `vector`, or a new zero one."""
     layout = _layout(config)
     sizes = [math.prod(shape) for shape in layout.values()]
@@ -163,7 +151,7 @@ def init_head(config: HeadConfig) -> HeadParams:
     weights and out_w from +-sqrt(6/fan_in)/omega0; finer draws block_b0
     from +-finer_bias_scale. A bias-free head draws no bias.
     """
-    params = _allocate(config)
+    params = allocate(config)
     rng = np.random.default_rng(config.seed)
     sinusoidal = config.activation in ("siren", "finer")
     for name, arr in params.tensors.items():
@@ -184,82 +172,13 @@ def init_head(config: HeadConfig) -> HeadParams:
     return params
 
 
-_pool_thread = threading.local()  # .active: this thread is one of a shared pool's
-BLAS_THREADS_SYMBOL = "scipy_openblas_get_num_threads64_"  # the bundled OpenBLAS's thread-count getter
-
-
-@functools.cache
-def _blas_thread_getter() -> Callable[[], int] | None:
-    """numpy's bundled OpenBLAS's thread-count getter, found through ctypes in numpy.libs; None where it is missing."""
-    import ctypes
-    import glob
-
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "*openblas*")
-    for path in sorted(glob.glob(libs)):
-        try:
-            return getattr(ctypes.CDLL(path), BLAS_THREADS_SYMBOL)
-        except (OSError, AttributeError):  # not loadable here, or another build
-            continue
-    return None
-
-
-def _blas_threads() -> int:
-    """The threads BLAS runs each call on, read and never set; 1 where numpy's OpenBLAS getter is missing."""
-    getter = _blas_thread_getter()
-    return 1 if getter is None else max(getter(), 1)
-
-
-def _threads(count: int, cells: int) -> int:
-    """The size of the pool _parallel runs `count` calls of `cells` work on; below 2 is serially, on the caller.
-
-    Serial below PARALLEL_CELLS cells (checked first, so small calls make no system call), for fewer
-    than 2 calls, on a pool thread (no nested pools), and when usable CPUs // BLAS threads, the pool's
-    size, is below 2, so that a pool never competes with BLAS's own threads.
-    """
-    if cells < PARALLEL_CELLS or count < 2 or getattr(_pool_thread, "active", False):
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return cpus // _blas_threads()
-
-
-@functools.cache
-def _pool(threads: int) -> ThreadPoolExecutor:
-    """The process's one pool of `threads` threads, built on first use; each of its threads marks itself."""
-    return ThreadPoolExecutor(threads, initializer=setattr, initargs=(_pool_thread, "active", True))
-
-
-if hasattr(os, "register_at_fork"):  # a forked child inherits the pool but none of its threads; Windows has no fork
-    os.register_at_fork(after_in_child=_pool.cache_clear)
-
-
-def _parallel(calls: Sequence[Callable[[], object]], cells: int) -> list:
-    """The results of independent calls, in call order. With _threads(len(calls), cells) >= 2 the
-    shared pool of that size runs every call while the caller waits; an exception in a call reaches
-    the caller once every call has finished."""
-    threads = _threads(len(calls), cells)
-    if threads < 2:
-        return [call() for call in calls]
-    futures = [_pool(threads).submit(call) for call in calls]
-    wait(futures)
-    return [future.result() for future in futures]
-
-
-def _row_halves(fn: Callable[..., None], z: np.ndarray, out: np.ndarray, *args) -> None:
-    """fn(z, out, *args) once, or over each half of the arrays' rows through _parallel when it has 2 threads."""
-    if _threads(2, z.size) < 2:
-        fn(z, out, *args)
-        return
-    half = (len(z) + 1) // 2
-    _parallel([lambda: fn(z[:half], out[:half], *args), lambda: fn(z[half:], out[half:], *args)], z.size)
-
-
 def _activation_value(z: np.ndarray, kind: str, omega0: float, wave=np.sin) -> np.ndarray:
     """The activation of an array as a new array with the written-out bits (wave=np.cos: its argument's cosine).
-    Row halves of a large array run through _parallel; the work is elementwise, so the bits are the same."""
+    Row halves of a large array run through row_halves; the work is elementwise, so the bits are the same."""
     if kind not in ACTIVATIONS:
         raise ValueError(f"unknown activation {kind!r}")
     out = np.empty_like(z)
-    _row_halves(_value_rows, z, out, kind, omega0, wave)
+    row_halves(_value_rows, z, out, kind, omega0, wave)
     return out
 
 
@@ -279,11 +198,11 @@ def _value_rows(z: np.ndarray, out: np.ndarray, kind: str, omega0: float, wave) 
 
 def _activation_derivative(z: np.ndarray, kind: str, omega0: float) -> np.ndarray:
     """The activation's derivative at an array, with the written-out formula's bits; z may be overwritten.
-    Like the value, row halves of a large array run through _parallel."""
+    Like the value, row halves of a large array run through row_halves."""
     if kind == "relu":
         return np.greater(z, 0.0, out=z)
     deriv = _activation_value(z, kind, omega0, np.cos)
-    _row_halves(_derivative_rows, z, deriv, kind, omega0)
+    row_halves(_derivative_rows, z, deriv, kind, omega0)
     return deriv if kind == "siren" else z
 
 
@@ -363,7 +282,7 @@ def _head_pass(params: HeadParams, codes: np.ndarray, xs, cache: _ForwardCache |
     samples, once for all passes at xs given one list `block0`: the first leaves its activation there,
     and the rest reuse it."""
     cfg, tensors = params.config, params.tensors
-    x_arr = _path_params(xs)
+    x_arr = path_params(xs)
     shape = (codes.shape[0], x_arr.size)
     modulated = cfg.conditioning == "modulation"
 
@@ -460,7 +379,7 @@ def _backward_from_cache(
     shape = expected[:2]
     codes = cache.codes[rows]
     d_codes = np.zeros_like(codes)
-    grad = _allocate(cfg)  # zero pages, each touched as its gradient is written
+    grad = allocate(cfg)  # zero pages, each touched as its gradient is written
     grads = grad.tensors
     modulated = cfg.conditioning == "modulation"
     every_slot = len(rows) == len(cache.codes) and np.array_equal(rows, np.arange(len(rows)))
@@ -497,7 +416,7 @@ def _backward_from_cache(
             break  # block 0's input is x alone, which takes no gradient
         # the weight's and the input's gradients side by side, each one whole matmul
         d_x = np.empty(inp.shape)  # allocated here, not on a pool thread, whose malloc arena would keep it once freed
-        _parallel([weight, functools.partial(np.matmul, tensors[f"block_w{layer}"].T, d_z, out=_flat(d_x))], d_z.size)
+        parallel([weight, functools.partial(np.matmul, tensors[f"block_w{layer}"].T, d_z, out=_flat(d_x))], d_z.size)
         d_z = inp = None  # freed before the next layer's activation derivative
         if not modulated:
             split = d_x.shape[0] - cfg.code_dim

@@ -8,16 +8,14 @@ fractional waypoint index.
 """
 from __future__ import annotations
 
-import numbers
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .checks import SAMPLES_MAX, check_fields, check_number
+
 ORIENTATION_TOL = 1e-6
-_INDEX_MAX = int(np.iinfo(np.intp).max)  # the largest count numpy can index or allocate
-_SAMPLES_MAX = _INDEX_MAX // 8  # the most float64 values numpy can size: the bound of every sample count
 
 SAMPLING_STRATEGIES = ("equispaced", "noisy-equispaced", "uniform")
 
@@ -35,52 +33,7 @@ __all__ = [
 ]
 
 
-def _check_number(name: str, value, interval: tuple = (-np.inf, np.inf, "()")) -> None:
-    """The rule of every real taken in: a ValueError naming it and its value unless it is a real number, not a bool,
-    finite as a float, and in interval (low, high, ends), ends one of "()", "[)", "(]", "[]"."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, not {value!r}")
-    low, high, ends = interval
-    if not (abs(value) <= sys.float_info.max and (low <= value if ends[0] == "[" else low < value)
-            and (value <= high if ends[1] == "]" else value < high)):
-        raise ValueError(f"{name} must lie in {ends[0]}{low}, {high}{ends[1]}, not {value!r}")
-
-
-def _check_object(what: str, value, keys=None) -> dict:
-    """The rule of every JSON object taken in: a ValueError naming it unless it is a dict whose keys, given the
-    allowed `keys`, are among them; a shallow copy of it."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be a JSON object, not {type(value).__name__}")
-    if keys is not None and (unknown := sorted(set(value) - set(keys))):
-        raise ValueError(f"unknown {what} keys: {unknown}")
-    return dict(value)
-
-
-def _check_integer(name: str, value, minimum: int | None = None, maximum: int = _INDEX_MAX) -> None:
-    """The rule of every count: a ValueError naming it unless it is an integer, not a bool, at least minimum
-    and at most maximum, by default numpy's index range."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, not {value!r}")
-    if value > maximum:
-        raise ValueError(f"{name} must be <= {maximum}, not {value!r}")
-
-
-def _check_fields(config, integers=(), reals=(), choices=()) -> None:
-    """The rule of every config's fields: (name, minimum[, maximum]) rows pass _check_integer, (name, interval) rows
-    _check_number, and a (name, options) row's value must be one of options; a field defaulting to None may be None."""
-    for check, rows in ((_check_integer, integers), (_check_number, reals)):
-        for name, *bounds in rows:
-            value = getattr(config, name)
-            if value is not None or config.__dataclass_fields__[name].default is not None:
-                check(name, value, *bounds)
-    for name, options in choices:
-        if (value := getattr(config, name)) not in options:
-            raise ValueError(f"{name} must be one of {', '.join(options)}, not {value!r}")
-
-
-def _unit_rows(vectors: np.ndarray, message: str) -> tuple[np.ndarray, np.ndarray]:
+def unit_rows(vectors: np.ndarray, message: str) -> tuple[np.ndarray, np.ndarray]:
     """The rule of every orientation: (vectors / norms, norms) over the last axis, norms kept as (..., 1) with
     the bits of np.linalg.norm; a ValueError(message) if any norm is too small to divide by."""
     norms = np.sqrt((vectors * vectors).sum(axis=-1, keepdims=True))
@@ -89,7 +42,7 @@ def _unit_rows(vectors: np.ndarray, message: str) -> tuple[np.ndarray, np.ndarra
     return vectors / norms, norms
 
 
-def _path_params(params) -> np.ndarray:
+def path_params(params) -> np.ndarray:
     """The rule of every sample parameter: params as a nonempty 1-D float array inside [-1, 1]."""
     vals = np.asarray(params, dtype=float)
     if vals.ndim != 1 or vals.size == 0:
@@ -143,7 +96,7 @@ class PredictedPath:
     confidence: float
 
     def __post_init__(self) -> None:
-        _check_number("confidence", self.confidence, (0, 1, "[]"))
+        check_number("confidence", self.confidence, (0, 1, "[]"))
         object.__setattr__(self, "confidence", float(self.confidence))
 
 
@@ -163,8 +116,8 @@ class ParamSamplingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:  # a path needs at least two poses
-        _check_fields(self, (("count", 2, _SAMPLES_MAX), ("seed", 0)), (("noise_sigma", (0, np.inf, "[)")),),
-                      (("strategy", SAMPLING_STRATEGIES),))
+        check_fields(self, (("count", 2, SAMPLES_MAX), ("seed", 0)), (("noise_sigma", (0, np.inf, "[)")),),
+                     (("strategy", SAMPLING_STRATEGIES),))
 
 
 def sample_params(config: ParamSamplingConfig) -> np.ndarray:
@@ -201,7 +154,7 @@ def resample(path, params: Sequence[float]):
     poses = path.poses if isinstance(path, Path) else np.asarray(path, dtype=float)
     if poses.ndim < 2 or poses.shape[-1] != 6 or poses.shape[-2] < 2:
         raise ValueError("poses must be a (..., K, 6) array with K >= 2")
-    vals = _path_params(params)
+    vals = path_params(params)
     k = poses.shape[-2]
     u = 0.5 * (vals + 1.0) * (k - 1)
     i0 = np.minimum(np.floor(u).astype(int), k - 2)
@@ -209,7 +162,7 @@ def resample(path, params: Sequence[float]):
     row0 = poses[..., i0, :]
     row1 = poses[..., i0 + 1, :]
     out = (1.0 - frac)[:, None] * row0 + frac[:, None] * row1
-    out[..., 3:] = _unit_rows(out[..., 3:], "interpolated orientation degenerates to zero")[0]
+    out[..., 3:] = unit_rows(out[..., 3:], "interpolated orientation degenerates to zero")[0]
     exact0 = frac == 0.0
     exact1 = frac == 1.0
     out[..., exact0, :] = row0[..., exact0, :]

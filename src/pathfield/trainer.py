@@ -25,22 +25,22 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dataio import _write_atomic, load_json
+from .checks import SAMPLES_MAX, check_fields, check_integer, check_number, check_object
+from .dataio import load_json, write_atomic
 from .matching import LossBreakdown, hungarian, objective, pad_targets, position_cost_matrix
 from .neural_field import (
     HeadConfig,
     HeadParams,
-    _allocate,
     _backward_from_cache,
     _forward_with_cache,
-    _parallel,
+    allocate,
     confidence_forward,
     head_forward_batch,
     init_head,
     named_parameters,
 )
-from .paths import ParamSamplingConfig, Path, PredictedPath, SAMPLING_STRATEGIES, sample_params
-from .paths import _SAMPLES_MAX, _check_fields, _check_integer, _check_number, _check_object, _unit_rows
+from .paths import ParamSamplingConfig, Path, PredictedPath, SAMPLING_STRATEGIES, sample_params, unit_rows
+from .pool import parallel
 
 CHECKPOINT_FORMAT = "pathfield.checkpoint.v2"
 _ADAM_BLOCK = 1 << 15  # floats per Adam update call: its five arrays (1.25 MB) stay in cache
@@ -102,19 +102,19 @@ class TrainConfig:
     head: HeadConfig = field(default_factory=HeadConfig)
 
     def __post_init__(self) -> None:
-        _check_fields(self, (("slots", 1), ("train_samples", 2, _SAMPLES_MAX), ("test_samples", 2, _SAMPLES_MAX),
-                             ("epochs", 0), ("seed", 0)), _REAL_FIELDS,
-                      (("sampling", SAMPLING_STRATEGIES), ("lr_schedule", ("constant", "cosine"))))
+        check_fields(self, (("slots", 1), ("train_samples", 2, SAMPLES_MAX), ("test_samples", 2, SAMPLES_MAX),
+                            ("epochs", 0), ("seed", 0)), _REAL_FIELDS,
+                     (("sampling", SAMPLING_STRATEGIES), ("lr_schedule", ("constant", "cosine"))))
 
     def to_document(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_document(cls, doc: dict) -> "TrainConfig":
-        data = _check_object("train config", doc, cls.__dataclass_fields__)
+        data = check_object("train config", doc, cls.__dataclass_fields__)
         try:
             if "head" in data:
-                data["head"] = HeadConfig(**_check_object("head config", data["head"], HeadConfig.__dataclass_fields__))
+                data["head"] = HeadConfig(**check_object("head config", data["head"], HeadConfig.__dataclass_fields__))
             return cls(**data)
         except TypeError as exc:
             raise ValueError(f"malformed train config: {exc}") from exc
@@ -155,7 +155,7 @@ def _registry_moments(state: TrainState) -> dict[str, dict]:
     """The moments keyed by registry name, the head's one entry as a view per tensor."""
     moments = dict(state.moments)
     if (head := moments.pop("head", None)) is not None:
-        m, v = (named_parameters(_allocate(state.config.head, head[key])) for key in "mv")
+        m, v = (named_parameters(allocate(state.config.head, head[key])) for key in "mv")
         moments |= {f"head.{name}": {"m": m[name], "v": v[name], "step": head["step"]} for name in m}
     return moments
 
@@ -199,7 +199,7 @@ def adam_step(
             raise TrainingError(f"gradient shape {grad.shape} != parameter shape {params[name].shape} for {name!r}")
         if not np.isfinite(grad).all():
             if name == "head":  # name the tensor
-                head = named_parameters(_allocate(cfg.head, grad))
+                head = named_parameters(allocate(cfg.head, grad))
                 name = "head." + next(k for k, arr in head.items() if not np.isfinite(arr).all())
             raise TrainingError(f"non-finite gradient for {name!r}")
 
@@ -310,7 +310,7 @@ def predict(
 
     Every kept slot decodes on its own through the same numpy calls, so
     the bytes do not depend on where it runs: the first alone, the rest
-    through neural_field._parallel, one block's cells (width x samples)
+    through pool.parallel, one block's cells (width x samples)
     being the work.
     """
     if object_id not in state.codewords:
@@ -318,7 +318,7 @@ def predict(
     cfg = state.config
     count = cfg.test_samples if t_test is None else t_test
     threshold = cfg.conf_threshold if conf_threshold is None else conf_threshold
-    _check_number("conf_threshold", threshold)
+    check_number("conf_threshold", threshold)
     grid = sample_params(ParamSamplingConfig("equispaced", count))
     codes = state.codewords[object_id]
     confidences = confidence_forward(state.head, codes).tolist()
@@ -330,13 +330,13 @@ def predict(
         # a batched decode would not give these prediction bytes
         raw = head_forward_batch(state.head, codes[slot], grid, _block0=block0)
         try:
-            units = _unit_rows(raw[:, 3:], "degenerate predicted orientation")[0]
+            units = unit_rows(raw[:, 3:], "degenerate predicted orientation")[0]
         except ValueError as exc:
             raise TrainingError(f"{exc} for object {object_id!r}") from exc
         return PredictedPath(Path(np.concatenate([raw[:, :3], units], axis=1)), confidences[slot])
 
     kept = [decode(slot) for slot in slots[:1]]  # fills block0, which the later decodes only read
-    kept += _parallel([functools.partial(decode, slot) for slot in slots[1:]], state.head.config.width * grid.size)
+    kept += parallel([functools.partial(decode, slot) for slot in slots[1:]], state.head.config.width * grid.size)
     kept.sort(key=lambda p: -p.confidence)
     return kept
 
@@ -382,7 +382,7 @@ def checkpoint_from_document(doc: dict, read: Callable[[str], str | bytes] = lam
         raise ValueError(f"not a {CHECKPOINT_FORMAT} checkpoint document (format {found!r})")
     try:
         config = TrainConfig.from_document(doc["config"])
-        arrays = _check_object("parameters", doc["parameters"])
+        arrays = check_object("parameters", doc["parameters"])
         codewords = {
             name.removeprefix("codewords."): np.zeros((config.slots, config.head.code_dim))
             for name in arrays
@@ -396,10 +396,10 @@ def checkpoint_from_document(doc: dict, read: Callable[[str], str | bytes] = lam
             if not (type(row) is list and len(row) == 3):
                 raise ValueError(f"loss_history[{k}] must hold three finite numbers")
             for i, x in enumerate(row):
-                _check_number(f"loss_history[{k}][{i}]", x)
+                check_number(f"loss_history[{k}][{i}]", x)
         history = [tuple(float(x) for x in row) for row in doc["loss_history"]]
-        _check_integer("epoch", doc["epoch"], 0)
-        state = TrainState(config, _allocate(config.head), codewords, {}, doc["epoch"], history)
+        check_integer("epoch", doc["epoch"], 0)
+        state = TrainState(config, allocate(config.head), codewords, {}, doc["epoch"], history)
         registry = _parameter_registry(state)
         unknown = sorted(arrays.keys() - registry.keys())
         if unknown:
@@ -408,11 +408,11 @@ def checkpoint_from_document(doc: dict, read: Callable[[str], str | bytes] = lam
             if name not in arrays:
                 raise ValueError(f"checkpoint is missing array {name!r}")
             arr[...] = _decode(read(arrays[name]), arr.shape, name)
-        moments = _check_object("moments", doc["moments"])
+        moments = check_object("moments", doc["moments"])
         for name, slot in moments.items():
             if name not in registry:
                 raise ValueError(f"checkpoint has moments for unknown parameter {name!r}")
-            _check_integer(f"{name}.step", _check_object(f"moments[{name!r}]", slot).get("step"), 0)
+            check_integer(f"{name}.step", check_object(f"moments[{name!r}]", slot).get("step"), 0)
             key, param = ("head", state.head.vector) if name.startswith("head.") else (name, registry[name])
             if key not in state.moments:  # the head's step is its first tensor's
                 state.moments[key] = {"m": np.zeros_like(param), "v": np.zeros_like(param), "step": slot["step"]}
@@ -444,7 +444,7 @@ def save_checkpoint(state: TrainState, path) -> None:
 
     text = json.dumps(checkpoint_to_document(state, placeholder), sort_keys=True, separators=(",", ":"))
     pieces = _PLACEHOLDER.split(text)  # text, index, text, ..., text
-    _write_atomic(path, (_encode(arrays[int(p)]) if k % 2 else p for k, p in enumerate(pieces)))
+    write_atomic(path, (_encode(arrays[int(p)]) if k % 2 else p for k, p in enumerate(pieces)))
 
 
 def _splice_long_values(fh) -> tuple[bytes, list[tuple[int, int]]]:

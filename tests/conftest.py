@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-import pathfield.neural_field as neural_field
+import pathfield.pool as pool_module
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -21,7 +21,7 @@ def checkout_env(**overrides: str) -> dict[str, str]:
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Every pool neural_field._parallel builds during the test. Each records its size (`workers`),
+    """Every pool pool.parallel builds during the test. Each records its size (`workers`),
     the threads it started (`started`, whose initializer ran) and the thread each submitted call
     ran on (`ran`). The cached pools are forgotten before the test, so that the test builds its
     own, and the test's pools are forgotten and shut down after it."""
@@ -45,9 +45,9 @@ def pools(monkeypatch):
 
             return super().submit(run)
 
-    monkeypatch.setattr(neural_field, "ThreadPoolExecutor", RecordingPool)
-    neural_field._pool.cache_clear()
+    monkeypatch.setattr(pool_module, "ThreadPoolExecutor", RecordingPool)
+    pool_module._pool.cache_clear()
     yield built
-    neural_field._pool.cache_clear()
+    pool_module._pool.cache_clear()
     for pool in built:
         pool.shutdown()

@@ -35,7 +35,7 @@ from pathfield.dataio import (
     save_json,
     save_report,
 )
-from pathfield.dataio import _indented, _write_atomic
+from pathfield.dataio import _indented, write_atomic
 from pathfield.metrics import EvalReport
 from pathfield.neural_field import HeadConfig
 from pathfield.paths import Path, PredictedPath
@@ -360,7 +360,7 @@ class TestIndentedWriter:
         target = tmp_path / "doc.json"
         target.write_bytes(b"{}\n")
         with pytest.raises(UnicodeEncodeError):
-            _write_atomic(target, ['{"id": "', "caf\u00e9", '"}'])
+            write_atomic(target, ['{"id": "', "caf\u00e9", '"}'])
         assert target.read_bytes() == b"{}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 

@@ -4,13 +4,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pathfield import metrics, neural_field
+import pathfield.pool as pool_module
+from pathfield import metrics
 from pathfield.metrics import (
     DEFAULT_DELTA,
     DEFAULT_THETA_DEG,
+    EASY_TAUS,
+    HARD_TAUS,
     _score_dataset,
     ap_suite,
     average_precision,
@@ -763,7 +766,7 @@ class TestScoreDataset:
 
 class TestParallelEvaluation:
     """With every call above the cell bound and 2 CPUs per BLAS thread, the DTW batches run
-    through neural_field._parallel's pool, and the per-object pcd calls on the caller; the report
+    through pool.parallel's pool, and the per-object pcd calls on the caller; the report
     stays byte for byte that of the serial route."""
 
     @pytest.mark.parametrize("resample_t", [None, 16])
@@ -773,8 +776,8 @@ class TestParallelEvaluation:
         original = metrics.dtw_align
         monkeypatch.setattr(metrics, "dtw_align", lambda a, b: aligned.append(len(a)) or original(a, b))
         monkeypatch.setattr(metrics, "DTW_BATCH_CELLS", 5 * 16 * 16)  # several batches per shape at T = 16
-        monkeypatch.setattr(neural_field, "PARALLEL_CELLS", 0)
-        monkeypatch.setattr(neural_field, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(pool_module, "PARALLEL_CELLS", 0)
+        monkeypatch.setattr(pool_module, "_blas_threads", lambda: 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         serial = evaluate_dataset(dataset, resample_t=resample_t).to_document()
         batches = len(aligned)
@@ -919,3 +922,103 @@ class TestApEnvelopeAndAggregate:
         assert pcds == [whole_table_pcd(gt.positions + [0.0, 0.0, lift], gt.positions) for lift in lifts]
         assert pcds == pytest.approx([2.0, 8.0, 72.0])
         assert report.pcd == float(np.mean(pcds)) == pytest.approx(82.0 / 3)
+
+
+def reference_evaluation(dataset, resample_t):
+    """The document evaluate_dataset must give, written plainly with loops.
+
+    Each pair scores its better direction through reference_fscore. At each
+    tau the predictions claim greedily in (-confidence, object id, index)
+    order, each its best unclaimed ground-truth path of its object (the
+    first on ties), a hit at F >= tau; AP is the area under the precision
+    envelope, one term per recall step, summed in recall order. An object's
+    pcd is whole_table_pcd of its pooled poses. Means are numpy's, so their
+    bits are those of the report.
+    """
+    if resample_t is not None:
+        dataset = resampled(dataset, resample_t)
+    tables, ranks, per_object, pcds, n_gt = {}, [], {}, [], 0
+    for oid in sorted(dataset):
+        gts, preds = dataset[oid]
+        tables[oid] = [[max(reference_fscore(g.poses, p.path.poses)[2], reference_fscore(g.poses, p.path.poses[::-1])[2])
+                        for g in gts] for p in preds]
+        ranks += [(-p.confidence, oid, index) for index, p in enumerate(preds)]
+        n_gt += len(gts)
+        object_pcd = None
+        if gts and preds:
+            object_pcd = whole_table_pcd(np.concatenate([p.path.positions for p in preds]),
+                                         np.concatenate([g.positions for g in gts]))
+            pcds.append(object_pcd)
+        per_object[oid] = {"fscores": [max(row, default=0.0) for row in tables[oid]], "n_gt": len(gts),
+                           "n_predictions": len(preds), "pcd": object_pcd}
+    aps = []
+    for tau in HARD_TAUS + EASY_TAUS:
+        claimed = {oid: [False] * len(dataset[oid][0]) for oid in tables}
+        hits, curve = 0, []
+        for rank, (_, oid, index) in enumerate(sorted(ranks), 1):
+            row, best = tables[oid][index], None
+            for g, fscore in enumerate(row):
+                if not claimed[oid][g] and (best is None or fscore > row[best]):
+                    best = g
+            if best is not None and row[best] >= tau:
+                claimed[oid][best] = True
+                hits += 1
+            curve.append((hits / n_gt, hits / rank))
+        ap, reached = 0.0, 0.0
+        for at, (recall, _) in enumerate(curve):
+            if recall > reached:
+                ap += (recall - reached) * max(precision for _, precision in curve[at:])
+                reached = recall
+        aps.append(ap)
+    return {"pcd": float(np.mean(pcds)) if pcds else None, "ap50": aps[0], "ap": float(np.mean(aps[: len(HARD_TAUS)])),
+            "ap_easy": float(np.mean(aps[len(HARD_TAUS) :])), "delta": DEFAULT_DELTA, "theta_deg": DEFAULT_THETA_DEG,
+            "resample_t": resample_t, "per_object": per_object}
+
+
+@st.composite
+def protocol_datasets(draw):
+    """3 or 4 objects, inserted out of id order. Each holds up to 2 straight ground-truth paths of 4, 8
+    or 10 poses, more than delta apart, and up to 3 predictions that copy one of them (or a line of their
+    own, where the object has none) with some poses turned past theta, as given, reversed or moved away.
+    With m of n poses kept, precision and recall are both m/n: F-scores such as 1/2, 3/5 and 3/4 fall
+    exactly on a tau. Confidences take three values, so ranks tie. At most 7 ground-truth paths: the AP's
+    area then has fewer than 8 terms, which numpy sums in order, as the reference does."""
+    dataset = {}
+    for oid in draw(st.permutations("abcd"))[: draw(st.integers(3, 4))]:
+        gts = [make_path(np.linspace([0.0, 0.3 * g, 0.0], [1.0, 0.3 * g, 0.0], n))
+               for g, n in enumerate(draw(st.lists(st.sampled_from([4, 8, 10]), max_size=2)))]
+        preds = []
+        for _ in range(draw(st.integers(0, 3))):
+            if gts:
+                source = gts[draw(st.integers(0, len(gts) - 1))]
+            else:
+                source = make_path(np.linspace([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], draw(st.sampled_from([4, 8, 10]))))
+            poses = source.poses.copy()
+            poses[draw(st.lists(st.integers(0, len(poses) - 1), unique=True)), 3:] = rotated(Z, 30.0)
+            how = draw(st.sampled_from(["as given", "reversed", "moved away"]))
+            if how == "reversed":
+                poses = poses[::-1]
+            elif how == "moved away":
+                poses[:, 2] += 1.0
+            preds.append(PredictedPath(Path(poses), draw(st.sampled_from([0.25, 0.5, 0.75]))))
+        dataset[oid] = (gts, preds)
+    assume(1 <= sum(len(gts) for gts, _ in dataset.values()) <= 7 and any(preds for _, preds in dataset.values()))
+    return dataset
+
+
+class TestAgainstReferenceEvaluation:
+    @settings(max_examples=60, deadline=None)
+    @given(protocol_datasets(), st.sampled_from([None, 8]))
+    def test_report_equals_the_reference(self, dataset, resample_t):
+        assert evaluate_dataset(dataset, resample_t=resample_t).to_document() == reference_evaluation(dataset, resample_t)
+
+    def test_fscore_on_a_tau_is_a_hit(self):
+        # 6 of 10 poses kept: F = 0.6, the third hard tau, which the claim reaches
+        gt = make_path(np.linspace([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 10))
+        poses = gt.poses.copy()
+        poses[6:, 3:] = rotated(Z, 30.0)
+        dataset = {"a": ([gt], [PredictedPath(Path(poses), 0.5)]), "b": ([], []), "c": ([gt], [])}
+        document = reference_evaluation(dataset, None)
+        assert document["per_object"]["a"]["fscores"] == [0.6] and HARD_TAUS[2] == 0.6
+        assert evaluate_dataset(dataset, resample_t=None).to_document() == document
+        assert document["ap"] == float(np.mean([0.5] * 3 + [0.0] * 7))  # recall 1/2 at precision 1, to tau 0.6

@@ -14,11 +14,11 @@ import pytest
 from conftest import checkout_env
 
 import pathfield.neural_field as neural_field_module
+import pathfield.pool as pool_module
 from pathfield.neural_field import (
     _activation_derivative,
     _activation_value,
     _backward_from_cache,
-    _blas_thread_getter,
     _ForwardCache,
     _forward_with_cache,
     HeadConfig,
@@ -30,6 +30,7 @@ from pathfield.neural_field import (
     init_head,
     named_parameters,
 )
+from pathfield.pool import _blas_thread_getter
 
 
 def naive_forward(params: HeadParams, code, x: float) -> np.ndarray:
@@ -692,7 +693,7 @@ def blas_reporting(threads):
 
 
 class TestParallel:
-    """_parallel runs independent calls on the process's one shared pool when the work is large,
+    """parallel runs independent calls on the process's one shared pool when the work is large,
     more than one CPU per BLAS thread is usable and the caller is not a pool thread; otherwise
     serially on the caller. The caller runs none of a pooled call's calls. Results come back in
     call order either way."""
@@ -701,8 +702,8 @@ class TestParallel:
     def pools(self, pools, monkeypatch):
         """The recorded pools, with 2 usable CPUs, one BLAS thread and no cell bound patched in."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(neural_field_module, "_blas_thread_getter", blas_reporting(1))
-        monkeypatch.setattr(neural_field_module, "PARALLEL_CELLS", 0)
+        monkeypatch.setattr(pool_module, "_blas_thread_getter", blas_reporting(1))
+        monkeypatch.setattr(pool_module, "PARALLEL_CELLS", 0)
         return pools
 
     @staticmethod
@@ -720,20 +721,20 @@ class TestParallel:
     def test_results_come_back_in_call_order(self, pools):
         # the first calls finish last
         calls = [functools.partial(lambda k: time.sleep(0.002 * (8 - k)) or k * k, k) for k in range(8)]
-        assert neural_field_module._parallel(calls, 1) == [k * k for k in range(8)]
+        assert pool_module.parallel(calls, 1) == [k * k for k in range(8)]
         assert [pool.workers for pool in pools] == [2]  # 2 CPUs // 1 BLAS thread
         assert len(pools[0].ran) == 8 and set(pools[0].ran) <= pools[0].started
 
     def test_pool_threads_run_every_call(self, pools, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
-        threads = neural_field_module._parallel([self.meeting(3)] * 3, 1)
+        threads = pool_module.parallel([self.meeting(3)] * 3, 1)
         assert len(set(threads)) == 3 and set(threads) <= pools[0].started
         assert threading.get_ident() not in threads  # the caller ran none
         assert [pool.workers for pool in pools] == [16]  # 16 CPUs, whatever the number of calls
 
     def test_consecutive_calls_share_one_pool(self, pools):
-        first = neural_field_module._parallel([self.meeting(2)] * 2, 1)
-        second = neural_field_module._parallel([self.meeting(2)] * 2, 1)
+        first = pool_module.parallel([self.meeting(2)] * 2, 1)
+        second = pool_module.parallel([self.meeting(2)] * 2, 1)
         assert set(first) == set(second) == pools[0].started and len(set(first)) == 2
         assert [pool.workers for pool in pools] == [2]  # built once
 
@@ -748,13 +749,13 @@ class TestParallel:
         elif case == "one-call":
             calls = calls[:1]
         elif case == "below-bound":  # checked first, so neither the CPUs nor BLAS are asked
-            monkeypatch.setattr(neural_field_module, "PARALLEL_CELLS", 1 << 15)
+            monkeypatch.setattr(pool_module, "PARALLEL_CELLS", 1 << 15)
             monkeypatch.setattr(os, "sched_getaffinity", None, raising=False)
-            monkeypatch.setattr(neural_field_module, "_blas_thread_getter", None)
+            monkeypatch.setattr(pool_module, "_blas_thread_getter", None)
             cells = (1 << 15) - 1
         else:  # 2 CPUs, and BLAS runs a thread on each
-            monkeypatch.setattr(neural_field_module, "_blas_thread_getter", blas_reporting(2))
-        assert neural_field_module._parallel(calls, cells) == [threading.get_ident()] * len(calls)
+            monkeypatch.setattr(pool_module, "_blas_thread_getter", blas_reporting(2))
+        assert pool_module.parallel(calls, cells) == [threading.get_ident()] * len(calls)
         assert pools == []
 
     def test_nested_call_runs_serially_on_its_pool_thread(self, pools):
@@ -762,18 +763,18 @@ class TestParallel:
 
         def outer():
             here = meet()
-            inner.append((here, neural_field_module._parallel([threading.get_ident] * 2, 1)))
+            inner.append((here, pool_module.parallel([threading.get_ident] * 2, 1)))
 
-        neural_field_module._parallel([outer, outer], 1)
+        pool_module.parallel([outer, outer], 1)
         assert sorted(inner) == sorted((here, [here] * 2) for here in pools[0].started)
         assert [(pool.workers, len(pool.ran)) for pool in pools] == [(2, 2)]  # the outer calls only
 
     def test_missing_blas_getter_counts_one_thread(self, pools, monkeypatch):
-        monkeypatch.setattr(neural_field_module, "BLAS_THREADS_SYMBOL", "no_such_symbol")
+        monkeypatch.setattr(pool_module, "BLAS_THREADS_SYMBOL", "no_such_symbol")
         assert _blas_thread_getter.__wrapped__() is None
-        monkeypatch.setattr(neural_field_module, "_blas_thread_getter", blas_reporting(None))
-        assert neural_field_module._blas_threads() == 1
-        assert neural_field_module._parallel([self.meeting(2)] * 2, 1)
+        monkeypatch.setattr(pool_module, "_blas_thread_getter", blas_reporting(None))
+        assert pool_module._blas_threads() == 1
+        assert pool_module.parallel([self.meeting(2)] * 2, 1)
         assert [pool.workers for pool in pools] == [2]  # 2 CPUs // 1 BLAS thread
 
     def test_worker_exception_reaches_the_caller(self, pools):
@@ -784,7 +785,7 @@ class TestParallel:
             raise ZeroDivisionError("raised on a pool thread")
 
         with pytest.raises(ZeroDivisionError, match="raised on a pool thread"):
-            neural_field_module._parallel([call, meet], 1)
+            pool_module.parallel([call, meet], 1)
         assert [pool.workers for pool in pools] == [2]
         assert len(set(pools[0].ran)) == 2 and set(pools[0].ran) <= pools[0].started
 
@@ -799,7 +800,7 @@ class TestParallel:
             finished.append(True)
 
         with pytest.raises(ZeroDivisionError, match="raised first"):
-            neural_field_module._parallel([fail, slow], 1)
+            pool_module.parallel([fail, slow], 1)
         assert finished == [True]
 
     def test_forked_child_builds_its_own_pool(self):
@@ -807,11 +808,11 @@ class TestParallel:
         # hook its pooled call would wait forever, so the parent kills it after the timeout
         script = textwrap.dedent("""
             import os, sys, threading, time
-            import pathfield.neural_field as neural_field
+            import pathfield.pool as pool
 
             os.sched_getaffinity = lambda pid: {0, 1}
-            neural_field._blas_threads = lambda: 1
-            neural_field.PARALLEL_CELLS = 0
+            pool._blas_threads = lambda: 1
+            pool.PARALLEL_CELLS = 0
 
             def pooled_threads():
                 barrier = threading.Barrier(2, timeout=10)
@@ -820,7 +821,7 @@ class TestParallel:
                     barrier.wait()
                     return threading.get_ident()
 
-                return len(set(neural_field._parallel([meet, meet], 1)))
+                return len(set(pool.parallel([meet, meet], 1)))
 
             assert pooled_threads() == 2  # both pool threads have started
             pid = os.fork()

@@ -4,18 +4,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from pathfield.checks import SAMPLES_MAX
 from pathfield.paths import (
-    _SAMPLES_MAX,
     SAMPLING_STRATEGIES,
     ParamSamplingConfig,
     Path,
     PredictedPath,
-    _unit_rows,
     max_second_difference,
     normalize_scene,
     resample,
     reverse,
     sample_params,
+    unit_rows,
 )
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -247,7 +247,7 @@ class TestUnitRows:
     def test_equals_the_linalg_norm_form_bit_for_bit(self, vectors):
         norms = np.linalg.norm(vectors, axis=-1, keepdims=True)
         assume(np.all(norms >= 1e-12))
-        units, got = _unit_rows(vectors, "zero")
+        units, got = unit_rows(vectors, "zero")
         assert got.tobytes() == norms.tobytes()
         assert units.tobytes() == (vectors / norms).tobytes()
 
@@ -276,7 +276,7 @@ class TestSampleParams:
     def test_count_at_the_bound_is_a_memory_error(self, strategy):
         # sized in integers, 8 EiB: numpy refuses it at once, so nothing is allocated
         with pytest.raises(MemoryError):
-            sample_params(ParamSamplingConfig(strategy, _SAMPLES_MAX))
+            sample_params(ParamSamplingConfig(strategy, SAMPLES_MAX))
 
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError):

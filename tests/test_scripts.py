@@ -40,6 +40,28 @@ def test_submodule_all_names_exist(name):
     exec(f"from pathfield.{name} import *", namespace)
 
 
+# (importing module, source module, name) of each private name that may cross a module line, and why
+PRIVATE_IMPORTS = {
+    ("trainer", "neural_field", "_forward_with_cache"):
+        "perfbench/tracing.py times the training forward by wrapping pathfield.trainer._forward_with_cache",
+    ("trainer", "neural_field", "_backward_from_cache"):
+        "perfbench/tracing.py times the backward by wrapping pathfield.trainer._backward_from_cache",
+}
+
+
+def test_no_private_name_crosses_a_module():
+    """Each module's private names stay its own: no module of the package imports another's,
+    but the ones PRIVATE_IMPORTS lists, which stay until the benchmark wraps them by new names."""
+    crossing = []
+    for source in sorted((ROOT / "src" / "pathfield").glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                crossing += [(source.stem, node.module, alias.name) for alias in node.names
+                             if alias.name.startswith("_")]
+    assert [row for row in crossing if row not in PRIVATE_IMPORTS] == []
+    assert sorted(PRIVATE_IMPORTS) == sorted(crossing)  # an exception no longer used leaves the list
+
+
 def test_package_imports_exist():
     import pathfield
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import pathfield.neural_field as neural_field_module
+import pathfield.pool as pool_module
 import pathfield.trainer as trainer_module
 from pathfield.cli import main
 from pathfield.dataio import ObjectRecord, SyntheticConfig, gen_dataset, save_dataset
@@ -23,7 +24,7 @@ from pathfield.matching import (
     position_cost_matrix,
 )
 from pathfield.metrics import evaluate_dataset
-from pathfield.neural_field import HeadConfig, _allocate, confidence_forward, head_forward_batch, named_parameters
+from pathfield.neural_field import HeadConfig, allocate, confidence_forward, head_forward_batch, named_parameters
 from pathfield.paths import ParamSamplingConfig, Path, PredictedPath, sample_params
 from pathfield.trainer import (
     TrainConfig,
@@ -91,7 +92,7 @@ def fitted():
 
 def head_gradient(state, **tensors) -> dict[str, np.ndarray]:
     """The head's gradient entry, zero but for the given tensors."""
-    grad = _allocate(state.config.head)
+    grad = allocate(state.config.head)
     for name, value in tensors.items():
         named_parameters(grad)[name][...] = value
     return {"head": grad.vector}
@@ -101,7 +102,7 @@ def per_tensor(config, gradients) -> dict[str, np.ndarray]:
     """Gradients keyed by registry name, the head's entry as a view per tensor."""
     grads = dict(gradients)
     if (head := grads.pop("head", None)) is not None:
-        grads |= {f"head.{k}": v for k, v in named_parameters(_allocate(config.head, head)).items()}
+        grads |= {f"head.{k}": v for k, v in named_parameters(allocate(config.head, head)).items()}
     return grads
 
 
@@ -642,7 +643,7 @@ class TestPredict:
 
 
 class TestPoolDecode:
-    """predict decodes the slots after the first through neural_field._parallel, on the shared
+    """predict decodes the slots after the first through pool.parallel, on the shared
     thread pool, when a block holds at least PARALLEL_CELLS cells and more than one CPU is
     usable; the bytes stay those of a serial decode of each slot."""
 
@@ -657,7 +658,7 @@ class TestPoolDecode:
         """The recorded pools, with 16 usable CPUs and one BLAS thread patched in, so that the pool may
         run more threads than there are cores, and a short switch interval."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
-        monkeypatch.setattr(neural_field_module, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(pool_module, "_blas_threads", lambda: 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -671,7 +672,7 @@ class TestPoolDecode:
         ({"width": 64, "conditioning": "concat"}, 1024, True),
     ], ids=["above-rule", "below-rule", "concat"])
     def test_equals_serial_decode_of_each_slot(self, pools, monkeypatch, head, samples, pooled):
-        assert (head["width"] * samples >= neural_field_module.PARALLEL_CELLS) == pooled
+        assert (head["width"] * samples >= pool_module.PARALLEL_CELLS) == pooled
         state = self.state(**head)
         blocks = []  # the thread each block's activation ran on
         original = neural_field_module._activation_value
@@ -698,7 +699,7 @@ class TestPoolDecode:
         assert [(pool.workers, len(pool.ran)) for pool in pools] == [(16, calls)]
         state.codewords["obj"][5] = 0.0
         failed = []  # the thread each failed orientation check ran on
-        original = trainer_module._unit_rows
+        original = trainer_module.unit_rows
 
         def spy(*args):
             try:
@@ -707,7 +708,7 @@ class TestPoolDecode:
                 failed.append(threading.get_ident())
                 raise
 
-        monkeypatch.setattr(trainer_module, "_unit_rows", spy)
+        monkeypatch.setattr(trainer_module, "unit_rows", spy)
         with pytest.raises(TrainingError, match="degenerate predicted orientation for object 'obj'"):
             predict(state, "obj", 1025, conf_threshold=0.0)
         # the failed predict pooled as many calls as the first, on the same pool's threads, and slot 5's
@@ -721,8 +722,8 @@ class TestPoolDecode:
         def no_pool(*args, **kwargs):
             raise AssertionError("predict built a thread pool with one usable CPU")
 
-        monkeypatch.setattr(neural_field_module, "ThreadPoolExecutor", no_pool)
-        neural_field_module._pool.cache_clear()  # so that no pool cached before the test can stand in
+        monkeypatch.setattr(pool_module, "ThreadPoolExecutor", no_pool)
+        pool_module._pool.cache_clear()  # so that no pool cached before the test can stand in
         if affinity == "one-cpu":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         else:
@@ -734,7 +735,7 @@ class TestPoolDecode:
 
 class TestParallelBytes:
     """With every piece of work above the cell bound and 2 CPUs per BLAS thread, the waves, the
-    backward's matmul pairs and the decodes run through neural_field._parallel's pool; a fit's
+    backward's matmul pairs and the decodes run through pool.parallel's pool; a fit's
     checkpoint and its predictions stay byte for byte those of the serial route."""
 
     @staticmethod
@@ -749,8 +750,8 @@ class TestParallelBytes:
     @pytest.mark.parametrize("kind", ["relu", "siren", "finer"])
     def test_equal_to_the_serial_route(self, tmp_path, monkeypatch, pools, kind, conditioning):
         head = tiny_head(activation=kind, conditioning=conditioning, width=15)  # odd, so the row halves differ
-        monkeypatch.setattr(neural_field_module, "PARALLEL_CELLS", 0)
-        monkeypatch.setattr(neural_field_module, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(pool_module, "PARALLEL_CELLS", 0)
+        monkeypatch.setattr(pool_module, "_blas_threads", lambda: 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         serial = self.fit_and_predict(tmp_path / "serial.json", head)
         assert pools == []
